@@ -1,11 +1,12 @@
 """Apolarity: the differentiation action of R on its dual ring, Macaulay
-inverse systems of smooth Milnor algebras, the dual smoothness criterion,
-and the Hessian socle check.
+inverse systems of smooth Milnor algebras, and the dual smoothness
+criterion.
 
 The action is plain differentiation, h(d/dy_1, ..., d/dy_n) F, so the
-pairing matrix of the degree-e monomial bases is diagonal with entries
-alpha!; the inverse system is the one-dimensional kernel of that weighted
-pairing against (J_f)_T.
+pairing of the degree-e monomial bases is diagonal with entries alpha!.  For
+smooth f the Milnor algebra has a one-dimensional socle in degree T, and the
+inverse system is read off the socle coordinates of the degree-T monomials
+on the standard monomials of the Jacobian Groebner basis.
 """
 
 from __future__ import annotations
@@ -14,11 +15,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from veroav.groebner import buchberger, normal_form, projective_empty
-from veroav.linalg import MatrixQ, kernel_basis
-from veroav.milnor import InternalDefectError, gb_jacobian, is_smooth, jacobian_rref, validate_input
+from veroav.groebner import buchberger, projective_empty, quotient_coordinates
+from veroav.milnor import InternalDefectError, gb_jacobian, is_smooth, validate_input
 from veroav.polynomial import Monomial, Polynomial, iter_monomials, mono_div
-from veroav.polyring import graded_basis, hessian_det
 
 
 class NotSmoothError(ValueError):
@@ -59,41 +58,26 @@ class InverseSystem:
 def inverse_system(f: Polynomial) -> InverseSystem:
     """Macaulay inverse system of the Milnor algebra of a smooth hypersurface.
 
-    F spans the kernel of the apolar pairing against (J_f)_T; the kernel must
-    be one-dimensional, and the annihilation of every Jacobian generator (and
-    of its monomial multiples up to degree T) is re-verified directly.
+    The socle (M_f)_T is one-dimensional, and F pairs every degree-T h with
+    its socle coordinate: the coefficient of y^alpha is the socle coordinate
+    of x^alpha over alpha!.  Then J_f annihilates F as soon as each partial
+    does, which is re-verified directly.
     """
     hi = validate_input(f)
     if not is_smooth(f):
         raise NotSmoothError("the inverse system is computed for smooth hypersurfaces")
     T = hi.T
-    L = jacobian_rref(f, T)
-    basis_T = graded_basis(hi.n, T)
-    weights = []
-    for mono in basis_T:
-        w = 1
-        for e in mono:
-            w *= math.factorial(e)
-        weights.append(w)
-    pairing_rows = [
-        [row[j] * weights[j] for j in range(len(basis_T))] for row in L.matrix
-    ]
-    kernel = kernel_basis(MatrixQ.from_rows(pairing_rows))
-    if len(kernel) != 1:
-        raise InternalDefectError(
-            f"apolar kernel has dimension {len(kernel)}, expected 1"
-        )
-    F = Polynomial(hi.n, dict(zip(basis_T, kernel[0]))).normalized_primitive()
+    monos = list(iter_monomials(hi.n, T))
+    coords = quotient_coordinates(map(Polynomial.monomial, monos), gb_jacobian(f), T)
+    if len(coords[0]) != 1:
+        raise InternalDefectError(f"socle has dimension {len(coords[0])}, expected 1")
+    F = Polynomial(
+        hi.n,
+        {alpha: c / math.prod(map(math.factorial, alpha)) for alpha, (c,) in zip(monos, coords)},
+    ).normalized_primitive()
     for g in f.gradient():
         if not apolar_action(g, F).is_zero():
             raise InternalDefectError("a Jacobian generator fails to annihilate F")
-        for extra in range(T - (hi.d - 1) + 1):
-            for mono in iter_monomials(hi.n, extra):
-                h = Polynomial.monomial(mono) * g
-                if not apolar_action(h, F).is_zero():
-                    raise InternalDefectError(
-                        "a multiple of a Jacobian generator fails to annihilate F"
-                    )
     return InverseSystem(F, T)
 
 
@@ -108,12 +92,3 @@ def va_via_inverse_system(f: Polynomial) -> bool:
     """Veronese avoidance through the dual: for smooth f the verdict equals
     the smoothness of the inverse system."""
     return smoothness(inverse_system(f).F)
-
-
-def hessian_socle_check(f: Polynomial) -> bool:
-    """The Hessian determinant represents a nonzero socle element of the
-    Milnor algebra in degree T (smooth input)."""
-    validate_input(f)
-    if not is_smooth(f):
-        raise NotSmoothError("the Hessian socle check applies to smooth hypersurfaces")
-    return not normal_form(hessian_det(f), gb_jacobian(f)).is_zero()

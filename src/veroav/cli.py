@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Exit codes for ``check``: 0 the hypersurface is Veronese-avoiding, 1 it is
-not, 2 input or scope error, 3 internal defect (a cross-check or internal
-consistency invariant failed).  JSON goes to stdout, diagnostics to stderr.
+not, 2 input, scope or resource-limit error (such as the Buchberger degree
+cap), 3 internal defect (a cross-check or internal consistency invariant
+failed, or any unexpected exception).  Exits 2 and 3 print one diagnostic
+line and no traceback.  JSON goes to stdout, diagnostics to stderr.
 JSON mode requires an explicit --seed so randomized trials are reproducible;
 identical inputs and seed produce byte-identical JSON (timings are omitted
 unless --timings is given, since wall-clock values are not reproducible).
@@ -15,14 +17,14 @@ import json
 import os
 import sys
 
-from veroav.apolar import NotSmoothError, inverse_system
+from veroav.apolar import inverse_system
 from veroav.corpus import builtin_corpus, parse_corpus_file, run_corpus
-from veroav.milnor import InternalDefectError, ScopeError
-from veroav.parsing import ParseError, parse_poly, render_poly
+from veroav.groebner import DegreeCapExceeded
+from veroav.milnor import InternalDefectError
+from veroav.parsing import parse_poly, render_poly
 from veroav.polyring import linear_form
 from veroav.singlocus import classify, general_linear_position, singular_report
 from veroav.veronese import (
-    ConditionIIPreconditionError,
     check_va,
     f0_form,
     lefschetz_degree_one,
@@ -325,14 +327,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ScopeError, NotSmoothError, ConditionIIPreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except ValueError as exc:
+    except (ValueError, DegreeCapExceeded) as exc:
+        # parse, scope and precondition errors, and the Buchberger degree cap
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except InternalDefectError as exc:
         print(f"internal defect: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_DEFECT
+    except Exception as exc:  # an unexpected failure is a defect, never a verdict
+        print(f"internal defect: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_DEFECT
 
 

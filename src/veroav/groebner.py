@@ -1,6 +1,7 @@
 """Buchberger's algorithm over Q, with the ideal-theoretic helpers built on
-top of it: normal forms, projective emptiness, Krull dimension, Hilbert
-function values, and saturation by the irrelevant ideal.
+top of it: normal forms, quotient coordinates on standard monomials,
+projective emptiness, Krull dimension, Hilbert function values, and
+saturation by the irrelevant ideal.
 
 The hot loop works on primitive integer coefficient dicts (content-stripped
 after every reduction) rather than Fractions; rational arithmetic only
@@ -18,6 +19,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from veroav.orders import GREVLEX, MonomialOrder
@@ -221,6 +223,11 @@ class GroebnerBasis:
     def contains(self, p: Polynomial) -> bool:
         return normal_form(p, self).is_zero()
 
+    @cached_property
+    def _reducers(self) -> list[_IPoly]:
+        # built once per basis and shared by every normal form against it
+        return [_IPoly(_to_int_terms(g), self.order) for g in self.generators]
+
 
 def _gm_update(
     basis: list[_IPoly],
@@ -336,10 +343,40 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     for c in p.terms.values():
         den = den * c.denominator // math.gcd(den, c.denominator)
     terms = {m: int(c * den) for m, c in p.terms.items()}
-    reducers = [_IPoly(_to_int_terms(g), gb.order) for g in gb.generators]
-    out, scale = _normal_form_int(terms, reducers, gb.order)
+    out, scale = _normal_form_int(terms, gb._reducers, gb.order)
     total = den * scale
     return Polynomial(p.nvars, {m: Fraction(c, total) for m, c in out.items()})
+
+
+def standard_monomials(gb: GroebnerBasis, degree: int) -> tuple[Monomial, ...]:
+    """Degree-``degree`` monomials outside the leading-term ideal, in
+    ``iter_monomials`` order: a basis of (R/I)_degree for a homogeneous
+    ideal."""
+    if degree < 0:
+        return ()
+    if gb.is_zero_ideal():
+        raise ValueError("zero ideal has no ambient variable count; use dim_graded")
+    reducers = gb._reducers
+    return tuple(
+        m for m in iter_monomials(gb.nvars, degree) if _find_reducer(m, reducers) is None
+    )
+
+
+def quotient_coordinates(
+    polys: Iterable[Polynomial], gb: GroebnerBasis, degree: int
+) -> list[tuple[Fraction, ...]]:
+    """Coordinates in (R/I)_degree of homogeneous degree-``degree``
+    polynomials: their normal-form coefficients on
+    ``standard_monomials(gb, degree)``.  A coordinate vector vanishes
+    exactly when the polynomial lies in the ideal."""
+    basis = standard_monomials(gb, degree)
+    out = []
+    for p in polys:
+        if not p.is_zero() and (not p.is_homogeneous() or p.homogeneous_degree() != degree):
+            raise ValueError(f"polynomial is not homogeneous of degree {degree}")
+        r = normal_form(p, gb)
+        out.append(tuple(r.coeff(m) for m in basis))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -389,36 +426,7 @@ def krull_dim_quotient(gb: GroebnerBasis) -> int:
 def hilbert_value(gb: GroebnerBasis, degree: int) -> int:
     """Number of degree-``degree`` standard monomials of the leading-term
     ideal, i.e. dim_k (R/I)_degree for a homogeneous ideal."""
-    if degree < 0:
-        return 0
-    if gb.is_zero_ideal():
-        raise ValueError("zero ideal has no ambient variable count; use dim_graded")
-    if gb.is_unit_ideal():
-        return 0
-    lms = gb.leading_monomials
-    count = 0
-    for m in iter_monomials(gb.nvars, degree):
-        divisible = False
-        for lm in lms:
-            for a, b in zip(m, lm):
-                if a < b:
-                    break
-            else:
-                divisible = True
-                break
-        if not divisible:
-            count += 1
-    return count
-
-
-def ideal_equal(a: GroebnerBasis, b: GroebnerBasis) -> bool:
-    """Reduced bases in a common order are canonical, but the orders may
-    differ, so fall back to mutual membership."""
-    if a.order == b.order:
-        return a.generators == b.generators
-    return all(b.contains(g) for g in a.generators) and all(
-        a.contains(g) for g in b.generators
-    )
+    return len(standard_monomials(gb, degree))
 
 
 # ---------------------------------------------------------------------------

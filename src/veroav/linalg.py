@@ -181,28 +181,6 @@ def quotient_coords(v: Sequence, L: RrefResult) -> tuple[Fraction, ...]:
     return tuple(vec[j] for j in L.free_columns)
 
 
-def in_row_space(v: Sequence, L: RrefResult) -> bool:
-    return all(x == 0 for x in quotient_coords(v, L))
-
-
-def quotient_matrix(L: RrefResult) -> list[list[Fraction]]:
-    """Matrix of the quotient map: column j is quotient_coords of e_j."""
-    free = L.free_columns
-    pos = {c: k for k, c in enumerate(free)}
-    pivot_of_col = {c: i for i, c in enumerate(L.pivots)}
-    cols = []
-    for j in range(L.cols):
-        col = [Fraction(0)] * len(free)
-        if j in pivot_of_col:
-            row = L.matrix[pivot_of_col[j]]
-            for c in free:
-                col[pos[c]] = -row[c]
-        else:
-            col[pos[j]] = Fraction(1)
-        cols.append(col)
-    return [[cols[j][k] for j in range(L.cols)] for k in range(len(free))]
-
-
 def rank_mod_p(M: MatrixQ, p: int) -> int | None:
     """Rank of the integer-cleared matrix mod p; None if p divides a needed
     denominator-clearing factor (a bad prime)."""

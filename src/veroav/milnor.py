@@ -4,7 +4,8 @@ the Milnor algebra (total Tjurina number, degree-one defect, coincidence
 threshold, Jacobian module dimensions).
 
 The per-polynomial Groebner bases are memoized, so the operations of one
-analysis run share a single basis computation.
+analysis run share a single basis computation.  The Macaulay matrix and its
+RREF are an independent route to the same quotient, kept for cross-checks.
 """
 
 from __future__ import annotations
@@ -124,12 +125,12 @@ def jacobian_rref(f: Polynomial, m: int) -> RrefResult:
 
 
 def condition_I(f: Polynomial) -> ConditionIReport:
-    """Gradient-generic condition: dim (M_f)_{T-1} must equal n."""
+    """Gradient-generic condition: dim (M_f)_{T-1} must equal n, read off
+    the standard monomials of the Jacobian Groebner basis."""
     hi = validate_input(f)
     m = hi.T - 1
-    rk = jacobian_rref(f, m).rank
-    dim_m = dim_graded(hi.n, m) - rk
-    return ConditionIReport(dim_m, dim_m == hi.n, rk)
+    dim_m = hilbert_value(gb_jacobian(f), m)
+    return ConditionIReport(dim_m, dim_m == hi.n, dim_graded(hi.n, m) - dim_m)
 
 
 @lru_cache(maxsize=None)

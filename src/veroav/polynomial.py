@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from veroav.orders import GRLEX, MonomialOrder
 
@@ -317,10 +317,3 @@ class Polynomial:
         if p.terms and p.terms[p.leading_monomial(order)] < 0:
             p = -p
         return p
-
-
-def poly_sum(polys: Iterable[Polynomial], nvars: int) -> Polynomial:
-    total = Polynomial.zero(nvars)
-    for p in polys:
-        total = total + p
-    return total

@@ -8,7 +8,6 @@ x^2, xy, xz, y^2, yz, z^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -48,21 +47,6 @@ def from_coefficient_vector(nvars: int, degree: int, vec: Sequence) -> Polynomia
     if len(vec) != len(basis):
         raise ValueError("vector length does not match the graded basis")
     return Polynomial(nvars, {m: Fraction(c) for m, c in zip(basis, vec)})
-
-
-@dataclass(frozen=True)
-class GradedPiece:
-    """A subspace of R_degree given by spanning coefficient vectors."""
-
-    nvars: int
-    degree: int
-    basis: tuple[Monomial, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    @classmethod
-    def from_polys(cls, polys: Sequence[Polynomial], nvars: int, degree: int) -> "GradedPiece":
-        rows = tuple(coefficient_vector(p, degree) for p in polys)
-        return cls(nvars, degree, graded_basis(nvars, degree), rows)
 
 
 def substitute_linear(p: Polynomial, matrix: Sequence[Sequence]) -> Polynomial:

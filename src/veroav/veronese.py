@@ -1,11 +1,12 @@
 """The degree-(T-1) Veronese avoidance machinery and the top-level verdict.
 
 Condition (II) is decided in the n coefficient parameters of a symbolic
-linear form: the quotient coordinates of l^(T-1) modulo (J_f)_{T-1} give n
-forms whose common projective zero locus is exactly the set of offending
-linear forms.  Emptiness is certified by a Groebner basis with a pure-power
-leading monomial in every parameter; non-emptiness is witnessed, when a
-rational witness exists, by an exact membership check.
+linear form: the normal-form coefficients of l^(T-1) on the standard
+monomials of the Jacobian Groebner basis are n forms whose common projective
+zero locus is exactly the set of offending linear forms.  Emptiness is
+certified by a Groebner basis with a pure-power leading monomial in every
+parameter; non-emptiness is witnessed, when a rational witness exists, by an
+exact membership check.
 """
 
 from __future__ import annotations
@@ -16,18 +17,16 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
-from veroav.groebner import GroebnerBasis, buchberger, hilbert_value, projective_empty
-from veroav.linalg import (
-    MatrixQ,
-    RrefResult,
-    determinant,
-    kernel_basis,
-    quotient_coords,
-    quotient_matrix,
-    rank,
+from veroav.groebner import (
+    GroebnerBasis,
+    buchberger,
+    hilbert_value,
+    projective_empty,
+    quotient_coordinates,
 )
+from veroav.linalg import MatrixQ, determinant, kernel_basis, rank, rank_mod_p
 from veroav.milnor import (
     ConditionIReport,
     HypersurfaceInput,
@@ -35,20 +34,19 @@ from veroav.milnor import (
     condition_I,
     gb_jacobian,
     is_smooth,
+    jacobian_degree_matrix,
     jacobian_module_dims,
-    jacobian_rref,
     coincidence_threshold,
     defect1,
     smooth_reference_hf,
     validate_input,
 )
 from veroav.polynomial import Polynomial
-from veroav.polyring import (
-    coefficient_vector,
-    graded_basis,
-    linear_form,
-    power_linear_form_symbolic,
-)
+from veroav.polyring import graded_basis, linear_form, power_linear_form_symbolic
+from veroav.ratpoints import rational_projective_points
+
+# The prime of the modular Macaulay rank in the condition (I) cross-check.
+MACAULAY_CHECK_PRIME = 2**31 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -76,24 +74,6 @@ def catalecticant_rank_at(v: Sequence, nvars: int, m: int) -> int:
     return rank(MatrixQ.from_rows(rows))
 
 
-def catalecticant_symbolic_indices(nvars: int, m: int) -> list[list[int]]:
-    """Index matrix of the symmetric-style catalecticant: entry (i, beta) is
-    the graded-basis position of x_i * x^beta.  (Mapping positions to
-    coordinate variables z_1.. reproduces the classical symmetric matrix of
-    a quadric; the rank-one locus of powers uses the derivative flattening
-    above, whose diagonal carries extra integer weights.)"""
-    basis_m = graded_basis(nvars, m)
-    index = {mono: i for i, mono in enumerate(basis_m)}
-    out = []
-    for i in range(nvars):
-        row = []
-        for beta in graded_basis(nvars, m - 1):
-            alpha = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
-            row.append(index[alpha])
-        out.append(row)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # condition (II)
 
@@ -111,21 +91,28 @@ class ConditionIIPreconditionError(ValueError):
     """Condition (II) is only defined once condition (I) holds."""
 
 
-def _power_quotient_forms(f: Polynomial, m: int, L: RrefResult) -> list[Polynomial]:
-    """Quotient coordinates of the symbolic power (a_1 x_1 + ...)^m as
-    polynomials in the coefficient parameters a_1..a_n."""
+def _power_quotient_forms(
+    f: Polynomial, m: int, lins: Sequence[Polynomial] | None = None
+) -> list[Polynomial]:
+    """Quotient coordinates of the symbolic power (s_1 l_1 + ... + s_k l_k)^m
+    as polynomials in the parameters s_1..s_k; the linear forms l_j default
+    to the variables, which gives the coefficient parameters a_1..a_n."""
     n = f.nvars
-    Q = quotient_matrix(L)
-    expansion = power_linear_form_symbolic(n, m)
-    forms = []
-    for row in Q:
-        terms = {}
-        for j, (alpha, mult) in enumerate(expansion):
-            c = row[j] * mult
-            if c:
-                terms[alpha] = c
-        forms.append(Polynomial(n, terms))
-    return forms
+    if lins is None:
+        lins = [Polynomial.variable(i, n) for i in range(n)]
+    expansion = power_linear_form_symbolic(len(lins), m)
+    products = []
+    for beta, _ in expansion:
+        prod = Polynomial.constant(n, 1)
+        for lin, e in zip(lins, beta):
+            if e:
+                prod = prod * lin**e
+        products.append(prod)
+    coords = quotient_coordinates(products, gb_jacobian(f), m)
+    return [
+        Polynomial(len(lins), {beta: mult * c[i] for (beta, mult), c in zip(expansion, coords)})
+        for i in range(len(coords[0]))
+    ]
 
 
 def _projective_candidates(n: int) -> list[tuple[int, ...]]:
@@ -147,14 +134,11 @@ def _projective_candidates(n: int) -> list[tuple[int, ...]]:
     return candidates
 
 
-def _verify_witness(
-    f: Polynomial, m: int, L: RrefResult, coeffs: Sequence[Fraction]
-) -> bool:
+def _verify_witness(f: Polynomial, m: int, coeffs: Sequence[Fraction]) -> bool:
     ell = linear_form([Fraction(c) for c in coeffs])
     if ell.is_zero():
         return False
-    power = ell**m
-    return all(x == 0 for x in quotient_coords(coefficient_vector(power, m), L))
+    return gb_jacobian(f).contains(ell**m)
 
 
 def _normalize_projective(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -162,6 +146,40 @@ def _normalize_projective(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
     last = max(i for i, v in enumerate(vals) if v)
     scale = vals[last]
     return tuple(v / scale for v in vals)
+
+
+def _rational_zeros(
+    forms: Sequence[Polynomial],
+    lift: Callable[[Sequence], tuple[Fraction, ...]],
+    verify: Callable[[tuple[Fraction, ...]], bool],
+    degree_cap: int | None,
+    first_only: bool,
+) -> tuple[GroebnerBasis, bool, list[tuple[Fraction, ...]]]:
+    """Decide whether the forms have a common projective zero.
+
+    Returns the Groebner certificate, its emptiness verdict and, when
+    non-empty, the distinct verified rational zeros, each lifted to a
+    normalized linear form: the finite candidate list first, the rational
+    points of the zero set only if no candidate qualifies.
+    """
+    certificate = buchberger(forms, degree_cap=degree_cap)
+    if projective_empty(certificate):
+        return certificate, True, []
+    found: list[tuple[Fraction, ...]] = []
+
+    def collect(points) -> None:
+        for pt in points:
+            ell = lift(pt)
+            if ell not in found and verify(ell):
+                found.append(ell)
+                if first_only:
+                    return
+
+    k = forms[0].nvars
+    collect(c for c in _projective_candidates(k) if all(g.evaluate(c) == 0 for g in forms))
+    if not found:
+        collect(rational_projective_points(forms, degree_cap)[0])
+    return certificate, False, found
 
 
 def condition_II(f: Polynomial, degree_cap: int | None = None) -> ConditionIIReport:
@@ -174,24 +192,17 @@ def condition_II(f: Polynomial, degree_cap: int | None = None) -> ConditionIIRep
             "condition (II) is evaluated only when condition (I) holds"
         )
     m = hi.T - 1
-    L = jacobian_rref(f, m)
-    forms = _power_quotient_forms(f, m, L)
-    certificate = buchberger(forms, degree_cap=degree_cap)
-    if projective_empty(certificate):
+    certificate, empty, witnesses = _rational_zeros(
+        _power_quotient_forms(f, m),
+        _normalize_projective,
+        lambda ell: _verify_witness(f, m, ell),
+        degree_cap,
+        first_only=True,
+    )
+    if empty:
         return ConditionIIReport(True, True, None, certificate)
-    # non-empty: hunt for a rational witness
-    for cand in _projective_candidates(hi.n):
-        if all(g.evaluate(cand) == 0 for g in forms):
-            if _verify_witness(f, m, L, [Fraction(c) for c in cand]):
-                return ConditionIIReport(
-                    True, False, _normalize_projective(cand), certificate
-                )
-    from veroav.ratpoints import rational_projective_points
-
-    points, _complete = rational_projective_points(forms, degree_cap)
-    for pt in points:
-        if _verify_witness(f, m, L, pt):
-            return ConditionIIReport(True, False, _normalize_projective(pt), certificate)
+    if witnesses:
+        return ConditionIIReport(True, False, witnesses[0], certificate)
     return ConditionIIReport(
         True, False, None, certificate, note="nonempty, no rational witness found"
     )
@@ -252,10 +263,9 @@ def check_va(f: Polynomial, degree_cap: int | None = None) -> VACertificate:
 
 def _cross_checks(f, hi: HypersurfaceInput, cond1, cond2):
     smooth = is_smooth(f)
-    # rank route vs Groebner route for dim (M_f)_{T-1}
     yield (
         "rank_hilbert_agreement",
-        hilbert_value(gb_jacobian(f), hi.T - 1) == cond1.dim_milnor_top_minus_one,
+        _macaulay_rank_agrees(f, hi.T - 1, cond1.dim_milnor_top_minus_one),
     )
     # condition (I) <=> zero degree-one defect <=> coincidence through T-1.
     # The threshold is T-1, not T: the degree-zero defect tau - 1 shifts the
@@ -283,12 +293,19 @@ def _cross_checks(f, hi: HypersurfaceInput, cond1, cond2):
         yield ("jacobian_module_self_duality", duality_ok)
     if cond2.evaluated and cond2.witness is not None:
         m = hi.T - 1
-        yield (
-            "witness_soundness",
-            _verify_witness(f, m, jacobian_rref(f, m), cond2.witness),
-        )
+        yield ("witness_soundness", _verify_witness(f, m, cond2.witness))
     if cond2.evaluated and cond2.empty:
         yield ("emptiness_certificate", projective_empty(cond2.certificate))
+
+
+def _macaulay_rank_agrees(f: Polynomial, m: int, dim_m: int) -> bool:
+    """Macaulay route to dim (M_f)_m, independent of the Groebner basis: the
+    rank of the degree-m multiplication-by-partials matrix modulo a fixed
+    prime, recomputed exactly only on disagreement, since a rank mod p can
+    only drop and a bad prime must not read as a defect."""
+    M = jacobian_degree_matrix(f, m)
+    expected = M.cols - dim_m
+    return rank_mod_p(M, MACAULAY_CHECK_PRIME) == expected or rank(M) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -336,60 +353,24 @@ def phi_base_locus(
     cond1 = condition_I(f)
     if not cond1.holds:
         raise ConditionIIPreconditionError("gradient-generic condition fails")
-    L = jacobian_rref(f, m)
-    Q = quotient_matrix(L)
-    # substitute l = sum_j s_j * (b_j . x) into the symbolic power expansion
-    lin_in_s = [
-        Polynomial(k, {tuple(1 if t == j else 0 for t in range(k)): i1_basis[j][i]
-                       for j in range(k) if i1_basis[j][i]})
-        for i in range(n)
-    ]
-    expansion = power_linear_form_symbolic(n, m)
-    coeff_polys = []
-    for alpha, mult in expansion:
-        prod = Polynomial.constant(k, mult)
-        for i, e in enumerate(alpha):
-            if e:
-                prod = prod * lin_in_s[i] ** e
-            if prod.is_zero():
-                break
-        coeff_polys.append(prod)
-    forms = []
-    for row in Q:
-        total = Polynomial.zero(k)
-        for j, c in enumerate(row):
-            if c:
-                total = total + coeff_polys[j].scale(c)
-        forms.append(total)
-    certificate = buchberger(forms, degree_cap=degree_cap)
-    if projective_empty(certificate):
-        return PhiBaseLocusReport(
-            tuple(i1_basis), k, dim_n_top, True, (), certificate
-        )
-    base_points: list[tuple[Fraction, ...]] = []
+    lins = [linear_form(b) for b in i1_basis]
 
-    def to_linear_form(svec: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    def to_linear_form(svec: Sequence) -> tuple[Fraction, ...]:
         coeffs = [Fraction(0)] * n
         for j, s in enumerate(svec):
             for i in range(n):
                 coeffs[i] += Fraction(s) * i1_basis[j][i]
         return _normalize_projective(coeffs)
 
-    for cand in _projective_candidates(k):
-        if all(g.evaluate(cand) == 0 for g in forms):
-            ell = to_linear_form(cand)
-            if _verify_witness(f, m, L, ell) and ell not in base_points:
-                base_points.append(ell)
-    if not base_points:
-        from veroav.ratpoints import rational_projective_points
-
-        pts, _ = rational_projective_points(forms, degree_cap)
-        for pt in pts:
-            ell = to_linear_form(pt)
-            if _verify_witness(f, m, L, ell) and ell not in base_points:
-                base_points.append(ell)
+    certificate, empty, base_points = _rational_zeros(
+        _power_quotient_forms(f, m, lins),
+        to_linear_form,
+        lambda ell: _verify_witness(f, m, ell),
+        degree_cap,
+        first_only=False,
+    )
     return PhiBaseLocusReport(
-        tuple(i1_basis), k, dim_n_top, False, tuple(base_points), certificate
+        tuple(i1_basis), k, dim_n_top, empty, tuple(base_points), certificate
     )
 
 
@@ -420,7 +401,9 @@ def lefschetz_degree_one(
             "the Lefschetz rank check needs both spaces of dimension n"
         )
     n, m = hi.n, hi.T - 1
-    L = jacobian_rref(f, m)
+    # d/da_i of the condition (II) forms is m times the coordinates of
+    # x_i * l^(T-2), so the map's matrix is their Jacobian matrix over m
+    partials = [[g.partial(i) for i in range(n)] for g in _power_quotient_forms(f, m)]
     dets: list[Fraction] = []
     witness = None
     for trial in range(trials):
@@ -429,13 +412,7 @@ def lefschetz_degree_one(
             coeffs = tuple(rng.randint(-coeff_bound, coeff_bound) for _ in range(n))
             if any(coeffs):
                 break
-        ell = linear_form(coeffs)
-        power = ell ** (hi.T - 2)
-        cols = []
-        for i in range(n):
-            xi = Polynomial.variable(i, n)
-            cols.append(quotient_coords(coefficient_vector(power * xi, m), L))
-        M = MatrixQ.from_rows([[cols[j][i] for j in range(n)] for i in range(n)])
+        M = MatrixQ.from_rows([[p.evaluate(coeffs) / m for p in row] for row in partials])
         det = determinant(M)
         dets.append(det)
         if det != 0:

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from veroav import cli
 from veroav.corpus import (
     CorpusEntry,
     builtin_corpus,
@@ -137,6 +139,53 @@ def test_cli_json_determinism():
     a = run_cli("check", "-n", "3", "-f", "x*y*z", "--json", "--seed", "5")
     b = run_cli("check", "-n", "3", "-f", "x*y*z", "--json", "--seed", "5")
     assert a.stdout == b.stdout
+
+
+def test_cli_json_independent_of_hash_seed():
+    names = ("fermat-4-3", "one-node-quintic-b", "hesse-2")
+    for entry in [e for e in builtin_corpus() if e.name in names]:
+        a, b = (
+            run_cli(
+                "check", "-n", str(entry.n), "-f", entry.source, "--json", "--seed", "0",
+                env=dict(os.environ, PYTHONHASHSEED=hash_seed),
+            )
+            for hash_seed in ("0", "1")
+        )
+        assert a.returncode == b.returncode == (0 if entry.expect_va else 1)
+        assert a.stdout == b.stdout, entry.name
+
+
+def test_cli_degree_cap_is_a_resource_error():
+    proc = run_cli(
+        "check", "-n", "3", "-f", "x^4+y^4+z^4+4*x*y*z*(x+y+z)",
+        env=dict(os.environ, VA_DEGREE_CAP="4"),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_unexpected_exception_is_a_defect(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ArithmeticError("fraction-free elimination lost exact divisibility")
+
+    monkeypatch.setattr(cli, "check_va", broken)
+    assert cli.main(["check", "-n", "3", "-f", "x^3+y^3+z^3"]) == cli.EXIT_INTERNAL_DEFECT
+    err = capsys.readouterr().err
+    assert err.startswith("internal defect: ArithmeticError")
+    assert len(err.splitlines()) == 1
+
+
+def test_cli_bad_prime_cross_check_falls_back_to_exact_rank():
+    # the Macaulay matrix has rank 2 modulo 2^31 - 1 but rank 3 over Q
+    proc = run_cli(
+        "check", "-n", "3", "-f", "(x+y)^3 + 2147483647*x^3 + z^3", "--json", "--seed", "0"
+    )
+    assert proc.returncode == 1
+    payload = json.loads(proc.stdout)
+    assert all(c["pass"] for c in payload["cross_checks"])
+    assert payload["condition_II"]["witness"] == "z"
 
 
 def test_cli_json_requires_seed():

@@ -10,7 +10,6 @@ from veroav.groebner import (
     DegreeCapExceeded,
     buchberger,
     hilbert_value,
-    ideal_equal,
     intersect_ideals,
     krull_dim_quotient,
     normal_form,
@@ -85,7 +84,7 @@ def test_restricted_minors_generate_square_of_three_variables():
     square = [a * b for a, b in itertools.combinations_with_replacement(
         [z[1], z[2], z[4]], 2)]
     gb_square = buchberger(square)
-    assert ideal_equal(gb_minors, gb_square)
+    assert gb_minors.generators == gb_square.generators
 
 
 def test_krull_dimensions():
@@ -117,12 +116,12 @@ def test_saturation_classics():
 
     sat = saturate_irrelevant(X3("x*y*z").gradient())
     expected = buchberger([X3("x*y"), X3("x*z"), X3("y*z")])
-    assert ideal_equal(sat, expected)
+    assert sat.generators == expected.generators
 
     g4 = X3("x*y*z^2 + x^4 + y^4 + x^3*z")
     sat = saturate_irrelevant(g4.gradient())
     expected = buchberger([X3("x"), X3("y")])
-    assert ideal_equal(sat, expected)
+    assert sat.generators == expected.generators
 
 
 def test_saturation_of_smooth_jacobian_is_unit():
@@ -137,7 +136,7 @@ def test_saturation_contains_ideal_and_is_idempotent():
         for g in gens:
             assert normal_form(g, sat).is_zero()
         again = saturate_irrelevant(list(sat.generators))
-        assert ideal_equal(sat, again)
+        assert sat.generators == again.generators
 
 
 def test_saturate_by_variable():
@@ -153,7 +152,7 @@ def test_intersection():
     a = [parse_poly("x", 2)]
     b = [parse_poly("y", 2)]
     meet = buchberger(intersect_ideals(a, b))
-    assert ideal_equal(meet, buchberger([parse_poly("x*y", 2)]))
+    assert meet.generators == buchberger([parse_poly("x*y", 2)]).generators
 
 
 def test_degree_cap():

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import homogeneous_polynomials, polynomials, unimodular_matrices
+from conftest import homogeneous_polynomials, unimodular_matrices
 from veroav.parsing import parse_poly, render_poly
-from veroav.polynomial import Polynomial, poly_sum
+from veroav.polynomial import Polynomial
 from veroav.polyring import (
-    GradedPiece,
     SingularMatrixError,
     coefficient_vector,
     dim_graded,
@@ -61,8 +60,8 @@ def test_coefficient_vector_examples():
 def test_euler_relation(f):
     d = f.homogeneous_degree()
     n = f.nvars
-    lhs = poly_sum(
-        (Polynomial.variable(i, n) * f.partial(i) for i in range(n)), n
+    lhs = sum(
+        (Polynomial.variable(i, n) * f.partial(i) for i in range(n)), Polynomial.zero(n)
     )
     assert lhs == f * d
 
@@ -153,13 +152,6 @@ def test_power_expansion_total(n, m):
     # multinomial coefficients over a degree sum to n^m
     exp = power_linear_form_symbolic(n, m)
     assert sum(mult for _, mult in exp) == n**m
-
-
-def test_graded_piece():
-    f = X("x*y*z + x^3 + y^3")
-    piece = GradedPiece.from_polys(f.gradient(), 3, 2)
-    assert len(piece.rows) == 3
-    assert piece.basis == graded_basis(3, 2)
 
 
 def test_primitive_normalization():

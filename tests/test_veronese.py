@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import unimodular_matrices
 from veroav.groebner import projective_empty
-from veroav.linalg import MatrixQ, determinant, quotient_coords, rref
-from veroav.milnor import condition_I, jacobian_rref, validate_input
+from veroav.linalg import MatrixQ, determinant, quotient_coords, rank, rank_mod_p
+from veroav.milnor import condition_I, jacobian_degree_matrix, jacobian_rref, validate_input
 from veroav.parsing import parse_poly, render_poly
 from veroav.polynomial import Polynomial
 from veroav.polyring import (
@@ -18,9 +18,9 @@ from veroav.polyring import (
     substitute_linear,
 )
 from veroav.veronese import (
+    MACAULAY_CHECK_PRIME,
     ConditionIIPreconditionError,
     catalecticant_rank_at,
-    catalecticant_symbolic_indices,
     check_va,
     condition_II,
     f0_form,
@@ -39,15 +39,6 @@ def test_catalecticant_ranks():
     assert catalecticant_rank_at(xy, 3, 2) == 2
     zero = (0,) * 6
     assert catalecticant_rank_at(zero, 3, 2) == 0
-
-
-def test_catalecticant_symbolic_matches_symmetric_matrix():
-    # positions of z1..z6 in the classical symmetric matrix of a quadric
-    assert catalecticant_symbolic_indices(3, 2) == [
-        [0, 1, 2],
-        [1, 3, 4],
-        [2, 4, 5],
-    ]
 
 
 def test_catalecticant_rank_one_on_random_powers():
@@ -128,6 +119,18 @@ def test_check_va_cross_checks_all_pass():
                 "x*y*z^2 + x^4 + y^4", "z*y^2 - x^3"):
         cert = check_va(X3(src))
         assert all(ok for _, ok in cert.cross_checks), cert.cross_checks
+
+
+def test_rank_cross_check_survives_a_bad_prime():
+    f = X3("(x+y)^3 + 2147483647*x^3 + z^3")
+    M = jacobian_degree_matrix(f, 2)
+    assert rank_mod_p(M, MACAULAY_CHECK_PRIME) == 2
+    assert rank(M) == 3
+    cert = check_va(f)
+    assert cert.condition_i.dim_milnor_top_minus_one == 3
+    assert all(ok for _, ok in cert.cross_checks), cert.cross_checks
+    assert not cert.verdict
+    assert cert.condition_ii.witness == (0, 0, 1)
 
 
 def test_witness_soundness_exact():

@@ -65,6 +65,9 @@ def _certificate_json(cert, lef, timings_enabled: bool, seed: int) -> dict:
             "certificate_size": (
                 len(cond2.certificate.generators) if cond2.certificate else None
             ),
+            "certificate_prime": (
+                (cond2.certificate.modulus or None) if cond2.certificate else None
+            ),
         },
         "verdict": cert.verdict,
         "lefschetz": (
@@ -124,9 +127,12 @@ def _print_human(cert, lef) -> None:
     if not c2.evaluated:
         print("condition (II): not evaluated (condition (I) fails)")
     elif c2.empty:
+        cert2 = c2.certificate
+        field_name = f"GF({cert2.modulus})" if cert2.modulus else "Q"
         print(
             "condition (II): holds -- no power of a linear form lies in the "
-            f"top gradient piece (certificate basis size {len(c2.certificate.generators)})"
+            f"top gradient piece (certificate basis size {len(cert2.generators)} "
+            f"over {field_name})"
         )
     else:
         w = _witness_str(c2.witness)

@@ -1,14 +1,16 @@
-"""Buchberger's algorithm over Q, with the ideal-theoretic helpers built on
-top of it: normal forms, quotient coordinates on standard monomials,
+"""Buchberger's algorithm over Q or GF(p), with the ideal-theoretic helpers
+built on top of it: normal forms, quotient coordinates on standard monomials,
 projective emptiness, Krull dimension, Hilbert function values, and
 saturation by the irrelevant ideal.
 
-The hot loop works on primitive integer coefficient dicts (content-stripped
-after every reduction) rather than Fractions; rational arithmetic only
-appears at the public boundary.  Pair management uses the Gebauer-Moeller
-variant of the product and chain criteria with the normal selection strategy
-(smallest lcm first).  A configurable degree cap turns runaway instances
-into a diagnostic instead of silent looping.
+Over Q the hot loop works on primitive integer coefficient dicts
+(content-stripped after every reduction) rather than Fractions; rational
+arithmetic only appears at the public boundary.  Over GF(p) the same loop
+works on residues with monic reducers.  Pair management uses the
+Gebauer-Moeller variant of the product and chain criteria with the normal
+selection strategy (smallest lcm first, from a heap keyed once per pair).
+A configurable degree cap turns runaway instances into a diagnostic instead
+of silent looping.
 """
 
 from __future__ import annotations
@@ -77,16 +79,34 @@ def _to_int_terms(p: Polynomial) -> dict[Monomial, int]:
     return _strip_content({m: int(c * den) for m, c in p.terms.items()})
 
 
+def _to_mod_terms(p: Polynomial, modulus: int) -> dict[Monomial, int]:
+    """Residues of p's coefficients; raises ValueError when the modulus
+    divides a denominator."""
+    out = {}
+    for m, c in p.terms.items():
+        r = c.numerator * pow(c.denominator, -1, modulus) % modulus
+        if r:
+            out[m] = r
+    return out
+
+
 class _IPoly:
-    """Primitive integer polynomial prepared for division."""
+    """Integer polynomial prepared for division: primitive with a positive
+    leading coefficient over Q, monic residues modulo ``modulus``."""
 
     __slots__ = ("terms", "lm", "lc", "tail", "degree")
 
-    def __init__(self, terms: dict[Monomial, int], order: MonomialOrder):
+    def __init__(self, terms: dict[Monomial, int], order: MonomialOrder, modulus: int = 0):
         self.terms = terms
         self.lm = max(terms, key=order.key)
         lc = terms[self.lm]
-        if lc < 0:
+        if modulus:
+            if lc != 1:
+                inv = pow(lc, -1, modulus)
+                terms = {m: c * inv % modulus for m, c in terms.items()}
+                self.terms = terms
+                lc = 1
+        elif lc < 0:
             terms = {m: -c for m, c in terms.items()}
             self.terms = terms
             lc = -lc
@@ -179,6 +199,56 @@ def _normal_form_int(
     return out, scale
 
 
+def _normal_form_mod(
+    f: dict[Monomial, int],
+    reducers: Sequence[_IPoly],
+    order: MonomialOrder,
+    modulus: int,
+) -> dict[Monomial, int]:
+    """Full normal form of f over GF(modulus) against monic reducers.
+    Fresh coefficients are left unreduced until their monomial is popped."""
+    coeffs = dict(f)
+    out: dict[Monomial, int] = {}
+    heap = [(order.neg_key(m), m) for m in coeffs]
+    heapq.heapify(heap)
+    while heap:
+        _, m = heapq.heappop(heap)
+        c = coeffs.pop(m, 0) % modulus
+        if not c:
+            continue
+        g = _find_reducer(m, reducers)
+        if g is None:
+            out[m] = c
+            continue
+        shift = mono_div(m, g.lm)
+        for mt, ct in g.tail:
+            key = mono_mul(mt, shift)
+            prev = coeffs.get(key)
+            if prev is None:
+                coeffs[key] = -c * ct
+                heapq.heappush(heap, (order.neg_key(key), key))
+            else:
+                v = (prev - c * ct) % modulus
+                if v:
+                    coeffs[key] = v
+                else:
+                    del coeffs[key]
+    return out
+
+
+def _reduce(
+    terms: dict[Monomial, int],
+    reducers: Sequence[_IPoly],
+    order: MonomialOrder,
+    modulus: int,
+) -> dict[Monomial, int]:
+    """Normal form up to a unit: primitive over Q, residues over GF(p)."""
+    if modulus:
+        return _normal_form_mod(terms, reducers, order, modulus)
+    reduced, _ = _normal_form_int(_strip_content(terms), reducers, order, track_scale=False)
+    return _strip_content(reduced)
+
+
 def _spoly_int(f: _IPoly, g: _IPoly) -> dict[Monomial, int]:
     L = mono_lcm(f.lm, g.lm)
     sf = mono_div(L, f.lm)
@@ -206,13 +276,15 @@ def _spoly_int(f: _IPoly, g: _IPoly) -> dict[Monomial, int]:
 @dataclass(frozen=True)
 class GroebnerBasis:
     """Reduced Groebner basis: monic generators, none of whose terms is
-    divisible by another generator's leading monomial."""
+    divisible by another generator's leading monomial.  Over GF(p) the
+    coefficients are residues in [0, p), stored as integral Fractions."""
 
     nvars: int
     generators: tuple[Polynomial, ...]
     order: MonomialOrder
     leading_monomials: tuple[Monomial, ...]
     reduced: bool = True
+    modulus: int = 0  # 0 over Q, else the prime p of GF(p)
 
     def is_zero_ideal(self) -> bool:
         return not self.generators
@@ -267,11 +339,14 @@ def buchberger(
     gens: Iterable[Polynomial],
     order: MonomialOrder = GREVLEX,
     degree_cap: int | None = None,
+    modulus: int = 0,
 ) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by ``gens``."""
+    """Reduced Groebner basis of the ideal generated by ``gens``: over Q by
+    default, over GF(modulus) when ``modulus`` is a prime (the coefficients
+    are read as residues; a denominator divisible by it raises ValueError)."""
     polys = [g for g in gens if not g.is_zero()]
     if not polys:
-        return GroebnerBasis(0, (), order, ())
+        return GroebnerBasis(0, (), order, (), modulus=modulus)
     nvars = polys[0].nvars
     if any(p.nvars != nvars for p in polys):
         raise ValueError("generators live in different rings")
@@ -279,40 +354,42 @@ def buchberger(
 
     basis: list[_IPoly] = []
     pairs: set[tuple[int, int]] = set()
-    for p in sorted(polys, key=lambda q: (q.degree(), len(q.terms))):
-        terms = _to_int_terms(p)
-        reduced, _ = _normal_form_int(terms, basis, order, track_scale=False)
-        if reduced:
-            basis.append(_IPoly(_strip_content(reduced), order))
-            pairs = _gm_update(basis, pairs, len(basis) - 1)
+    heap: list[tuple[int, tuple[int, ...], tuple[int, int]]] = []
 
-    while pairs:
-        i, j = min(
-            pairs,
-            key=lambda p: (
-                sum(mono_lcm(basis[p[0]].lm, basis[p[1]].lm)),
-                order.key(mono_lcm(basis[p[0]].lm, basis[p[1]].lm)),
-                p,
-            ),
-        )
-        pairs.remove((i, j))
-        lcm_deg = sum(mono_lcm(basis[i].lm, basis[j].lm))
+    def add(terms: dict[Monomial, int]) -> None:
+        nonlocal pairs
+        reduced = _reduce(terms, basis, order, modulus)
+        if not reduced:
+            return
+        basis.append(_IPoly(reduced, order, modulus))
+        t = len(basis) - 1
+        pairs = _gm_update(basis, pairs, t)
+        lmt = basis[t].lm
+        for i, j in pairs:
+            if j == t:
+                lcm = mono_lcm(basis[i].lm, lmt)
+                heapq.heappush(heap, (sum(lcm), order.key(lcm), (i, j)))
+
+    for p in sorted(polys, key=lambda q: (q.degree(), len(q.terms))):
+        add(_to_mod_terms(p, modulus) if modulus else _to_int_terms(p))
+
+    while heap:
+        lcm_deg, _, pair = heapq.heappop(heap)
+        if pair not in pairs:
+            continue  # dropped by a later Gebauer-Moeller update
+        pairs.remove(pair)
         if lcm_deg > cap:
             raise DegreeCapExceeded(
                 f"S-polynomial degree {lcm_deg} exceeds cap {cap}; "
                 "set VA_DEGREE_CAP to raise the limit"
             )
-        s = _strip_content(_spoly_int(basis[i], basis[j]))
-        reduced, _ = _normal_form_int(s, basis, order, track_scale=False)
-        if reduced:
-            basis.append(_IPoly(_strip_content(reduced), order))
-            pairs = _gm_update(basis, pairs, len(basis) - 1)
+        add(_spoly_int(basis[pair[0]], basis[pair[1]]))
 
-    return _reduce_basis(basis, nvars, order)
+    return _reduce_basis(basis, nvars, order, modulus)
 
 
 def _reduce_basis(
-    basis: list[_IPoly], nvars: int, order: MonomialOrder
+    basis: list[_IPoly], nvars: int, order: MonomialOrder, modulus: int
 ) -> GroebnerBasis:
     # minimalize: drop generators whose lm is divisible by another's
     basis_sorted = sorted(basis, key=lambda g: order.key(g.lm))
@@ -324,17 +401,21 @@ def _reduce_basis(
     final: list[Polynomial] = []
     for idx, g in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1 :]
-        terms, _ = _normal_form_int(dict(g.terms), others, order, track_scale=False)
-        terms = _strip_content(terms)
-        lc = terms[max(terms, key=order.key)]
+        terms = _reduce(dict(g.terms), others, order, modulus)
+        # over GF(p) the leading term is already 1: no other lm divides it
+        lc = 1 if modulus else terms[max(terms, key=order.key)]
         final.append(Polynomial(nvars, {m: Fraction(c, lc) for m, c in terms.items()}))
     final.sort(key=lambda p: order.key(p.leading_monomial(order)), reverse=True)
     lms = tuple(p.leading_monomial(order) for p in final)
-    return GroebnerBasis(nvars, tuple(final), order, lms)
+    return GroebnerBasis(nvars, tuple(final), order, lms, modulus=modulus)
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
-    """Unique remainder of p modulo the basis; zero iff p is in the ideal."""
+    """Unique remainder of p modulo the basis; zero iff p is in the ideal.
+    Needs a basis over Q: a GF(p) basis says nothing about rational
+    membership."""
+    if gb.modulus:
+        raise ValueError(f"normal forms need a basis over Q, not over GF({gb.modulus})")
     if gb.is_zero_ideal() or p.is_zero():
         return p
     if p.nvars != gb.nvars:

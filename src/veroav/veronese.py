@@ -5,8 +5,10 @@ linear form: the normal-form coefficients of l^(T-1) on the standard
 monomials of the Jacobian Groebner basis are n forms whose common projective
 zero locus is exactly the set of offending linear forms.  Emptiness is
 certified by a Groebner basis with a pure-power leading monomial in every
-parameter; non-emptiness is witnessed, when a rational witness exists, by an
-exact membership check.
+parameter, computed over GF(p) first and over Q only when that fails: a
+pure-power basis mod p means the forms' Macaulay matrix has full column rank
+mod p in some degree, hence over Q.  Non-emptiness is decided over Q and
+witnessed, when a rational witness exists, by an exact membership check.
 """
 
 from __future__ import annotations
@@ -15,11 +17,14 @@ import itertools
 import math
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from veroav.groebner import (
+    DegreeCapExceeded,
     GroebnerBasis,
     buchberger,
     hilbert_value,
@@ -45,7 +50,8 @@ from veroav.polynomial import Polynomial
 from veroav.polyring import graded_basis, linear_form, power_linear_form_symbolic
 from veroav.ratpoints import rational_projective_points
 
-# The prime of the modular Macaulay rank in the condition (I) cross-check.
+# The prime of the modular emptiness certificate of condition (II) and of the
+# modular Macaulay rank in the condition (I) cross-check.
 MACAULAY_CHECK_PRIME = 2**31 - 1
 
 
@@ -115,6 +121,13 @@ def _power_quotient_forms(
     ]
 
 
+@lru_cache(maxsize=256)
+def _condition_II_forms(f: Polynomial, m: int) -> tuple[Polynomial, ...]:
+    """The condition (II) forms in the coefficient parameters a_1..a_n,
+    shared by ``condition_II`` and ``lefschetz_degree_one``."""
+    return tuple(_power_quotient_forms(f, m))
+
+
 def _projective_candidates(n: int) -> list[tuple[int, ...]]:
     """Deterministic finite search order: coordinate directions last-variable
     first, then the remaining sign patterns of 0/1 vectors."""
@@ -148,6 +161,23 @@ def _normalize_projective(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(v / scale for v in vals)
 
 
+def _modular_certificate(
+    forms: Sequence[Polynomial], degree_cap: int | None
+) -> GroebnerBasis | None:
+    """A pure-power Groebner basis of the forms over GF(MACAULAY_CHECK_PRIME),
+    or None: when the prime divides a denominator, the degree cap is hit, or
+    the basis proves nothing.  An empty zero set mod p is empty over Q too,
+    so only the converse needs the rational basis."""
+    p = MACAULAY_CHECK_PRIME
+    if any(c.denominator % p == 0 for g in forms for c in g.terms.values()):
+        return None
+    try:
+        certificate = buchberger(forms, degree_cap=degree_cap, modulus=p)
+    except DegreeCapExceeded:
+        return None
+    return certificate if projective_empty(certificate) else None
+
+
 def _rational_zeros(
     forms: Sequence[Polynomial],
     lift: Callable[[Sequence], tuple[Fraction, ...]],
@@ -160,8 +190,13 @@ def _rational_zeros(
     Returns the Groebner certificate, its emptiness verdict and, when
     non-empty, the distinct verified rational zeros, each lifted to a
     normalized linear form: the finite candidate list first, the rational
-    points of the zero set only if no candidate qualifies.
+    points of the zero set only if no candidate qualifies.  Emptiness is
+    tried over GF(MACAULAY_CHECK_PRIME) first; that basis is returned only
+    when it proves emptiness, and every other outcome is decided over Q.
     """
+    certificate = _modular_certificate(forms, degree_cap)
+    if certificate is not None:
+        return certificate, True, []
     certificate = buchberger(forms, degree_cap=degree_cap)
     if projective_empty(certificate):
         return certificate, True, []
@@ -193,7 +228,7 @@ def condition_II(f: Polynomial, degree_cap: int | None = None) -> ConditionIIRep
         )
     m = hi.T - 1
     certificate, empty, witnesses = _rational_zeros(
-        _power_quotient_forms(f, m),
+        _condition_II_forms(f, m),
         _normalize_projective,
         lambda ell: _verify_witness(f, m, ell),
         degree_cap,
@@ -225,27 +260,34 @@ class VACertificate:
     timings_ms: dict[str, float] = field(default_factory=dict)
 
 
+@contextmanager
+def _stage(timings: dict[str, float], key: str, label: str):
+    """Time one stage of ``check_va`` and name it in a degree-cap error."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except DegreeCapExceeded as exc:
+        raise DegreeCapExceeded(f"{label}: {exc}") from exc
+    timings[key] = (time.perf_counter() - t0) * 1000
+
+
 def check_va(f: Polynomial, degree_cap: int | None = None) -> VACertificate:
     """Full Veronese-avoidance verdict with cross-checks."""
     timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    hi = validate_input(f)
-    timings["validate"] = (time.perf_counter() - t0) * 1000
+    with _stage(timings, "validate", "validate"):
+        hi = validate_input(f)
 
-    t0 = time.perf_counter()
-    cond1 = condition_I(f)
-    timings["condition_I"] = (time.perf_counter() - t0) * 1000
+    with _stage(timings, "condition_I", "condition (I)"):
+        cond1 = condition_I(f)
 
     if cond1.holds:
-        t0 = time.perf_counter()
-        cond2 = condition_II(f, degree_cap)
-        timings["condition_II"] = (time.perf_counter() - t0) * 1000
+        with _stage(timings, "condition_II", "condition (II)"):
+            cond2 = condition_II(f, degree_cap)
     else:
         cond2 = ConditionIIReport(False, None, None, None, note="not evaluated")
 
-    t0 = time.perf_counter()
-    checks = list(_cross_checks(f, hi, cond1, cond2))
-    timings["cross_checks"] = (time.perf_counter() - t0) * 1000
+    with _stage(timings, "cross_checks", "cross-checks"):
+        checks = list(_cross_checks(f, hi, cond1, cond2))
 
     verdict = cond1.holds and cond2.empty is True
     return VACertificate(
@@ -403,7 +445,7 @@ def lefschetz_degree_one(
     n, m = hi.n, hi.T - 1
     # d/da_i of the condition (II) forms is m times the coordinates of
     # x_i * l^(T-2), so the map's matrix is their Jacobian matrix over m
-    partials = [[g.partial(i) for i in range(n)] for g in _power_quotient_forms(f, m)]
+    partials = [[g.partial(i) for i in range(n)] for g in _condition_II_forms(f, m)]
     dets: list[Fraction] = []
     witness = None
     for trial in range(trials):

@@ -5,10 +5,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from veroav.linalg import random_unimodular
+from veroav.milnor import ScopeError, condition_I
 from veroav.polynomial import Polynomial, iter_monomials
+from veroav.polyring import graded_basis
 
 coefficients = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
@@ -45,3 +48,19 @@ def unimodular_matrices(draw, n: int):
     seed = draw(st.integers(0, 2**32 - 1))
     steps = draw(st.integers(3, 8))
     return random_unimodular(n, random.Random(seed), steps)
+
+
+@st.composite
+def gradient_generic_forms(draw):
+    """Small dense integer forms (n = 3, d = 3-4; n = 4, d = 3) on which
+    condition (I) holds."""
+    n, d = draw(st.sampled_from([(3, 3), (3, 4), (4, 3)]))
+    basis = graded_basis(n, d)
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis)))
+    f = Polynomial(n, dict(zip(basis, coeffs)))
+    try:
+        holds = condition_I(f).holds
+    except ScopeError:
+        holds = False
+    assume(holds)
+    return f

@@ -128,7 +128,7 @@ def test_cli_json_schema():
     }
     assert set(payload["condition_I"]) == {"dim", "holds"}
     assert set(payload["condition_II"]) == {
-        "evaluated", "empty", "witness", "certificate_size",
+        "evaluated", "empty", "witness", "certificate_size", "certificate_prime",
     }
     assert set(payload["lefschetz"]) == {"seed", "trials", "success", "witness"}
     assert all(set(c) == {"name", "pass"} for c in payload["cross_checks"])
@@ -161,9 +161,31 @@ def test_cli_degree_cap_is_a_resource_error():
         env=dict(os.environ, VA_DEGREE_CAP="4"),
     )
     assert proc.returncode == 2
-    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.startswith("error: validate: S-polynomial degree")
     assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_degree_cap_names_condition_II():
+    proc = run_cli(
+        "check", "-n", "3", "-f", "x^4+y^4+z^4+4*x*y*z*(x+y+z)",
+        env=dict(os.environ, VA_DEGREE_CAP="8"),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: condition (II): S-polynomial degree 9 exceeds cap 8")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_cli_certificate_prime():
+    avoiding = run_cli("check", "-n", "3", "-f", "x*y*z + x^3 + y^3", "--json", "--seed", "0")
+    assert avoiding.returncode == 0
+    cond2 = json.loads(avoiding.stdout)["condition_II"]
+    assert cond2["empty"] is True and cond2["certificate_prime"] == 2147483647
+    failing = run_cli("check", "-n", "3", "-f", "x^3+y^3+z^3", "--json", "--seed", "0")
+    assert failing.returncode == 1
+    assert json.loads(failing.stdout)["condition_II"]["certificate_prime"] is None
+    human = run_cli("check", "-n", "3", "-f", "x*y*z + x^3 + y^3")
+    assert "over GF(2147483647)" in human.stdout
 
 
 def test_cli_unexpected_exception_is_a_defect(monkeypatch, capsys):

@@ -211,6 +211,57 @@ def test_groebner_matches_sympy(p):
     assert set(mine.generators) == converted
 
 
+P31 = 2**31 - 1
+
+
+def _residues(p, modulus):
+    return Polynomial(p.nvars, {
+        m: c.numerator * pow(c.denominator, -1, modulus) % modulus for m, c in p.terms.items()
+    })
+
+
+@given(homogeneous_polynomials(nvars=st.just(3), degrees=st.integers(1, 3),
+                               max_terms=4))
+@settings(max_examples=25, deadline=None)
+def test_modular_groebner_matches_sympy(p):
+    import sympy
+
+    xs = sympy.symbols("x1 x2 x3")
+    q = parse_poly("x1^2*x2 - 3*x3^3", 3)
+    names = dict(zip(["x1", "x2", "x3"], xs))
+    exprs = [sympy.sympify(_to_sympy_str(_residues(g, P31)), names) for g in (p, q)]
+    reference = sympy.groebner(exprs, *xs, order="grevlex", modulus=P31)
+    mine = buchberger([p, q], modulus=P31)
+    converted = {
+        Polynomial(3, {tuple(int(e) for e in mono): int(c) % P31 for mono, c in poly.terms()})
+        for poly in reference.polys
+    }
+    assert mine.modulus == P31
+    assert set(mine.generators) == converted
+
+
+def test_modular_basis_is_the_rational_basis_mod_p():
+    gens = [X3("x^2 - 3*y*z"), X3("5*x*y^2 + z^3").scale(Fraction(1, 5)), X3("y^3 - 7*x*z^2")]
+    rational = buchberger(gens)
+    modular = buchberger(gens, modulus=P31)
+    assert modular.leading_monomials == rational.leading_monomials
+    assert modular.generators == tuple(_residues(g, P31) for g in rational.generators)
+
+
+def test_modular_basis_refuses_normal_forms():
+    gb = buchberger([X3("x^2"), X3("y^2"), X3("z^2")], modulus=P31)
+    assert projective_empty(gb)
+    with pytest.raises(ValueError):
+        normal_form(X3("x*y"), gb)
+    with pytest.raises(ValueError):
+        gb.contains(X3("x^2"))
+
+
+def test_modular_input_with_the_prime_in_a_denominator():
+    with pytest.raises(ValueError):
+        buchberger([X3(f"x + {P31}*y").scale(Fraction(1, P31))], modulus=P31)
+
+
 def _to_sympy_str(p):
     from veroav.parsing import render_poly
 

@@ -6,14 +6,15 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import gradient_generic_forms
 from veroav.apolar import inverse_system
 from veroav.corpus import builtin_corpus
 from veroav.groebner import quotient_coordinates, standard_monomials
 from veroav.linalg import MatrixQ, quotient_coords, rank
-from veroav.milnor import ScopeError, condition_I, gb_jacobian, is_smooth, jacobian_rref
+from veroav.milnor import gb_jacobian, is_smooth, jacobian_rref
 from veroav.parsing import parse_poly
 from veroav.polynomial import Polynomial, iter_monomials
 from veroav.polyring import coefficient_vector, graded_basis
@@ -23,19 +24,6 @@ from veroav.veronese import check_va, lefschetz_degree_one, phi_base_locus
 
 def _form(n, degree, coeffs):
     return Polynomial(n, dict(zip(graded_basis(n, degree), coeffs)))
-
-
-@st.composite
-def gradient_generic_forms(draw):
-    n, d = draw(st.sampled_from([(3, 3), (3, 4), (4, 3)]))
-    size = len(graded_basis(n, d))
-    f = _form(n, d, draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size)))
-    try:
-        holds = condition_I(f).holds
-    except ScopeError:
-        holds = False
-    assume(holds)
-    return f
 
 
 @given(gradient_generic_forms(), st.data())

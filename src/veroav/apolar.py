@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from veroav.groebner import buchberger, projective_empty, quotient_coordinates
+from veroav.groebner import buchberger, modular_certificate, projective_empty, quotient_coordinates
 from veroav.milnor import InternalDefectError, gb_jacobian, is_smooth, validate_input
 from veroav.polynomial import Monomial, Polynomial, iter_monomials, mono_div
 
@@ -82,10 +82,12 @@ def inverse_system(f: Polynomial) -> InverseSystem:
 
 
 def smoothness(F: Polynomial) -> bool:
-    """Is V(F) smooth, i.e. is the gradient ideal projectively empty?"""
+    """Is V(F) smooth, i.e. is the gradient ideal projectively empty?  Tried
+    over GF(p) first; only a basis over Q can show that it is not."""
     if F.is_zero() or not F.is_homogeneous():
         raise ValueError("requires a nonzero homogeneous polynomial")
-    return projective_empty(buchberger(F.gradient()))
+    grads = F.gradient()
+    return modular_certificate(grads) is not None or projective_empty(buchberger(grads))
 
 
 def va_via_inverse_system(f: Polynomial) -> bool:

@@ -1,7 +1,8 @@
 """Buchberger's algorithm over Q or GF(p), with the ideal-theoretic helpers
 built on top of it: normal forms, quotient coordinates on standard monomials,
-projective emptiness, Krull dimension, Hilbert function values, and
-saturation by the irrelevant ideal.
+projective emptiness and its modular certificate, Krull dimension, Hilbert
+function values, and saturation by the irrelevant ideal (one grevlex basis,
+by the Bayer-Stillman criterion).
 
 Over Q the hot loop works on primitive integer coefficient dicts
 (content-stripped after every reduction) rather than Fractions; rational
@@ -33,8 +34,13 @@ from veroav.polynomial import (
     mono_lcm,
     mono_mul,
 )
+from veroav.polyring import linear_form
 
 DEFAULT_DEGREE_CAP = 60
+
+# The prime of the modular emptiness certificates and of the modular
+# Macaulay rank in the condition (I) cross-check.
+MACAULAY_CHECK_PRIME = 2**31 - 1
 
 
 class DegreeCapExceeded(RuntimeError):
@@ -486,6 +492,25 @@ def projective_empty(gb: GroebnerBasis) -> bool:
     return True
 
 
+def modular_certificate(
+    gens: Sequence[Polynomial], degree_cap: int | None = None
+) -> GroebnerBasis | None:
+    """A basis of the gens over GF(MACAULAY_CHECK_PRIME) with a pure power
+    of every variable, or None: when the prime divides a denominator, the
+    degree cap is hit, or the basis proves nothing.  Such a basis means the
+    gens' Macaulay matrix has full column rank mod p in some degree, hence
+    over Q (Lazard 1983), so the zero set is empty over Q too; only a
+    non-empty answer needs the basis over Q."""
+    p = MACAULAY_CHECK_PRIME
+    if any(c.denominator % p == 0 for g in gens for c in g.terms.values()):
+        return None
+    try:
+        certificate = buchberger(gens, degree_cap=degree_cap, modulus=p)
+    except DegreeCapExceeded:
+        return None
+    return certificate if projective_empty(certificate) else None
+
+
 def krull_dim_quotient(gb: GroebnerBasis) -> int:
     """Affine Krull dimension of R/I, computed combinatorially from the
     leading-term ideal (largest variable subset meeting no leading support).
@@ -511,56 +536,26 @@ def hilbert_value(gb: GroebnerBasis, degree: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# elimination, colon and saturation
+# saturation
 
 
-def _append_aux_var(p: Polynomial) -> Polynomial:
-    return p.extend_vars(1)
+def _shear(gens: Sequence[Polynomial], coeffs: Sequence[int]) -> list[Polynomial]:
+    """Substitute x_{n-1} -> x_{n-1} + sum_i coeffs[i] x_i in every generator."""
+    ell = linear_form([*coeffs, 1])
+    return [g.substitute({ell.nvars - 1: ell}) for g in gens]
 
 
-def _eliminate_last_aux(
-    gens_ext: Sequence[Polynomial], nvars: int, degree_cap: int | None
-) -> list[Polynomial]:
-    """GB in an order eliminating the auxiliary last variable, intersected
-    with the original ring."""
-    # move aux var to the front for the block order
-    perm = (nvars,) + tuple(range(nvars))
-    order = MonomialOrder("elim", elim_block=1, priority=perm)
-    gb = buchberger(gens_ext, order, degree_cap)
-    kept = []
-    for g in gb.generators:
-        if all(m[nvars] == 0 for m in g.terms):
-            kept.append(g.drop_vars(list(range(nvars))))
-    return kept
-
-
-def saturate_by_variable(
-    gens: Sequence[Polynomial], var: int, degree_cap: int | None = None
-) -> list[Polynomial]:
-    """Generators of (I : x_var^infinity) via the extra-variable trick."""
-    if not gens:
-        return []
-    nvars = gens[0].nvars
-    t = Polynomial.variable(nvars, nvars + 1)
-    x_ext = Polynomial.variable(var, nvars + 1)
-    one = Polynomial.constant(nvars + 1, 1)
-    gens_ext = [_append_aux_var(g) for g in gens]
-    gens_ext.append(one - t * x_ext)
-    return _eliminate_last_aux(gens_ext, nvars, degree_cap)
-
-
-def intersect_ideals(
-    gens_a: Sequence[Polynomial], gens_b: Sequence[Polynomial], degree_cap: int | None = None
-) -> list[Polynomial]:
-    """I intersect J  =  (t*I + (1-t)*J) meet R."""
-    if not gens_a or not gens_b:
-        return []
-    nvars = gens_a[0].nvars
-    t = Polynomial.variable(nvars, nvars + 1)
-    one = Polynomial.constant(nvars + 1, 1)
-    gens_ext = [t * _append_aux_var(g) for g in gens_a]
-    gens_ext += [(one - t) * _append_aux_var(g) for g in gens_b]
-    return _eliminate_last_aux(gens_ext, nvars, degree_cap)
+def _missing_linear_form(polys: Sequence[Polynomial], degree_cap: int | None) -> list[int]:
+    """Coefficients c of the first l_k = x_{n-1} + sum_{i<n-1} k^(i+1) x_i,
+    k = 0, 1, 2, ..., that misses the finitely many projective zeros of the
+    polys.  Each zero p rules out at most n - 1 values of k, the roots of
+    the nonzero polynomial l_k(p) in k, so the search ends."""
+    nvars = polys[0].nvars
+    for k in itertools.count():
+        coeffs = [k ** (i + 1) for i in range(nvars - 1)]
+        ell = linear_form([*coeffs, 1])
+        if projective_empty(buchberger([*polys, ell], GREVLEX, degree_cap)):
+            return coeffs
 
 
 def saturate_irrelevant(
@@ -568,16 +563,34 @@ def saturate_irrelevant(
     order: MonomialOrder = GREVLEX,
     degree_cap: int | None = None,
 ) -> GroebnerBasis:
-    """Groebner basis of (I : m^infinity), m the irrelevant maximal ideal,
-    as the intersection of the per-variable saturations."""
+    """Groebner basis of (I : m^infinity), m the irrelevant maximal ideal, for
+    an ideal with finitely many projective zeros (ValueError otherwise).
+
+    Bayer-Stillman: I : m^infinity = I : l^infinity for any linear form l
+    that misses the zeros.  Shearing coordinates so that l becomes the last
+    variable, the saturation there is the grevlex basis with every generator
+    divided by its largest power of that variable; one basis in the original
+    coordinates follows the inverse shear.
+    """
     polys = [g for g in gens if not g.is_zero()]
     if not polys:
         return GroebnerBasis(0, (), order, ())
     if any(not p.is_homogeneous() for p in polys):
         raise NonHomogeneousIdeal("saturation by the irrelevant ideal needs homogeneous input")
     nvars = polys[0].nvars
-    current: list[Polynomial] | None = None
-    for var in range(nvars):
-        sat = saturate_by_variable(polys, var, degree_cap)
-        current = sat if current is None else intersect_ideals(current, sat, degree_cap)
-    return buchberger(current or [], order, degree_cap)
+    gb = buchberger(polys, GREVLEX, degree_cap)
+    if krull_dim_quotient(gb) > 1:
+        raise ValueError("saturation needs finitely many projective zeros")
+    coeffs = _missing_linear_form(polys, degree_cap)
+    sheared = any(coeffs)
+    if sheared:
+        gb = buchberger(_shear(polys, [-c for c in coeffs]), GREVLEX, degree_cap)
+    divided = []
+    for g in gb.generators:
+        e = min(m[-1] for m in g.terms)
+        terms = {m[:-1] + (m[-1] - e,): c for m, c in g.terms.items()}
+        divided.append(_IPoly(_to_int_terms(Polynomial(nvars, terms)), GREVLEX))
+    sat = _reduce_basis(divided, nvars, GREVLEX, 0)
+    if sheared:
+        return buchberger(_shear(sat.generators, coeffs), order, degree_cap)
+    return sat if order == GREVLEX else buchberger(sat.generators, order, degree_cap)

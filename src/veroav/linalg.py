@@ -35,9 +35,6 @@ class MatrixQ:
             [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         )
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
 
 @dataclass(frozen=True)
 class RrefResult:
@@ -184,32 +181,38 @@ def quotient_coords(v: Sequence, L: RrefResult) -> tuple[Fraction, ...]:
 def rank_mod_p(M: MatrixQ, p: int) -> int | None:
     """Rank of the integer-cleared matrix mod p; None if p divides a needed
     denominator-clearing factor (a bad prime)."""
-    a = []
+    rows = []
     for row in M.entries:
-        r = []
-        for x in row:
-            if x.denominator % p == 0:
-                return None
-            r.append(x.numerator * pow(x.denominator, -1, p) % p)
-        a.append(r)
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    rk = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rk, nrows) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[rk], a[piv] = a[piv], a[rk]
-        inv = pow(a[rk][c], -1, p)
-        for i in range(rk + 1, nrows):
-            f = a[i][c]
-            if f:
-                mult = f * inv % p
-                a[i] = [(x - mult * y) % p for x, y in zip(a[i], a[rk])]
-        rk += 1
-        if rk == nrows:
-            break
-    return rk
+        if any(x.denominator % p == 0 for x in row):
+            return None
+        rows.append({j: x.numerator * pow(x.denominator, -1, p) for j, x in enumerate(row) if x})
+    return rank_residues(rows, p)
+
+
+def rank_residues(rows: Sequence[dict[int, int]], p: int) -> int:
+    """Rank over GF(p) of a sparse matrix given as rows {column: residue}.
+
+    Each row is reduced against the monic pivot rows found so far, leading
+    column first, and becomes a pivot row itself if anything is left.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = {j: v % p for j, v in row.items() if v % p}
+        while row:
+            c = min(row)
+            piv = pivots.get(c)
+            if piv is None:
+                inv = pow(row[c], -1, p)
+                pivots[c] = {j: v * inv % p for j, v in row.items()}
+                break
+            mult = row[c]
+            for j, v in piv.items():
+                w = (row.get(j, 0) - mult * v) % p
+                if w:
+                    row[j] = w
+                else:
+                    row.pop(j, None)
+    return len(pivots)
 
 
 def random_unimodular(n: int, rng: random.Random, steps: int = 6) -> list[list[int]]:

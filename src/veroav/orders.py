@@ -23,15 +23,12 @@ def _grlex_key(m: tuple[int, ...]) -> tuple[int, ...]:
 class MonomialOrder:
     """A well-order on monomials compatible with multiplication.
 
-    kind: "grevlex", "grlex", "lex" or "elim".  For "elim", the first
-    ``elim_block`` variables (after applying ``priority``) are eliminated:
-    any monomial involving them beats any monomial that does not.
-    ``priority`` optionally permutes variables before comparison; it lists
-    variable indices from most significant to least.
+    kind: "grevlex", "grlex" or "lex".  ``priority`` optionally permutes
+    variables before comparison; it lists variable indices from most
+    significant to least.
     """
 
     kind: str = "grevlex"
-    elim_block: int = 0
     priority: tuple[int, ...] | None = None
 
     def key(self, m: tuple[int, ...]) -> tuple[int, ...]:
@@ -43,9 +40,6 @@ class MonomialOrder:
             return _grlex_key(m)
         if self.kind == "lex":
             return m
-        if self.kind == "elim":
-            k = self.elim_block
-            return _grevlex_key(m[:k]) + _grevlex_key(m[k:])
         raise ValueError(f"unknown monomial order kind: {self.kind!r}")
 
     def neg_key(self, m: tuple[int, ...]) -> tuple[int, ...]:
@@ -58,11 +52,6 @@ class MonomialOrder:
 GREVLEX = MonomialOrder("grevlex")
 GRLEX = MonomialOrder("grlex")
 LEX = MonomialOrder("lex")
-
-
-def elimination_first(k: int) -> MonomialOrder:
-    """Order eliminating the first ``k`` variables."""
-    return MonomialOrder("elim", elim_block=k)
 
 
 def lex_eliminating_down_to_first(nvars: int) -> MonomialOrder:

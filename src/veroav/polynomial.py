@@ -260,11 +260,6 @@ class Polynomial:
             result = result + term
         return result
 
-    def extend_vars(self, extra: int) -> "Polynomial":
-        """Same polynomial viewed in a ring with ``extra`` new last variables."""
-        pad = (0,) * extra
-        return Polynomial(self.nvars + extra, {m + pad: c for m, c in self.terms.items()})
-
     def specialize(self, values: Mapping[int, Fraction | int]) -> "Polynomial":
         """Plug constants into some variables; the arity does not change."""
         terms: dict[Monomial, Fraction] = {}

@@ -42,13 +42,6 @@ def coefficient_vector(p: Polynomial, degree: int) -> tuple[Fraction, ...]:
     return tuple(p.coeff(m) for m in graded_basis(p.nvars, degree))
 
 
-def from_coefficient_vector(nvars: int, degree: int, vec: Sequence) -> Polynomial:
-    basis = graded_basis(nvars, degree)
-    if len(vec) != len(basis):
-        raise ValueError("vector length does not match the graded basis")
-    return Polynomial(nvars, {m: Fraction(c) for m, c in zip(basis, vec)})
-
-
 def substitute_linear(p: Polynomial, matrix: Sequence[Sequence]) -> Polynomial:
     """p(A x): substitute x_i -> sum_j A[i][j] x_j for an invertible A."""
     from veroav.linalg import MatrixQ, determinant

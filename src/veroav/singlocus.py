@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from veroav.groebner import buchberger
+from veroav.groebner import buchberger, standard_monomials
 from veroav.linalg import MatrixQ, rank
 from veroav.milnor import (
     InternalDefectError,
@@ -104,14 +104,7 @@ def _local_colength(gens: list[Polynomial], k: int) -> int:
             Polynomial.monomial(m) for m in iter_monomials(k, N)
         ]
         gb = buchberger(trunc)
-        dim = 0
-        for deg in range(N):
-            for mono in iter_monomials(k, deg):
-                if all(
-                    any(a < b for a, b in zip(mono, lm))
-                    for lm in gb.leading_monomials
-                ):
-                    dim += 1
+        dim = sum(len(standard_monomials(gb, deg)) for deg in range(N))
         if dim == prev:
             return dim
         prev = dim

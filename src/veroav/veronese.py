@@ -24,14 +24,16 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from veroav.groebner import (
+    MACAULAY_CHECK_PRIME,
     DegreeCapExceeded,
     GroebnerBasis,
     buchberger,
     hilbert_value,
+    modular_certificate,
     projective_empty,
     quotient_coordinates,
 )
-from veroav.linalg import MatrixQ, determinant, kernel_basis, rank, rank_mod_p
+from veroav.linalg import MatrixQ, determinant, kernel_basis, rank, rank_residues
 from veroav.milnor import (
     ConditionIReport,
     HypersurfaceInput,
@@ -46,13 +48,9 @@ from veroav.milnor import (
     smooth_reference_hf,
     validate_input,
 )
-from veroav.polynomial import Polynomial
+from veroav.polynomial import Polynomial, iter_monomials, mono_mul
 from veroav.polyring import graded_basis, linear_form, power_linear_form_symbolic
 from veroav.ratpoints import rational_projective_points
-
-# The prime of the modular emptiness certificate of condition (II) and of the
-# modular Macaulay rank in the condition (I) cross-check.
-MACAULAY_CHECK_PRIME = 2**31 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -161,23 +159,6 @@ def _normalize_projective(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(v / scale for v in vals)
 
 
-def _modular_certificate(
-    forms: Sequence[Polynomial], degree_cap: int | None
-) -> GroebnerBasis | None:
-    """A pure-power Groebner basis of the forms over GF(MACAULAY_CHECK_PRIME),
-    or None: when the prime divides a denominator, the degree cap is hit, or
-    the basis proves nothing.  An empty zero set mod p is empty over Q too,
-    so only the converse needs the rational basis."""
-    p = MACAULAY_CHECK_PRIME
-    if any(c.denominator % p == 0 for g in forms for c in g.terms.values()):
-        return None
-    try:
-        certificate = buchberger(forms, degree_cap=degree_cap, modulus=p)
-    except DegreeCapExceeded:
-        return None
-    return certificate if projective_empty(certificate) else None
-
-
 def _rational_zeros(
     forms: Sequence[Polynomial],
     lift: Callable[[Sequence], tuple[Fraction, ...]],
@@ -194,7 +175,7 @@ def _rational_zeros(
     tried over GF(MACAULAY_CHECK_PRIME) first; that basis is returned only
     when it proves emptiness, and every other outcome is decided over Q.
     """
-    certificate = _modular_certificate(forms, degree_cap)
+    certificate = modular_certificate(forms, degree_cap)
     if certificate is not None:
         return certificate, True, []
     certificate = buchberger(forms, degree_cap=degree_cap)
@@ -343,11 +324,22 @@ def _cross_checks(f, hi: HypersurfaceInput, cond1, cond2):
 def _macaulay_rank_agrees(f: Polynomial, m: int, dim_m: int) -> bool:
     """Macaulay route to dim (M_f)_m, independent of the Groebner basis: the
     rank of the degree-m multiplication-by-partials matrix modulo a fixed
-    prime, recomputed exactly only on disagreement, since a rank mod p can
-    only drop and a bad prime must not read as a defect."""
-    M = jacobian_degree_matrix(f, m)
-    expected = M.cols - dim_m
-    return rank_mod_p(M, MACAULAY_CHECK_PRIME) == expected or rank(M) == expected
+    prime, built as residues straight from the partials' terms and
+    recomputed exactly only on disagreement, since a rank mod p can only
+    drop and a bad prime must not read as a defect."""
+    p = MACAULAY_CHECK_PRIME
+    index = {mono: j for j, mono in enumerate(graded_basis(f.nvars, m))}
+    expected = len(index) - dim_m
+    grads = [g.terms.items() for g in f.gradient()]
+    if all(c.denominator % p for g in grads for _, c in g):
+        rows = [
+            {index[mono_mul(mono, t)]: c.numerator * pow(c.denominator, -1, p) for t, c in g}
+            for mono in iter_monomials(f.nvars, m - f.homogeneous_degree() + 1)
+            for g in grads
+        ]
+        if rank_residues(rows, p) == expected:
+            return True
+    return rank(jacobian_degree_matrix(f, m)) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,20 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import homogeneous_polynomials
+from veroav.corpus import builtin_corpus
 from veroav.groebner import (
     DegreeCapExceeded,
+    _missing_linear_form,
     buchberger,
     hilbert_value,
-    intersect_ideals,
     krull_dim_quotient,
     normal_form,
     projective_empty,
-    saturate_by_variable,
+    quotient_coordinates,
     saturate_irrelevant,
 )
+from veroav.linalg import MatrixQ, kernel_basis, random_unimodular
+from veroav.milnor import gb_jacobian, is_smooth
 from veroav.orders import GREVLEX, GRLEX, LEX
 from veroav.parsing import parse_poly
-from veroav.polynomial import Polynomial, mono_div, mono_lcm
+from veroav.polynomial import Polynomial, iter_monomials, mono_div, mono_lcm, mono_mul
+from veroav.polyring import dim_graded, substitute_linear
+from veroav.veronese import f0_form
 
 X3 = lambda s: parse_poly(s, 3)  # noqa: E731
 
@@ -139,20 +145,83 @@ def test_saturation_contains_ideal_and_is_idempotent():
         assert sat.generators == again.generators
 
 
-def test_saturate_by_variable():
-    gens = [parse_poly("x^2*y", 2), parse_poly("x^3", 2)]
-    out = saturate_by_variable(gens, 0)
-    gb = buchberger(out)
-    assert normal_form(parse_poly("y", 2), gb).is_zero() or normal_form(
-        parse_poly("x", 2), gb
-    ).is_zero()
+@pytest.mark.parametrize("n, src, coeffs, expected", [
+    # the only singular point is [0:0:1], where z does not vanish
+    (3, "x*y*z^2 + x^4 + y^4 + x^3*z", [0, 0], ["x", "y"]),
+    # z vanishes at [1:0:0]; x + y + z misses the three coordinate points
+    (3, "x*y*z", [1, 1], ["x*y", "x*z", "y*z"]),
+    # z vanishes at [0:1:0] and x + y + z at [0:1:-1]; 2x + 4y + z misses all
+    (3, "x*z*(x+y+z)", [2, 4], ["x*z", "x*(x+y+z)", "z*(x+y+z)"]),
+    # (x^2*y, x^3) = x^2 * (x, y) with one zero [0:1], where y does not vanish
+    (2, "x^2*y, x^3", [0], ["x^2"]),
+    # (x^2*y, x*y^2) = x*y * (x, y); its saturation is (x) meet (y)
+    (2, "x^2*y, x*y^2", [1], ["x*y"]),
+], ids=["k0", "k1", "k2", "binary-k0", "binary-k1"])
+def test_saturation_for_each_linear_form(n, src, coeffs, expected):
+    # a single form stands for its gradient ideal
+    polys = [parse_poly(s, n) for s in src.split(", ")]
+    gens = polys[0].gradient() if len(polys) == 1 else polys
+    assert _missing_linear_form(gens, None) == coeffs
+    sat = saturate_irrelevant(gens)
+    assert sat.generators == buchberger([parse_poly(e, n) for e in expected]).generators
 
 
-def test_intersection():
-    a = [parse_poly("x", 2)]
-    b = [parse_poly("y", 2)]
-    meet = buchberger(intersect_ideals(a, b))
-    assert meet.generators == buchberger([parse_poly("x*y", 2)]).generators
+def test_saturation_in_another_order():
+    sat = saturate_irrelevant(X3("x*z*(x+y+z)").gradient(), LEX)
+    expected = buchberger([X3("x*z"), X3("x*(x+y+z)"), X3("z*(x+y+z)")], LEX)
+    assert sat.order == LEX and sat.generators == expected.generators
+
+
+def test_saturation_refuses_positive_dimensional_zero_sets():
+    with pytest.raises(ValueError, match="finitely many projective zeros"):
+        saturate_irrelevant(X3("x^2*y*z").gradient())
+    with pytest.raises(ValueError, match="finitely many projective zeros"):
+        saturate_irrelevant([X3("x")])
+
+
+def _oracle_saturation_pieces(f):
+    """(J^sat)_q for q = 0..T+1 by linear algebra alone: the kernel of
+    R_q -> (R/J)_(T+2)^(monomials of degree N), h -> (x^a h mod J)_a with
+    N = T+2-q, which is exact because N(f) = J^sat/J vanishes from degree
+    T+1 on.  Yields (q, kernel as polynomials)."""
+    n = f.nvars
+    T = n * (f.homogeneous_degree() - 2)
+    top = list(iter_monomials(n, T + 2))
+    top_coords = quotient_coordinates(map(Polynomial.monomial, top), gb_jacobian(f), T + 2)
+    coords = dict(zip(top, top_coords))
+    width = len(top_coords[0])
+    for q in range(T + 2):
+        monos = list(iter_monomials(n, q))
+        rows = [
+            [coords[mono_mul(a, b)][s] for b in monos]
+            for a in iter_monomials(n, T + 2 - q)
+            for s in range(width)
+        ]
+        kernel = kernel_basis(MatrixQ.from_rows(rows))
+        yield q, [Polynomial(n, dict(zip(monos, v))) for v in kernel]
+
+
+def _saturation_cases():
+    """The singular corpus entries, coordinate-node forms, and coordinate-node
+    forms after a unimodular change of coordinates."""
+    cases = [(e.name, parse_poly(e.source, e.n)) for e in builtin_corpus()]
+    cases = [(name, f) for name, f in cases if not is_smooth(f)]
+    cases += [(f"f0-{n}-{d}", f0_form(n, d)) for n, d in ((3, 3), (3, 4), (4, 3), (3, 5), (4, 4))]
+    for seed, (n, d) in enumerate(((3, 3), (3, 4), (4, 3))):
+        A = random_unimodular(n, random.Random(seed), steps=4)
+        cases.append((f"f0-{n}-{d}-moved{seed}", substitute_linear(f0_form(n, d), A)))
+    return cases
+
+
+SATURATION_CASES = _saturation_cases()
+
+
+@pytest.mark.parametrize("f", [f for _, f in SATURATION_CASES], ids=[n for n, _ in SATURATION_CASES])
+def test_saturation_matches_linear_algebra_oracle(f):
+    sat = saturate_irrelevant(f.gradient())
+    for q, kernel in _oracle_saturation_pieces(f):
+        assert hilbert_value(sat, q) == dim_graded(f.nvars, q) - len(kernel)
+        assert all(normal_form(h, sat).is_zero() for h in kernel)
 
 
 def test_degree_cap():

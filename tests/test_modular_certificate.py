@@ -8,12 +8,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 
 from conftest import gradient_generic_forms
-from veroav import veronese
-from veroav.groebner import DegreeCapExceeded, buchberger, projective_empty
+from veroav import groebner, veronese
+from veroav.groebner import DegreeCapExceeded, buchberger, modular_certificate, projective_empty
 from veroav.parsing import parse_poly
 from veroav.veronese import (
     MACAULAY_CHECK_PRIME,
-    _modular_certificate,
     _normalize_projective,
     _power_quotient_forms,
     _rational_zeros,
@@ -58,12 +57,11 @@ def test_bad_prime_falls_back_to_rational_basis():
 
 def test_prime_in_a_denominator_skips_the_modular_pass(monkeypatch):
     forms = [X3("x"), X3("y"), X3("z").scale(Fraction(1, P))]
-    assert _modular_certificate(forms, None) is None
+    assert modular_certificate(forms, None) is None
     calls = []
-    real = veronese.buchberger
-    monkeypatch.setattr(
-        veronese, "buchberger", lambda *a, **k: calls.append(k) or real(*a, **k)
-    )
+    real = groebner.buchberger
+    for module in (groebner, veronese):
+        monkeypatch.setattr(module, "buchberger", lambda *a, **k: calls.append(k) or real(*a, **k))
     certificate, empty, _ = _zeros(forms)
     assert certificate.modulus == 0 and empty
     assert all(not k.get("modulus") for k in calls)
@@ -77,7 +75,8 @@ def test_modular_degree_cap_falls_back_to_rational_basis(monkeypatch):
             raise DegreeCapExceeded("S-polynomial degree 9 exceeds cap 8")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(veronese, "buchberger", capped)
+    for module in (groebner, veronese):
+        monkeypatch.setattr(module, "buchberger", capped)
     report = condition_II(X3("x*y*z + x^3 + y^3"))
     assert report.empty and report.certificate.modulus == 0
 

@@ -12,6 +12,21 @@ Gebauer-Moeller variant of the product and chain criteria with the normal
 selection strategy (smallest lcm first, from a heap keyed once per pair).
 A configurable degree cap turns runaway instances into a diagnostic instead
 of silent looping.
+
+Inside the engine a monomial is one packed int (Bachmann-Schoenemann 1998),
+X(m) = K(m) * 2^W + E(m).  E(m) holds the exponents in fields of _FIELD
+bits, W bits in all, whose top bits are guard bits and stay clear.  K(m) is
+the order key, whose components are linear in the exponents.  So
+X(a * b) = X(a) + X(b), m / lm is X(m) - X(lm), and integer comparison of
+X is the monomial order, which lets the division heap hold -X (heap division
+with packed exponents as in Monagan-Pearce 2007).  lm divides m exactly
+when ((E(m) | GUARD) - E(lm)) keeps every guard bit: a field keeps its
+guard bit iff its exponent in m is at least that in lm, and no field
+borrows from the next.  Exponents are checked against the field size when
+a polynomial is packed and before every product, so a field never wraps;
+an exponent beyond it raises DegreeCapExceeded.  Monomials become tuples
+again only on the way out: basis generators, normal forms and standard
+monomials.
 """
 
 from __future__ import annotations
@@ -19,21 +34,15 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterable, Iterator, Sequence
 
 from veroav.orders import GREVLEX, MonomialOrder
-from veroav.polynomial import (
-    Monomial,
-    Polynomial,
-    iter_monomials,
-    mono_div,
-    mono_lcm,
-    mono_mul,
-)
+from veroav.polynomial import Monomial, Polynomial
 from veroav.polyring import linear_form
 
 DEFAULT_DEGREE_CAP = 60
@@ -55,14 +64,124 @@ class NonHomogeneousIdeal(ValueError):
 def _degree_cap(explicit: int | None) -> int:
     if explicit is not None:
         return explicit
-    return int(os.environ.get("VA_DEGREE_CAP", DEFAULT_DEGREE_CAP))
+    raw = os.environ.get("VA_DEGREE_CAP")
+    if raw is None:
+        return DEFAULT_DEGREE_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"VA_DEGREE_CAP must be an integer >= 1, not {raw!r}")
+    return cap
+
+
+# ---------------------------------------------------------------------------
+# packed monomials
+
+# Width of one exponent field; its top bit is the field's guard bit, so
+# exponents stay below 2^(_FIELD - 1).
+_FIELD = 16
+MAX_EXPONENT = (1 << (_FIELD - 1)) - 1
+
+
+def _exponent_error(exponent: int) -> DegreeCapExceeded:
+    return DegreeCapExceeded(
+        f"exponent {exponent} exceeds the packed exponent limit {MAX_EXPONENT}"
+    )
+
+
+class _Packing:
+    """Monomials of one (order, nvars) packed as X(m) = K(m) * 2^W + E(m).
+
+    E(m) holds exponent i in bits [_FIELD*i, _FIELD*(i+1)) with the guard
+    bit clear; K(m) holds the order key, one signed field per component.
+    Every order's key is linear in the exponents, so X is the exponents'
+    combination of the packed unit vectors.  A key component is at most the
+    total degree in size, and its field leaves room for a sign, so integer
+    comparison of K is lexicographic comparison of keys."""
+
+    __slots__ = ("nvars", "low", "guard", "units")
+
+    def __init__(self, order: MonomialOrder, nvars: int):
+        self.nvars = nvars
+        width = _FIELD * nvars
+        self.low = (1 << width) - 1
+        self.guard = sum(1 << (_FIELD * i + _FIELD - 1) for i in range(nvars))
+        # |key component| <= total degree < 2^(key_field - 1)
+        key_field = _FIELD + nvars.bit_length()
+        self.units = []
+        for i in range(nvars):
+            key = 0
+            for component in order.key(tuple(int(j == i) for j in range(nvars))):
+                key = (key << key_field) + component
+            self.units.append((key << width) + (1 << (_FIELD * i)))
+
+    def pack(self, m: Monomial) -> int:
+        if max(m, default=0) > MAX_EXPONENT:
+            raise _exponent_error(max(m))
+        return sum(map(operator.mul, m, self.units))
+
+    def unpack(self, x: int) -> Monomial:
+        e = x & self.low
+        field = (1 << _FIELD) - 1
+        return tuple((e >> (_FIELD * i)) & field for i in range(self.nvars))
+
+    def monomials(self, degree: int) -> Iterator[int]:
+        """Every monomial of the given degree, packed, in ``iter_monomials``
+        order."""
+        if degree > MAX_EXPONENT:
+            raise _exponent_error(degree)
+        return _packed_monomials(self.units, degree)
+
+    def divides(self, a: int, x: int) -> bool:
+        """Does the monomial a divide x?  (E(x) | GUARD) - E(a) keeps a
+        field's guard bit iff its exponent in x is at least that in a, and
+        no field borrows from the next."""
+        probe = ((x & self.low) | self.guard) - (a & self.low)
+        return probe & self.guard == self.guard
+
+    def exponent_max(self, a: int, b: int) -> int:
+        """E of lcm(a, b): the larger exponent in every field."""
+        a &= self.low
+        b &= self.low
+        ge = ((a | self.guard) - b) & self.guard  # guard bit kept where a_i >= b_i
+        mask = ge - (ge >> (_FIELD - 1))
+        return (a & mask) | (b & ~mask)
+
+    def check_product(self, shift: int, emax: int) -> None:
+        """Raise when shift times a monomial whose exponents are bounded by
+        ``emax`` has an exponent beyond MAX_EXPONENT.  Two exponents below
+        2^(_FIELD-1) sum below 2^_FIELD, so the sum leaves its range exactly
+        when it sets the guard bit, and never carries into the next field."""
+        if (shift + emax) & self.guard:
+            worst = max(map(sum, zip(self.unpack(shift), self.unpack(emax))))
+            raise _exponent_error(worst)
+
+
+def _packed_monomials(units: Sequence[int], degree: int) -> Iterator[int]:
+    if len(units) <= 1:
+        if units:
+            yield degree * units[0]
+        elif not degree:
+            yield 0
+        return
+    for e in range(degree + 1):
+        head = e * units[0]
+        for rest in _packed_monomials(units[1:], degree - e):
+            yield head + rest
+
+
+@lru_cache(maxsize=None)
+def _packing(order: MonomialOrder, nvars: int) -> _Packing:
+    return _Packing(order, nvars)
 
 
 # ---------------------------------------------------------------------------
 # integer engine
 
 
-def _content(terms: dict[Monomial, int]) -> int:
+def _content(terms: dict[int, int]) -> int:
     g = 0
     for c in terms.values():
         g = math.gcd(g, c)
@@ -71,73 +190,86 @@ def _content(terms: dict[Monomial, int]) -> int:
     return g
 
 
-def _strip_content(terms: dict[Monomial, int]) -> dict[Monomial, int]:
+def _strip_content(terms: dict[int, int]) -> dict[int, int]:
     g = _content(terms)
     if g > 1:
         return {m: c // g for m, c in terms.items()}
     return terms
 
 
-def _to_int_terms(p: Polynomial) -> dict[Monomial, int]:
+def _common_denominator(p: Polynomial) -> int:
     den = 1
     for c in p.terms.values():
         den = den * c.denominator // math.gcd(den, c.denominator)
-    return _strip_content({m: int(c * den) for m, c in p.terms.items()})
+    return den
 
 
-def _to_mod_terms(p: Polynomial, modulus: int) -> dict[Monomial, int]:
+def _to_int_terms(p: Polynomial, pk: _Packing) -> dict[int, int]:
+    den = _common_denominator(p)
+    return _strip_content({pk.pack(m): int(c * den) for m, c in p.terms.items()})
+
+
+def _to_mod_terms(p: Polynomial, pk: _Packing, modulus: int) -> dict[int, int]:
     """Residues of p's coefficients; raises ValueError when the modulus
     divides a denominator."""
     out = {}
     for m, c in p.terms.items():
         r = c.numerator * pow(c.denominator, -1, modulus) % modulus
         if r:
-            out[m] = r
+            out[pk.pack(m)] = r
     return out
 
 
+def _from_terms(terms: dict[int, int], pk: _Packing, den: int) -> Polynomial:
+    return Polynomial(pk.nvars, {pk.unpack(m): Fraction(c, den) for m, c in terms.items()})
+
+
 class _IPoly:
-    """Integer polynomial prepared for division: primitive with a positive
-    leading coefficient over Q, monic residues modulo ``modulus``."""
+    """Integer polynomial prepared for division, on packed monomials:
+    primitive with a positive leading coefficient over Q, monic residues
+    modulo ``modulus``.  ``e`` is the leading monomial's exponent part and
+    ``emax`` the largest exponent of each variable over all terms."""
 
-    __slots__ = ("terms", "lm", "lc", "tail", "degree")
+    __slots__ = ("lm", "lc", "tail", "e", "emax")
 
-    def __init__(self, terms: dict[Monomial, int], order: MonomialOrder, modulus: int = 0):
-        self.terms = terms
-        self.lm = max(terms, key=order.key)
-        lc = terms[self.lm]
+    def __init__(self, terms: dict[int, int], pk: _Packing, modulus: int = 0):
+        lm = max(terms)
+        lc = terms[lm]
         if modulus:
             if lc != 1:
                 inv = pow(lc, -1, modulus)
                 terms = {m: c * inv % modulus for m, c in terms.items()}
-                self.terms = terms
                 lc = 1
         elif lc < 0:
             terms = {m: -c for m, c in terms.items()}
-            self.terms = terms
             lc = -lc
+        self.lm = lm
         self.lc = lc
-        self.tail = [(m, c) for m, c in terms.items() if m != self.lm]
-        self.degree = max(sum(m) for m in terms)
+        self.tail = [(m, c) for m, c in terms.items() if m != lm]
+        self.e = lm & pk.low
+        emax = 0
+        for m in terms:
+            emax = pk.exponent_max(emax, m)
+        self.emax = emax
 
 
-def _find_reducer(m: Monomial, reducers: Sequence[_IPoly]) -> _IPoly | None:
+def _find_reducer(x: int, reducers: Sequence[_IPoly], pk: _Packing) -> _IPoly | None:
+    """First reducer whose leading monomial divides x, by ``pk.divides``
+    written out over the reducers (this loop is the engine's hottest)."""
+    guard = pk.guard
+    probe = (x & pk.low) | guard
     for g in reducers:
-        lm = g.lm
-        for a, b in zip(m, lm):
-            if a < b:
-                break
-        else:
+        if (probe - g.e) & guard == guard:
             return g
     return None
 
 
 def _normal_form_int(
-    f: dict[Monomial, int],
+    f: dict[int, int],
     reducers: Sequence[_IPoly],
-    order: MonomialOrder,
+    pk: _Packing,
     track_scale: bool = True,
-) -> tuple[dict[Monomial, int], int]:
+) -> tuple[dict[int, int], int]:
     """Full normal form of f; returns (terms, scale) with value = terms/scale.
 
     With ``track_scale`` off the result is only meaningful up to a positive
@@ -148,21 +280,22 @@ def _normal_form_int(
     if not f:
         return {}, 1
     coeffs = dict(f)
-    out: dict[Monomial, int] = {}
+    out: dict[int, int] = {}
     scale = 1
-    heap = [(order.neg_key(m), m) for m in coeffs]
+    heap = [-m for m in coeffs]
     heapq.heapify(heap)
     steps = 0
     while heap:
-        _, m = heapq.heappop(heap)
+        m = -heapq.heappop(heap)
         c = coeffs.pop(m, 0)
         if not c:
             continue
-        g = _find_reducer(m, reducers)
+        g = _find_reducer(m, reducers, pk)
         if g is None:
             out[m] = c
             continue
-        shift = mono_div(m, g.lm)
+        shift = m - g.lm
+        pk.check_product(shift, g.emax)
         q = math.gcd(c, g.lc)
         mult_all = g.lc // q
         mult_g = c // q
@@ -173,12 +306,11 @@ def _normal_form_int(
                 out[k] *= mult_all
             scale *= mult_all
         for mt, ct in g.tail:
-            key = mono_mul(mt, shift)
+            key = mt + shift
             prev = coeffs.get(key)
             if prev is None:
-                v = -mult_g * ct
-                coeffs[key] = v
-                heapq.heappush(heap, (order.neg_key(key), key))
+                coeffs[key] = -mult_g * ct
+                heapq.heappush(heap, -key)
             else:
                 v = prev - mult_g * ct
                 if v:
@@ -206,33 +338,34 @@ def _normal_form_int(
 
 
 def _normal_form_mod(
-    f: dict[Monomial, int],
+    f: dict[int, int],
     reducers: Sequence[_IPoly],
-    order: MonomialOrder,
+    pk: _Packing,
     modulus: int,
-) -> dict[Monomial, int]:
+) -> dict[int, int]:
     """Full normal form of f over GF(modulus) against monic reducers.
     Fresh coefficients are left unreduced until their monomial is popped."""
     coeffs = dict(f)
-    out: dict[Monomial, int] = {}
-    heap = [(order.neg_key(m), m) for m in coeffs]
+    out: dict[int, int] = {}
+    heap = [-m for m in coeffs]
     heapq.heapify(heap)
     while heap:
-        _, m = heapq.heappop(heap)
+        m = -heapq.heappop(heap)
         c = coeffs.pop(m, 0) % modulus
         if not c:
             continue
-        g = _find_reducer(m, reducers)
+        g = _find_reducer(m, reducers, pk)
         if g is None:
             out[m] = c
             continue
-        shift = mono_div(m, g.lm)
+        shift = m - g.lm
+        pk.check_product(shift, g.emax)
         for mt, ct in g.tail:
-            key = mono_mul(mt, shift)
+            key = mt + shift
             prev = coeffs.get(key)
             if prev is None:
                 coeffs[key] = -c * ct
-                heapq.heappush(heap, (order.neg_key(key), key))
+                heapq.heappush(heap, -key)
             else:
                 v = (prev - c * ct) % modulus
                 if v:
@@ -243,30 +376,33 @@ def _normal_form_mod(
 
 
 def _reduce(
-    terms: dict[Monomial, int],
+    terms: dict[int, int],
     reducers: Sequence[_IPoly],
-    order: MonomialOrder,
+    pk: _Packing,
     modulus: int,
-) -> dict[Monomial, int]:
+) -> dict[int, int]:
     """Normal form up to a unit: primitive over Q, residues over GF(p)."""
     if modulus:
-        return _normal_form_mod(terms, reducers, order, modulus)
-    reduced, _ = _normal_form_int(_strip_content(terms), reducers, order, track_scale=False)
+        return _normal_form_mod(terms, reducers, pk, modulus)
+    reduced, _ = _normal_form_int(_strip_content(terms), reducers, pk, track_scale=False)
     return _strip_content(reduced)
 
 
-def _spoly_int(f: _IPoly, g: _IPoly) -> dict[Monomial, int]:
-    L = mono_lcm(f.lm, g.lm)
-    sf = mono_div(L, f.lm)
-    sg = mono_div(L, g.lm)
+def _spoly_int(f: _IPoly, g: _IPoly, lcm: int, pk: _Packing) -> dict[int, int]:
+    """S-polynomial of f and g with the packed lcm of their leading
+    monomials; the leading terms cancel and are left out."""
+    sf = lcm - f.lm
+    sg = lcm - g.lm
+    pk.check_product(sf, f.emax)
+    pk.check_product(sg, g.emax)
     q = math.gcd(f.lc, g.lc)
     cf = g.lc // q
     cg = f.lc // q
-    terms: dict[Monomial, int] = {}
-    for m, c in f.terms.items():
-        terms[mono_mul(m, sf)] = cf * c
-    for m, c in g.terms.items():
-        k = mono_mul(m, sg)
+    terms: dict[int, int] = {}
+    for m, c in f.tail:
+        terms[m + sf] = cf * c
+    for m, c in g.tail:
+        k = m + sg
         v = terms.get(k, 0) - cg * c
         if v:
             terms[k] = v
@@ -304,40 +440,38 @@ class GroebnerBasis:
     @cached_property
     def _reducers(self) -> list[_IPoly]:
         # built once per basis and shared by every normal form against it
-        return [_IPoly(_to_int_terms(g), self.order) for g in self.generators]
+        pk = _packing(self.order, self.nvars)
+        return [_IPoly(_to_int_terms(g, pk), pk) for g in self.generators]
 
 
 def _gm_update(
-    basis: list[_IPoly],
-    pairs: set[tuple[int, int]],
-    new_index: int,
-) -> set[tuple[int, int]]:
-    """Gebauer-Moeller pair update: chain criterion on old pairs, then lcm
-    minimalization and the product criterion on the new ones."""
-    lm = [g.lm for g in basis]
-    t = new_index
+    lm: list[int],
+    pairs: dict[tuple[int, int], int],
+    t: int,
+    pk: _Packing,
+) -> dict[tuple[int, int], int]:
+    """Gebauer-Moeller pair update for the new basis element t: chain
+    criterion on old pairs, then lcm minimalization and the product
+    criterion on the new ones.  ``lm`` holds the exponent parts E of the
+    leading monomials, and ``pairs`` maps each pair to E of its lcm."""
     lmt = lm[t]
-    kept = set()
-    for (i, j) in pairs:
-        lcm_ij = mono_lcm(lm[i], lm[j])
-        if (
-            mono_div(lcm_ij, lmt) is None
-            or lcm_ij == mono_lcm(lm[i], lmt)
-            or lcm_ij == mono_lcm(lm[j], lmt)
-        ):
-            kept.add((i, j))
-    by_lcm: dict[Monomial, list[int]] = {}
-    for i in range(t):
-        by_lcm.setdefault(mono_lcm(lm[i], lmt), []).append(i)
-    minimal: list[Monomial] = []
-    for L in sorted(by_lcm, key=sum):
-        if all(mono_div(L, M) is None for M in minimal):
+    lcm_t = [pk.exponent_max(a, lmt) for a in lm[:t]]
+    kept = {}
+    for (i, j), L in pairs.items():
+        if not pk.divides(lmt, L) or L == lcm_t[i] or L == lcm_t[j]:
+            kept[(i, j)] = L
+    by_lcm: dict[int, list[int]] = {}
+    for i, L in enumerate(lcm_t):
+        by_lcm.setdefault(L, []).append(i)
+    minimal: list[int] = []
+    for L in sorted(by_lcm):  # a proper divisor M of L has E(M) < E(L)
+        if not any(pk.divides(M, L) for M in minimal):
             minimal.append(L)
     for L in minimal:
         group = by_lcm[L]
-        if any(mono_lcm(lm[i], lmt) == mono_mul(lm[i], lmt) for i in group):
+        if any(L == lm[i] + lmt for i in group):
             continue  # product criterion: coprime leading monomials
-        kept.add((min(group), t))
+        kept[(min(group), t)] = L
     return kept
 
 
@@ -357,63 +491,67 @@ def buchberger(
     if any(p.nvars != nvars for p in polys):
         raise ValueError("generators live in different rings")
     cap = _degree_cap(degree_cap)
+    pk = _packing(order, nvars)
 
     basis: list[_IPoly] = []
-    pairs: set[tuple[int, int]] = set()
-    heap: list[tuple[int, tuple[int, ...], tuple[int, int]]] = []
+    pairs: dict[tuple[int, int], int] = {}
+    heap: list[tuple[int, int, tuple[int, int]]] = []
 
-    def add(terms: dict[Monomial, int]) -> None:
+    def add(terms: dict[int, int]) -> None:
         nonlocal pairs
-        reduced = _reduce(terms, basis, order, modulus)
+        reduced = _reduce(terms, basis, pk, modulus)
         if not reduced:
             return
-        basis.append(_IPoly(reduced, order, modulus))
+        basis.append(_IPoly(reduced, pk, modulus))
         t = len(basis) - 1
-        pairs = _gm_update(basis, pairs, t)
-        lmt = basis[t].lm
-        for i, j in pairs:
+        pairs = _gm_update([g.e for g in basis], pairs, t, pk)
+        for (i, j), L in pairs.items():
             if j == t:
-                lcm = mono_lcm(basis[i].lm, lmt)
-                heapq.heappush(heap, (sum(lcm), order.key(lcm), (i, j)))
+                lcm = pk.unpack(L)
+                heapq.heappush(heap, (sum(lcm), pk.pack(lcm), (i, j)))
 
     for p in sorted(polys, key=lambda q: (q.degree(), len(q.terms))):
-        add(_to_mod_terms(p, modulus) if modulus else _to_int_terms(p))
+        add(_to_mod_terms(p, pk, modulus) if modulus else _to_int_terms(p, pk))
 
     while heap:
-        lcm_deg, _, pair = heapq.heappop(heap)
+        lcm_deg, lcm, pair = heapq.heappop(heap)
         if pair not in pairs:
             continue  # dropped by a later Gebauer-Moeller update
-        pairs.remove(pair)
+        del pairs[pair]
         if lcm_deg > cap:
             raise DegreeCapExceeded(
                 f"S-polynomial degree {lcm_deg} exceeds cap {cap}; "
                 "set VA_DEGREE_CAP to raise the limit"
             )
-        add(_spoly_int(basis[pair[0]], basis[pair[1]]))
+        add(_spoly_int(basis[pair[0]], basis[pair[1]], lcm, pk))
 
-    return _reduce_basis(basis, nvars, order, modulus)
+    return _reduce_basis(basis, pk, order, modulus)
 
 
 def _reduce_basis(
-    basis: list[_IPoly], nvars: int, order: MonomialOrder, modulus: int
+    basis: list[_IPoly], pk: _Packing, order: MonomialOrder, modulus: int
 ) -> GroebnerBasis:
     # minimalize: drop generators whose lm is divisible by another's
-    basis_sorted = sorted(basis, key=lambda g: order.key(g.lm))
     minimal: list[_IPoly] = []
-    for g in basis_sorted:
-        if all(mono_div(g.lm, h.lm) is None for h in minimal):
+    for g in sorted(basis, key=lambda g: g.lm):
+        if _find_reducer(g.lm, minimal, pk) is None:
             minimal.append(g)
-    # interreduce tails
-    final: list[Polynomial] = []
+    # interreduce tails; over GF(p) the leading term stays 1, since no
+    # other leading monomial divides it
+    final = []
     for idx, g in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1 :]
-        terms = _reduce(dict(g.terms), others, order, modulus)
-        # over GF(p) the leading term is already 1: no other lm divides it
-        lc = 1 if modulus else terms[max(terms, key=order.key)]
-        final.append(Polynomial(nvars, {m: Fraction(c, lc) for m, c in terms.items()}))
-    final.sort(key=lambda p: order.key(p.leading_monomial(order)), reverse=True)
-    lms = tuple(p.leading_monomial(order) for p in final)
-    return GroebnerBasis(nvars, tuple(final), order, lms, modulus=modulus)
+        terms = _reduce(dict([(g.lm, g.lc), *g.tail]), others, pk, modulus)
+        lm = max(terms)
+        final.append((lm, _from_terms(terms, pk, 1 if modulus else terms[lm])))
+    final.sort(reverse=True, key=lambda t: t[0])
+    return GroebnerBasis(
+        pk.nvars,
+        tuple(p for _, p in final),
+        order,
+        tuple(pk.unpack(lm) for lm, _ in final),
+        modulus=modulus,
+    )
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
@@ -426,13 +564,11 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
         return p
     if p.nvars != gb.nvars:
         raise ValueError("polynomial and basis live in different rings")
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    terms = {m: int(c * den) for m, c in p.terms.items()}
-    out, scale = _normal_form_int(terms, gb._reducers, gb.order)
-    total = den * scale
-    return Polynomial(p.nvars, {m: Fraction(c, total) for m, c in out.items()})
+    pk = _packing(gb.order, gb.nvars)
+    den = _common_denominator(p)
+    terms = {pk.pack(m): int(c * den) for m, c in p.terms.items()}
+    out, scale = _normal_form_int(terms, gb._reducers, pk)
+    return _from_terms(out, pk, den * scale)
 
 
 def standard_monomials(gb: GroebnerBasis, degree: int) -> tuple[Monomial, ...]:
@@ -443,9 +579,9 @@ def standard_monomials(gb: GroebnerBasis, degree: int) -> tuple[Monomial, ...]:
         return ()
     if gb.is_zero_ideal():
         raise ValueError("zero ideal has no ambient variable count; use dim_graded")
-    reducers = gb._reducers
+    reducers, pk = gb._reducers, _packing(gb.order, gb.nvars)
     return tuple(
-        m for m in iter_monomials(gb.nvars, degree) if _find_reducer(m, reducers) is None
+        pk.unpack(x) for x in pk.monomials(degree) if _find_reducer(x, reducers, pk) is None
     )
 
 
@@ -562,9 +698,12 @@ def saturate_irrelevant(
     gens: Sequence[Polynomial],
     order: MonomialOrder = GREVLEX,
     degree_cap: int | None = None,
+    basis: GroebnerBasis | None = None,
 ) -> GroebnerBasis:
     """Groebner basis of (I : m^infinity), m the irrelevant maximal ideal, for
     an ideal with finitely many projective zeros (ValueError otherwise).
+    ``basis``, when given, is the grevlex basis of the gens, which saves
+    computing it again.
 
     Bayer-Stillman: I : m^infinity = I : l^infinity for any linear form l
     that misses the zeros.  Shearing coordinates so that l becomes the last
@@ -578,19 +717,22 @@ def saturate_irrelevant(
     if any(not p.is_homogeneous() for p in polys):
         raise NonHomogeneousIdeal("saturation by the irrelevant ideal needs homogeneous input")
     nvars = polys[0].nvars
-    gb = buchberger(polys, GREVLEX, degree_cap)
+    if basis is not None and (basis.order != GREVLEX or basis.modulus):
+        raise ValueError("saturation reuses only a grevlex basis over Q")
+    gb = basis if basis is not None else buchberger(polys, GREVLEX, degree_cap)
     if krull_dim_quotient(gb) > 1:
         raise ValueError("saturation needs finitely many projective zeros")
     coeffs = _missing_linear_form(polys, degree_cap)
     sheared = any(coeffs)
     if sheared:
         gb = buchberger(_shear(polys, [-c for c in coeffs]), GREVLEX, degree_cap)
+    pk = _packing(GREVLEX, nvars)
     divided = []
     for g in gb.generators:
         e = min(m[-1] for m in g.terms)
         terms = {m[:-1] + (m[-1] - e,): c for m, c in g.terms.items()}
-        divided.append(_IPoly(_to_int_terms(Polynomial(nvars, terms)), GREVLEX))
-    sat = _reduce_basis(divided, nvars, GREVLEX, 0)
+        divided.append(_IPoly(_to_int_terms(Polynomial(nvars, terms), pk), pk))
+    sat = _reduce_basis(divided, pk, GREVLEX, 0)
     if sheared:
         return buchberger(_shear(sat.generators, coeffs), order, degree_cap)
     return sat if order == GREVLEX else buchberger(sat.generators, order, degree_cap)

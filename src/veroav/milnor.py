@@ -73,7 +73,7 @@ def gb_jacobian(f: Polynomial) -> GroebnerBasis:
 
 @lru_cache(maxsize=256)
 def gb_jacobian_saturation(f: Polynomial) -> GroebnerBasis:
-    return saturate_irrelevant(f.gradient())
+    return saturate_irrelevant(f.gradient(), basis=gb_jacobian(f))
 
 
 def is_smooth(f: Polynomial) -> bool:

@@ -2,8 +2,9 @@
 
 A monomial is a tuple of exponents.  Each order turns a monomial into a flat
 tuple of ints such that ``key(a) < key(b)`` iff ``a`` precedes ``b`` in the
-order; max() over keys therefore picks the leading monomial.  Flat keys can
-be negated componentwise, which the division algorithm's max-heap relies on.
+order; max() over keys therefore picks the leading monomial.  Every key is
+linear in the exponents (``key(a * b) = key(a) + key(b)`` componentwise),
+which the Groebner engine's packed monomials rely on.
 """
 
 from __future__ import annotations
@@ -41,9 +42,6 @@ class MonomialOrder:
         if self.kind == "lex":
             return m
         raise ValueError(f"unknown monomial order kind: {self.kind!r}")
-
-    def neg_key(self, m: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(-x for x in self.key(m))
 
     def leading(self, monomials) -> tuple[int, ...]:
         return max(monomials, key=self.key)

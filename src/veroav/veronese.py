@@ -105,12 +105,19 @@ def _power_quotient_forms(
     if lins is None:
         lins = [Polynomial.variable(i, n) for i in range(n)]
     expansion = power_linear_form_symbolic(len(lins), m)
+    # powers[j][e] = lins[j]**e, each built once from the previous one
+    powers = []
+    for lin in lins:
+        row = [Polynomial.constant(n, 1)]
+        for _ in range(m):
+            row.append(row[-1] * lin)
+        powers.append(row)
     products = []
     for beta, _ in expansion:
         prod = Polynomial.constant(n, 1)
-        for lin, e in zip(lins, beta):
+        for row, e in zip(powers, beta):
             if e:
-                prod = prod * lin**e
+                prod = prod * row[e]
         products.append(prod)
     coords = quotient_coordinates(products, gb_jacobian(f), m)
     return [

@@ -176,6 +176,15 @@ def test_cli_degree_cap_names_condition_II():
     assert len(proc.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("cap", ["abc", "0", "-5"])
+def test_cli_invalid_degree_cap_is_refused(cap):
+    proc = run_cli(
+        "check", "-n", "3", "-f", "x^3+y^3+z^3", env=dict(os.environ, VA_DEGREE_CAP=cap)
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: VA_DEGREE_CAP must be an integer >= 1, not {cap!r}\n"
+
+
 def test_cli_certificate_prime():
     avoiding = run_cli("check", "-n", "3", "-f", "x*y*z + x^3 + y^3", "--json", "--seed", "0")
     assert avoiding.returncode == 0

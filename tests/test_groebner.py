@@ -6,11 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import homogeneous_polynomials
+from conftest import homogeneous_polynomials, polynomials
 from veroav.corpus import builtin_corpus
 from veroav.groebner import (
+    MAX_EXPONENT,
     DegreeCapExceeded,
+    _find_reducer,
+    _IPoly,
     _missing_linear_form,
+    _packing,
     buchberger,
     hilbert_value,
     krull_dim_quotient,
@@ -21,7 +25,7 @@ from veroav.groebner import (
 )
 from veroav.linalg import MatrixQ, kernel_basis, random_unimodular
 from veroav.milnor import gb_jacobian, is_smooth
-from veroav.orders import GREVLEX, GRLEX, LEX
+from veroav.orders import GREVLEX, GRLEX, LEX, lex_eliminating_down_to_first
 from veroav.parsing import parse_poly
 from veroav.polynomial import Polynomial, iter_monomials, mono_div, mono_lcm, mono_mul
 from veroav.polyring import dim_graded, substitute_linear
@@ -172,6 +176,25 @@ def test_saturation_in_another_order():
     assert sat.order == LEX and sat.generators == expected.generators
 
 
+def test_saturation_reuses_a_given_grevlex_basis(monkeypatch):
+    gens = X3("x*z*(x+y+z)").gradient()
+    gb = buchberger(gens)
+    expected = saturate_irrelevant(gens)
+    inputs = []
+
+    def recording(polys, *args, **kwargs):
+        inputs.append(list(polys))
+        return buchberger(polys, *args, **kwargs)
+
+    monkeypatch.setattr("veroav.groebner.buchberger", recording)
+    assert saturate_irrelevant(gens, basis=gb).generators == expected.generators
+    assert inputs and gens not in inputs  # the basis of the gens is not rebuilt
+    with pytest.raises(ValueError, match="grevlex basis over Q"):
+        saturate_irrelevant(gens, basis=buchberger(gens, LEX))
+    with pytest.raises(ValueError, match="grevlex basis over Q"):
+        saturate_irrelevant(gens, basis=buchberger(gens, modulus=P31))
+
+
 def test_saturation_refuses_positive_dimensional_zero_sets():
     with pytest.raises(ValueError, match="finitely many projective zeros"):
         saturate_irrelevant(X3("x^2*y*z").gradient())
@@ -258,26 +281,81 @@ def test_buchberger_spoly_certificate(p, q):
     assert normal_form(q, gb).is_zero()
 
 
+# (our order, sympy's order name, sympy generator order as variable indices)
+SYMPY_ORDERS = {
+    "grevlex": (GREVLEX, "grevlex", (0, 1, 2)),
+    "grlex": (GRLEX, "grlex", (0, 1, 2)),
+    "lex": (LEX, "lex", (0, 1, 2)),
+    # the ratpoints order: x3 > x2 > x1
+    "lex-down-to-first": (lex_eliminating_down_to_first(3), "lex", (2, 1, 0)),
+}
+
+
+def _sympy_reference(gens, order_name, perm, p=None):
+    """sympy's reduced basis of gens over Q, as Polynomials, and the
+    remainder of p on division by it (None without p)."""
+    import sympy
+
+    xs = sympy.symbols("x1 x2 x3")
+    names = dict(zip(["x1", "x2", "x3"], xs))
+    ordered = [xs[i] for i in perm]
+    exprs = [sympy.sympify(_to_sympy_str(g), names) for g in gens]
+    reference = sympy.groebner(exprs, *ordered, order=order_name, domain=sympy.QQ)
+
+    def convert(poly):
+        terms = {}
+        for mono, coeff in poly.terms():
+            exps = [0, 0, 0]
+            for i, e in zip(perm, mono):
+                exps[i] = int(e)
+            terms[tuple(exps)] = Fraction(*coeff.as_numer_denom())
+        return Polynomial(3, terms)
+
+    basis = {convert(poly) for poly in reference.polys}
+    if p is None:
+        return basis, None
+    expr = sympy.sympify(_to_sympy_str(p), names)
+    _, remainder = sympy.reduced(expr, reference.exprs, *ordered, order=order_name)
+    return basis, convert(sympy.Poly(remainder, *ordered, domain=sympy.QQ))
+
+
+def _check_against_sympy(p, order_name):
+    order, sympy_order, perm = SYMPY_ORDERS[order_name]
+    q = parse_poly("x1^2*x2 - x3^3", 3)
+    reference, _ = _sympy_reference([p, q], sympy_order, perm)
+    assert set(buchberger([p, q], order).generators) == reference
+
+
 @given(homogeneous_polynomials(nvars=st.just(3), degrees=st.integers(1, 3),
                                max_terms=4))
 @settings(max_examples=25, deadline=None)
 def test_groebner_matches_sympy(p):
-    import sympy
+    _check_against_sympy(p, "grevlex")
 
-    xs = sympy.symbols("x1 x2 x3")
-    q = parse_poly("x1^2*x2 - x3^3", 3)
-    expr_p = sympy.sympify(_to_sympy_str(p), dict(zip(["x1", "x2", "x3"], xs)))
-    expr_q = sympy.sympify(_to_sympy_str(q), dict(zip(["x1", "x2", "x3"], xs)))
-    reference = sympy.groebner([expr_p, expr_q], *xs, order="grevlex", domain=sympy.QQ)
-    mine = buchberger([p, q])
-    converted = set()
-    for poly in reference.polys:
-        terms = {
-            tuple(int(e) for e in mono): Fraction(*coeff.as_numer_denom())
-            for mono, coeff in poly.terms()
-        }
-        converted.add(Polynomial(3, terms))
-    assert set(mine.generators) == converted
+
+@pytest.mark.parametrize("order_name", ["grlex", "lex", "lex-down-to-first"])
+@given(homogeneous_polynomials(nvars=st.just(3), degrees=st.integers(1, 3),
+                               max_terms=4))
+@settings(max_examples=25, deadline=None)
+def test_groebner_matches_sympy_in_other_orders(order_name, p):
+    _check_against_sympy(p, order_name)
+
+
+@pytest.mark.parametrize("order_name", SYMPY_ORDERS)
+@given(polynomials(nvars=st.just(3), max_degree=2, max_terms=3),
+       polynomials(nvars=st.just(3), max_degree=3, max_terms=4))
+@settings(max_examples=15, deadline=None)
+def test_non_homogeneous_groebner_and_normal_form_match_sympy(order_name, p, r):
+    """Non-homogeneous generators, as in the affine charts of ratpoints (lex)
+    and the local truncations of singlocus (grevlex), and normal forms
+    against the basis compared with sympy's remainder."""
+    order, sympy_order, perm = SYMPY_ORDERS[order_name]
+    q = parse_poly("x1*x2 - x3^2 + 2*x1 - 1", 3)
+    gens = [g for g in (p, q) if not g.is_zero()]
+    reference, remainder = _sympy_reference(gens, sympy_order, perm, r)
+    gb = buchberger(gens, order)
+    assert set(gb.generators) == reference
+    assert normal_form(r, gb) == remainder
 
 
 P31 = 2**31 - 1
@@ -392,3 +470,65 @@ def test_orders_available():
     for order in (GREVLEX, GRLEX, LEX):
         gb = buchberger(f.gradient(), order)
         assert normal_form(f, gb).is_zero()
+
+
+PACKED_ORDERS = {
+    "grevlex": lambda n: GREVLEX,
+    "grlex": lambda n: GRLEX,
+    "lex": lambda n: LEX,
+    "lex-down-to-first": lex_eliminating_down_to_first,
+}
+
+
+@st.composite
+def monomial_pairs(draw):
+    n = draw(st.integers(1, 5))
+    exponent = st.one_of(st.integers(0, 4), st.integers(0, MAX_EXPONENT // 2))
+    return tuple(tuple(draw(exponent) for _ in range(n)) for _ in range(2))
+
+
+@pytest.mark.parametrize("order_name", PACKED_ORDERS)
+@given(monomial_pairs())
+@settings(max_examples=100, deadline=None)
+def test_packing_agrees_with_tuple_monomials(order_name, pair):
+    a, b = pair
+    order = PACKED_ORDERS[order_name](len(a))
+    pk = _packing(order, len(a))
+    xa, xb = pk.pack(a), pk.pack(b)
+    assert pk.unpack(xa) == a and pk.unpack(xb) == b
+    assert xa + xb == pk.pack(mono_mul(a, b))
+    assert (xa < xb) == (order.key(a) < order.key(b))
+    assert (xa == xb) == (a == b)
+    for lm, m in ((a, b), (b, a), (a, mono_mul(a, b))):
+        divides = mono_div(m, lm) is not None
+        assert pk.divides(pk.pack(lm), pk.pack(m)) == divides
+        reducer = _IPoly({pk.pack(lm): 1}, pk)
+        assert (_find_reducer(pk.pack(m), [reducer], pk) is reducer) == divides
+    assert pk.exponent_max(xa, xb) == pk.pack(mono_lcm(a, b)) & pk.low
+
+
+def test_packed_monomials_enumerate_in_iter_monomials_order():
+    for n in range(0, 5):
+        pk = _packing(GREVLEX, n)
+        for d in range(4):
+            assert [pk.unpack(x) for x in pk.monomials(d)] == list(iter_monomials(n, d))
+
+
+def test_exponent_beyond_the_packed_field_raises():
+    x, y = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    # on the way in
+    with pytest.raises(DegreeCapExceeded, match="packed exponent limit"):
+        buchberger([x ** (MAX_EXPONENT + 1) - y])
+    with pytest.raises(DegreeCapExceeded, match="packed exponent limit"):
+        normal_form(x ** (MAX_EXPONENT + 1), buchberger([y]))
+    # inside a normal form: under lex, x^200 reduces to y^40000 modulo x - y^200
+    gb = buchberger([x - y**200], LEX)
+    with pytest.raises(DegreeCapExceeded, match="exceeds the packed exponent limit"):
+        normal_form(x**200, gb)
+    # inside Buchberger: the lex basis would be (x - y^200, y^40000)
+    for modulus in (0, 2**31 - 1):
+        with pytest.raises(DegreeCapExceeded, match="exceeds the packed exponent limit"):
+            buchberger([x - y**200, x**200], LEX, degree_cap=10**6, modulus=modulus)
+    # the largest exponent that fits is exact
+    top = (MAX_EXPONENT - 1) // 2
+    assert normal_form(x**top, buchberger([x - y**2], LEX)) == y ** (2 * top)

@@ -7,19 +7,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import unimodular_matrices
-from veroav.groebner import projective_empty
+from veroav.groebner import projective_empty, quotient_coordinates
 from veroav.linalg import MatrixQ, determinant, quotient_coords, rank, rank_mod_p
-from veroav.milnor import condition_I, jacobian_degree_matrix, jacobian_rref, validate_input
+from veroav.milnor import (
+    condition_I,
+    gb_jacobian,
+    jacobian_degree_matrix,
+    jacobian_rref,
+    validate_input,
+)
 from veroav.parsing import parse_poly, render_poly
 from veroav.polynomial import Polynomial
 from veroav.polyring import (
     coefficient_vector,
     linear_form,
+    power_linear_form_symbolic,
     substitute_linear,
 )
 from veroav.veronese import (
     MACAULAY_CHECK_PRIME,
     ConditionIIPreconditionError,
+    _power_quotient_forms,
     catalecticant_rank_at,
     check_va,
     condition_II,
@@ -52,6 +60,32 @@ def test_catalecticant_rank_one_on_random_powers():
             ell = linear_form(coeffs)
             v = coefficient_vector(ell**m, m)
             assert catalecticant_rank_at(v, 3, m) == 1
+
+
+@pytest.mark.parametrize("src, lins", [
+    ("x*y*z + x^3 + y^3", None),
+    ("x*y*z^2 + x^4 + y^4", None),
+    ("x*y*z^2 + x^4 + y^4 + x^3*z", [[1, 2, 0], [0, 1, -3]]),
+])
+def test_power_quotient_forms_match_products_of_powers(src, lins):
+    """The forms are the quotient coordinates of each product of powers
+    lin_j^beta_j, times its multinomial, read as polynomials in s."""
+    f = X3(src)
+    m = 3 * (f.homogeneous_degree() - 2) - 1
+    lins = [linear_form(c) for c in lins] if lins else [Polynomial.variable(i, 3) for i in range(3)]
+    expansion = power_linear_form_symbolic(len(lins), m)
+    products = []
+    for beta, _ in expansion:
+        prod = Polynomial.constant(3, 1)
+        for lin, e in zip(lins, beta):
+            prod = prod * lin**e
+        products.append(prod)
+    coords = quotient_coordinates(products, gb_jacobian(f), m)
+    expected = [
+        Polynomial(len(lins), {beta: mult * c[i] for (beta, mult), c in zip(expansion, coords)})
+        for i in range(len(coords[0]))
+    ]
+    assert _power_quotient_forms(f, m, lins) == expected
 
 
 def test_condition_II_fermat_witness():

@@ -1,8 +1,12 @@
 """Buchberger's algorithm over Q or GF(p), with the ideal-theoretic helpers
 built on top of it: normal forms, quotient coordinates on standard monomials,
-projective emptiness and its modular certificate, Krull dimension, Hilbert
-function values, and saturation by the irrelevant ideal (one grevlex basis,
-by the Bayer-Stillman criterion).
+projective emptiness and its modular certificate, the Hilbert series, and
+saturation by the irrelevant ideal (one grevlex basis, by the Bayer-Stillman
+criterion).
+
+Every counting question is read off the Hilbert series of the leading
+monomials, Q(t)/(1-t)^D, computed once per basis: Hilbert values are
+binomial sums, D is the Krull dimension and Q(1) the degree.
 
 Over Q the hot loop works on primitive integer coefficient dicts
 (content-stripped after every reduction) rather than Fractions; rational
@@ -39,10 +43,10 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from veroav.orders import GREVLEX, MonomialOrder
-from veroav.polynomial import Monomial, Polynomial
+from veroav.polynomial import Monomial, Polynomial, iter_monomials
 from veroav.polyring import linear_form
 
 DEFAULT_DEGREE_CAP = 60
@@ -128,11 +132,8 @@ class _Packing:
         return tuple((e >> (_FIELD * i)) & field for i in range(self.nvars))
 
     def monomials(self, degree: int) -> Iterator[int]:
-        """Every monomial of the given degree, packed, in ``iter_monomials``
-        order."""
-        if degree > MAX_EXPONENT:
-            raise _exponent_error(degree)
-        return _packed_monomials(self.units, degree)
+        """Every monomial of the given degree, packed, in ``iter_monomials`` order."""
+        return map(self.pack, iter_monomials(self.nvars, degree))
 
     def divides(self, a: int, x: int) -> bool:
         """Does the monomial a divide x?  (E(x) | GUARD) - E(a) keeps a
@@ -157,19 +158,6 @@ class _Packing:
         if (shift + emax) & self.guard:
             worst = max(map(sum, zip(self.unpack(shift), self.unpack(emax))))
             raise _exponent_error(worst)
-
-
-def _packed_monomials(units: Sequence[int], degree: int) -> Iterator[int]:
-    if len(units) <= 1:
-        if units:
-            yield degree * units[0]
-        elif not degree:
-            yield 0
-        return
-    for e in range(degree + 1):
-        head = e * units[0]
-        for rest in _packed_monomials(units[1:], degree - e):
-            yield head + rest
 
 
 @lru_cache(maxsize=None)
@@ -443,6 +431,18 @@ class GroebnerBasis:
         pk = _packing(self.order, self.nvars)
         return [_IPoly(_to_int_terms(g, pk), pk) for g in self.generators]
 
+    @cached_property
+    def hilbert_series(self) -> HilbertSeries:
+        """Hilbert series of R / (leading monomials); for a homogeneous
+        ideal, that of R/I."""
+        numerator = _hilbert_numerator(_minimal(self.leading_monomials))
+        while numerator and not numerator[-1]:
+            numerator.pop()
+        reduced, dim = numerator, self.nvars if numerator else -1
+        while reduced and not sum(reduced):  # divide by 1 - t
+            reduced, dim = list(itertools.accumulate(reduced))[:-1], dim - 1
+        return HilbertSeries(tuple(numerator), tuple(reduced), dim)
+
 
 def _gm_update(
     lm: list[int],
@@ -647,28 +647,88 @@ def modular_certificate(
     return certificate if projective_empty(certificate) else None
 
 
+# ---------------------------------------------------------------------------
+# Hilbert series
+
+
+class HilbertSeries(NamedTuple):
+    """H(t) = numerator(t) / (1 - t)^nvars = reduced(t) / (1 - t)^dim with
+    reduced(1) != 0, no trailing zeros; the unit ideal has numerator ()
+    and dim -1."""
+
+    numerator: tuple[int, ...]
+    reduced: tuple[int, ...]
+    dim: int
+
+
+def series_coefficient(numerator: Sequence[int], nvars: int, degree: int) -> int:
+    """Coefficient of t^degree, degree >= 0, in numerator(t) / (1 - t)^nvars."""
+    terms = enumerate(numerator[: degree + 1])
+    return sum(c * math.comb(degree - k + nvars - 1, nvars - 1) for k, c in terms)
+
+
+def _minimal(monomials: Iterable[Monomial]) -> list[Monomial]:
+    """The minimal generators of the monomial ideal they generate."""
+    kept: list[Monomial] = []
+    for m in sorted(set(monomials), key=sum):
+        if not any(all(map(operator.le, k, m)) for k in kept):
+            kept.append(m)
+    return kept
+
+
+def _add_shifted(a: list[int], b: list[int], shift: int) -> list[int]:
+    """a(t) + t^shift b(t), on coefficient lists."""
+    out = a + [0] * (shift + len(b) - len(a))
+    for k, c in enumerate(b):
+        out[shift + k] += c
+    return out
+
+
+def _hilbert_numerator(gens: list[Monomial]) -> list[int]:
+    """N(t) = H(t) (1 - t)^n for the monomial ideal I with minimal generators
+    gens, by the pivot recursion N(I) = N(I + (p)) + t^deg(p) N(I : p)
+    (Bayer-Stillman 1992, Bigatti 1997).  p = x_i^e, x_i in most mixed
+    generators and e the median of its exponents there, divides a mixed
+    generator and is not in I, so both ideals grow until only pure powers
+    are left, where N = prod (1 - t^deg g)."""
+    mixed = [g for g in gens if sum(map(bool, g)) > 1]
+    if not mixed:
+        out = [1]
+        for g in gens:
+            out = _add_shifted(out, [-c for c in out], sum(g))
+        return out
+    n = len(gens[0])
+    i = max(range(n), key=lambda j: sum(1 for g in mixed if g[j]))
+    exponents = sorted(g[i] for g in mixed if g[i])
+    e = exponents[len(exponents) // 2]
+    pivot = tuple(e if j == i else 0 for j in range(n))
+    plus = [g for g in gens if g[i] < e] + [pivot]
+    colon = _minimal(g[:i] + (max(g[i] - e, 0),) + g[i + 1 :] for g in gens)
+    return _add_shifted(_hilbert_numerator(plus), _hilbert_numerator(colon), e)
+
+
 def krull_dim_quotient(gb: GroebnerBasis) -> int:
-    """Affine Krull dimension of R/I, computed combinatorially from the
-    leading-term ideal (largest variable subset meeting no leading support).
-    Unit ideal gives -1; the projective dimension is this minus one."""
-    if gb.is_zero_ideal():
-        return gb.nvars if gb.nvars else 0
-    if gb.is_unit_ideal():
-        return -1
-    n = gb.nvars
-    supports = [frozenset(i for i, e in enumerate(lm) if e) for lm in gb.leading_monomials]
-    for size in range(n, -1, -1):
-        for subset in itertools.combinations(range(n), size):
-            s = set(subset)
-            if all(not sup <= s for sup in supports):
-                return size
-    return 0
+    """Affine Krull dimension of R/I, read off the Hilbert series of the
+    leading-term ideal.  Unit ideal gives -1; the projective dimension is
+    this minus one."""
+    return gb.hilbert_series.dim
 
 
 def hilbert_value(gb: GroebnerBasis, degree: int) -> int:
     """Number of degree-``degree`` standard monomials of the leading-term
     ideal, i.e. dim_k (R/I)_degree for a homogeneous ideal."""
-    return len(standard_monomials(gb, degree))
+    if degree < 0:
+        return 0
+    if gb.is_zero_ideal():
+        raise ValueError("zero ideal has no ambient variable count; use dim_graded")
+    return series_coefficient(gb.hilbert_series.numerator, gb.nvars, degree)
+
+
+def quotient_degree(gb: GroebnerBasis) -> int:
+    """reduced(1) of the Hilbert series: the degree of the projective
+    scheme of a homogeneous ideal, and the number of standard monomials
+    when there are finitely many."""
+    return sum(gb.hilbert_series.reduced)
 
 
 # ---------------------------------------------------------------------------

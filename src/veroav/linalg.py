@@ -29,12 +29,6 @@ class MatrixQ:
             raise ValueError("ragged rows")
         return cls(len(ent), ncols, ent)
 
-    @classmethod
-    def identity(cls, n: int) -> "MatrixQ":
-        return cls.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
-
 
 @dataclass(frozen=True)
 class RrefResult:
@@ -176,17 +170,6 @@ def quotient_coords(v: Sequence, L: RrefResult) -> tuple[Fraction, ...]:
                 if row[j]:
                     vec[j] -= f * row[j]
     return tuple(vec[j] for j in L.free_columns)
-
-
-def rank_mod_p(M: MatrixQ, p: int) -> int | None:
-    """Rank of the integer-cleared matrix mod p; None if p divides a needed
-    denominator-clearing factor (a bad prime)."""
-    rows = []
-    for row in M.entries:
-        if any(x.denominator % p == 0 for x in row):
-            return None
-        rows.append({j: x.numerator * pow(x.denominator, -1, p) for j, x in enumerate(row) if x})
-    return rank_residues(rows, p)
 
 
 def rank_residues(rows: Sequence[dict[int, int]], p: int) -> int:

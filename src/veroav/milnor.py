@@ -3,13 +3,17 @@ matrix, the gradient-generic condition, and the Hilbert-function invariants of
 the Milnor algebra (total Tjurina number, degree-one defect, coincidence
 threshold, Jacobian module dimensions).
 
-The per-polynomial Groebner bases are memoized, so the operations of one
-analysis run share a single basis computation.  The Macaulay matrix and its
-RREF are an independent route to the same quotient, kept for cross-checks.
+The per-polynomial Groebner bases are memoized, and every invariant is read
+off the Hilbert series each basis caches.  The Macaulay matrix is an
+independent route to (J_f)_m: the condition (I) cross-check takes its rank
+mod p, and its exact rank only on disagreement.  Its exact RREF
+(``jacobian_rref``) is not used by the pipeline.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -19,7 +23,9 @@ from veroav.groebner import (
     hilbert_value,
     krull_dim_quotient,
     projective_empty,
+    quotient_degree,
     saturate_irrelevant,
+    series_coefficient,
 )
 from veroav.linalg import MatrixQ, RrefResult, rref
 from veroav.polynomial import Polynomial, iter_monomials
@@ -133,18 +139,14 @@ def condition_I(f: Polynomial) -> ConditionIReport:
     return ConditionIReport(dim_m, dim_m == hi.n, dim_graded(hi.n, m) - dim_m)
 
 
-@lru_cache(maxsize=None)
-def _smooth_reference_coeffs(n: int, d: int) -> tuple[int, ...]:
-    # coefficients of (1 + t + ... + t^(d-2))^n
-    block = [1] * (d - 1)
-    coeffs = [1]
-    for _ in range(n):
-        out = [0] * (len(coeffs) + len(block) - 1)
-        for i, a in enumerate(coeffs):
-            for j, b in enumerate(block):
-                out[i + j] += a * b
-        coeffs = out
-    return tuple(coeffs)
+def smooth_numerator(n: int, d: int) -> tuple[int, ...]:
+    """(1 - t^(d-1))^n: the Hilbert-series numerator over (1 - t)^n of the
+    Milnor algebra of any smooth degree-d hypersurface, whose partials are a
+    regular sequence of degree-(d-1) forms."""
+    out = [0] * (n * (d - 1) + 1)
+    for k in range(n + 1):
+        out[k * (d - 1)] += (-1) ** k * math.comb(n, k)
+    return tuple(out)
 
 
 def smooth_reference_hf(n: int, d: int, i: int) -> int:
@@ -152,36 +154,25 @@ def smooth_reference_hf(n: int, d: int, i: int) -> int:
     hypersurface: coefficient of t^i in (1 + t + ... + t^(d-2))^n."""
     if i < 0:
         raise ValueError("degree must be nonnegative")
-    coeffs = _smooth_reference_coeffs(n, d)
-    return coeffs[i] if i < len(coeffs) else 0
+    return series_coefficient(smooth_numerator(n, d), n, i)
 
 
 def tjurina_total(f: Polynomial) -> int:
-    """Total Tjurina number: the stabilized Hilbert value of R/J^sat,
-    scanned from degree T until two consecutive values agree."""
-    hi = validate_input(f)
+    """Total Tjurina number: the degree of the singular scheme, reduced(1)
+    of the Hilbert series of R/J^sat."""
+    validate_input(f)
     if is_smooth(f):
         return 0
-    gb_sat = gb_jacobian_saturation(f)
-    prev = hilbert_value(gb_sat, hi.T)
-    q = hi.T + 1
-    while True:
-        cur = hilbert_value(gb_sat, q)
-        if cur == prev:
-            return cur
-        prev = cur
-        q += 1
+    return quotient_degree(gb_jacobian_saturation(f))
 
 
 def defect1(f: Polynomial) -> int:
-    """Degree-one defect of the singular subscheme:
-    tau(X) - n + dim (J^sat)_1; zero for smooth input."""
-    hi = validate_input(f)
+    """Degree-one defect of the singular subscheme, tau(X) - n + dim (J^sat)_1
+    = tau(X) - dim (R/J^sat)_1; zero for smooth input."""
+    validate_input(f)
     if is_smooth(f):
         return 0
-    gb_sat = gb_jacobian_saturation(f)
-    dim_sat_1 = hi.n - hilbert_value(gb_sat, 1)
-    return tjurina_total(f) - hi.n + dim_sat_1
+    return tjurina_total(f) - hilbert_value(gb_jacobian_saturation(f), 1)
 
 
 def coincidence_threshold(f: Polynomial) -> int:
@@ -191,10 +182,13 @@ def coincidence_threshold(f: Polynomial) -> int:
     hi = validate_input(f)
     if is_smooth(f):
         return hi.T + 1
-    gbj = gb_jacobian(f)
-    for i in range(hi.T + 2):
-        if hilbert_value(gbj, i) != smooth_reference_hf(hi.n, hi.d, i):
-            return i - 1
+    # the Hilbert functions agree through degree q iff the numerators over
+    # (1 - t)^n agree through t^q
+    num, ref = gb_jacobian(f).hilbert_series.numerator, smooth_numerator(hi.n, hi.d)
+    pairs = enumerate(itertools.zip_longest(num, ref, fillvalue=0))
+    first = next((i for i, (a, b) in pairs if a != b), hi.T + 2)
+    if first <= hi.T + 1:
+        return first - 1
     raise InternalDefectError(
         "singular input matched the smooth Hilbert function beyond degree T"
     )

@@ -31,10 +31,6 @@ def mono_div(a: Monomial, b: Monomial) -> Monomial | None:
     return tuple(q)
 
 
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def mono_deg(a: Monomial) -> int:
     return sum(a)
 

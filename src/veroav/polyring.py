@@ -83,48 +83,6 @@ def resultant_univariate(p: Polynomial, q: Polynomial) -> Fraction:
     return determinant(MatrixQ.from_rows(rows))
 
 
-def hessian_matrix(p: Polynomial) -> list[list[Polynomial]]:
-    grads = p.gradient()
-    return [[grads[i].partial(j) for j in range(p.nvars)] for i in range(p.nvars)]
-
-
-def hessian_det(p: Polynomial) -> Polynomial:
-    """Determinant of the matrix of second partials (Leibniz expansion;
-    variable counts stay small here)."""
-    if p.nvars < 2:
-        raise ValueError("hessian determinant needs at least two variables")
-    H = hessian_matrix(p)
-    n = p.nvars
-    total = Polynomial.zero(n)
-    import itertools
-
-    for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        prod = Polynomial.constant(n, sign)
-        for i in range(n):
-            prod = prod * H[i][perm[i]]
-            if prod.is_zero():
-                break
-        total = total + prod
-    return total
-
-
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, cycle = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            cycle += 1
-        if cycle % 2 == 0:
-            sign = -sign
-    return sign
-
-
 @lru_cache(maxsize=None)
 def power_linear_form_symbolic(nvars: int, degree: int) -> tuple[tuple[Monomial, int], ...]:
     """Multinomial expansion data for (a_1 x_1 + ... + a_n x_n)^degree.

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from veroav.groebner import buchberger, standard_monomials
+from veroav.groebner import buchberger, quotient_degree
 from veroav.linalg import MatrixQ, rank
 from veroav.milnor import (
     InternalDefectError,
@@ -103,8 +103,7 @@ def _local_colength(gens: list[Polynomial], k: int) -> int:
         trunc = list(gens) + [
             Polynomial.monomial(m) for m in iter_monomials(k, N)
         ]
-        gb = buchberger(trunc)
-        dim = sum(len(standard_monomials(gb, deg)) for deg in range(N))
+        dim = quotient_degree(buchberger(trunc))
         if dim == prev:
             return dim
         prev = dim

@@ -28,7 +28,6 @@ from veroav.groebner import (
     DegreeCapExceeded,
     GroebnerBasis,
     buchberger,
-    hilbert_value,
     modular_certificate,
     projective_empty,
     quotient_coordinates,
@@ -45,37 +44,12 @@ from veroav.milnor import (
     jacobian_module_dims,
     coincidence_threshold,
     defect1,
-    smooth_reference_hf,
+    smooth_numerator,
     validate_input,
 )
 from veroav.polynomial import Polynomial, iter_monomials, mono_mul
 from veroav.polyring import graded_basis, linear_form, power_linear_form_symbolic
 from veroav.ratpoints import rational_projective_points
-
-
-# ---------------------------------------------------------------------------
-# catalecticants
-
-
-def catalecticant_rank_at(v: Sequence, nvars: int, m: int) -> int:
-    """Rank of the first-derivative flattening of the degree-m form with
-    coefficient vector v: rank 1 iff v is a power of a linear form (up to
-    scalar), rank 0 iff v = 0."""
-    if m < 2:
-        raise ValueError("catalecticant needs degree at least 2")
-    vec = [Fraction(x) for x in v]
-    basis_m = graded_basis(nvars, m)
-    if len(vec) != len(basis_m):
-        raise ValueError("coefficient vector has wrong length")
-    index = {mono: i for i, mono in enumerate(basis_m)}
-    rows = []
-    for i in range(nvars):
-        row = []
-        for beta in graded_basis(nvars, m - 1):
-            alpha = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
-            row.append(vec[index[alpha]] * (beta[i] + 1))
-        rows.append(row)
-    return rank(MatrixQ.from_rows(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +283,7 @@ def _cross_checks(f, hi: HypersurfaceInput, cond1, cond2):
         (cond1.holds == (d1 == 0)) and (cond1.holds == (ct >= hi.T - 1)),
     )
     if smooth:
-        gbj = gb_jacobian(f)
-        profile_ok = all(
-            hilbert_value(gbj, i) == smooth_reference_hf(hi.n, hi.d, i)
-            for i in range(hi.T + 2)
-        )
+        profile_ok = gb_jacobian(f).hilbert_series.numerator == smooth_numerator(hi.n, hi.d)
         yield ("smooth_hilbert_profile", profile_ok)
     else:
         duality_ok = all(

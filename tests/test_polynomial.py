@@ -14,7 +14,6 @@ from veroav.polyring import (
     coefficient_vector,
     dim_graded,
     graded_basis,
-    hessian_det,
     linear_form,
     power_linear_form_symbolic,
     resultant_univariate,
@@ -127,10 +126,6 @@ def test_resultant_multiplicativity():
 def test_resultant_zero_rejected():
     with pytest.raises(ValueError):
         resultant_univariate(Polynomial.zero(1), parse_poly("x", 1))
-
-
-def test_hessian_fermat():
-    assert hessian_det(X("x^3 + y^3 + z^3")) == X("216*x*y*z")
 
 
 def test_power_expansion_binomial():

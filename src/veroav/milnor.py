@@ -200,3 +200,19 @@ def jacobian_module_dims(f: Polynomial, q: int) -> int:
     if is_smooth(f):
         return 0
     return hilbert_value(gb_jacobian(f), q) - hilbert_value(gb_jacobian_saturation(f), q)
+
+
+def jacobian_module_series(f: Polynomial, top: int) -> list[int]:
+    """dim N(f)_q for q = 0..top from the two cached series at once: the
+    coefficients of (N_J - N_sat)/(1 - t)^n, i.e. the numerator difference
+    summed n times."""
+    validate_input(f)
+    if is_smooth(f):
+        return [0] * (top + 1)
+    num_j = gb_jacobian(f).hilbert_series.numerator
+    num_sat = gb_jacobian_saturation(f).hilbert_series.numerator
+    h = [a - b for a, b in itertools.zip_longest(num_j, num_sat, fillvalue=0)][: top + 1]
+    h += [0] * (top + 1 - len(h))
+    for _ in range(f.nvars):
+        h = list(itertools.accumulate(h))
+    return h

@@ -2,6 +2,14 @@
 Tjurina numbers by truncation stabilization, node detection, general linear
 position, and the classification dispatch that predicts the avoidance
 verdict from singularity data alone where a theorem applies.
+
+A local colength dim A/(I + m^N) is the corank of the truncated Macaulay
+matrix of I, whose rows are the multiples x^a g cut below degree N (the
+dual-space view of Mourrain and of Dayton-Zeng).  The coranks are ranked
+mod p until they repeat, and one exact rank confirms the repeated value;
+a Groebner basis of I + m^N per order is only the fallback.  The local
+Tjurina numbers of a complete report must sum to the global total read off
+the saturated Jacobian ideal.
 """
 
 from __future__ import annotations
@@ -10,16 +18,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from veroav.groebner import buchberger, quotient_degree
-from veroav.linalg import MatrixQ, rank
+from veroav.groebner import MACAULAY_CHECK_PRIME, buchberger, quotient_degree
+from veroav.linalg import MatrixQ, rank, rank_residues
 from veroav.milnor import (
     InternalDefectError,
     ScopeError,
     gb_jacobian_saturation,
     is_smooth,
+    tjurina_total,
     validate_input,
 )
-from veroav.polynomial import Polynomial, iter_monomials
+from veroav.polynomial import Polynomial, iter_monomials, mono_mul
 from veroav.ratpoints import rational_projective_points
 
 _LOCAL_TRUNCATION_CAP = 40
@@ -84,20 +93,70 @@ def _dehomogenize_at(f: Polynomial, p: ProjPoint) -> tuple[Polynomial, int]:
     in n-1 variables."""
     n = f.nvars
     c = p.chart()
-    assignment = {}
-    for i in range(n):
-        if i == c:
-            assignment[i] = Polynomial.constant(n, 1)
-        else:
-            assignment[i] = Polynomial.variable(i, n) + Polynomial.constant(n, p.coords[i])
-    g = f.substitute(assignment)
+    g = f.specialize({c: 1})
+    shift = {
+        i: Polynomial.variable(i, n) + Polynomial.constant(n, v)
+        for i, v in enumerate(p.coords)
+        if v and i != c
+    }
+    if shift:
+        g = g.substitute(shift)
     keep = [i for i in range(n) if i != c]
     return g.drop_vars(keep), c
 
 
+def _truncated_macaulay_rows(gens: list[list[tuple]], k: int, N: int) -> tuple[list[dict], int]:
+    """Rows x^a g of the Macaulay matrix of (I + m^N)/m^N, each a map
+    {column: coefficient} with every term of degree >= N dropped, and the
+    number of columns, the monomials of degree < N.  ``gens`` are the
+    generators' term lists; multiples lying wholly in m^N are left out."""
+    monos = [(e, m) for e in range(N) for m in iter_monomials(k, e)]
+    cols = {m: j for j, (_, m) in enumerate(monos)}
+    rows = []
+    for terms in gens:
+        graded = [(sum(m), m, c) for m, c in terms]
+        low = min(e for e, _, _ in graded)
+        for e, a in monos:
+            if e + low >= N:
+                break
+            rows.append({cols[mono_mul(a, m)]: c for t, m, c in graded if e + t < N})
+    return rows, len(cols)
+
+
 def _local_colength(gens: list[Polynomial], k: int) -> int:
-    """dim_k A/(I + m^N) stabilized over N; the colength of I at the origin
-    when the origin is an isolated point of V(I)."""
+    """dim_k A/(I + m^N) stabilized over N: the colength of I at the origin
+    when the origin is an isolated point of V(I).
+
+    Each dimension is the corank of the truncated Macaulay matrix, ranked
+    mod p; the first N whose corank c repeats that of N-1 stops the loop.
+    A corank mod p is never below the corank over Q, which never decreases
+    in N, so one exact rank at N-1 equal to c makes both exact coranks c,
+    and then m^(N-1) lies in I locally (Nakayama): the colength is c.  A
+    denominator divisible by p, a failed confirmation or no repeat below
+    the cap leaves the answer to the Groebner loop."""
+    p = MACAULAY_CHECK_PRIME
+    exact = [list(g.terms.items()) for g in gens if g.terms]
+    if all(c.denominator % p for terms in exact for _, c in terms):
+        modular = [
+            [(m, c.numerator * pow(c.denominator, -1, p)) for m, c in terms] for terms in exact
+        ]
+        prev = None
+        for N in range(2, _LOCAL_TRUNCATION_CAP + 1):
+            rows, ncols = _truncated_macaulay_rows(modular, k, N)
+            corank = ncols - rank_residues(rows, p)
+            if corank == prev:
+                rows, ncols = _truncated_macaulay_rows(exact, k, N - 1)
+                dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+                if ncols - rank(MatrixQ.from_rows(dense)) == corank:
+                    return corank
+                break
+            prev = corank
+    return _local_colength_groebner(gens, k)
+
+
+def _local_colength_groebner(gens: list[Polynomial], k: int) -> int:
+    """The same stabilized colength from a Groebner basis of I + m^N for
+    each N over Q."""
     prev = None
     for N in range(2, _LOCAL_TRUNCATION_CAP + 1):
         trunc = list(gens) + [
@@ -146,9 +205,17 @@ def local_invariants(f: Polynomial, p: ProjPoint) -> LocalSingularity:
 
 
 def singular_report(f: Polynomial) -> SingularReport:
+    """Local invariants at every rational singular point.  A complete report
+    is cross-checked against the global route: the local Tjurina numbers
+    must sum to the degree of the singular scheme."""
     points, complete = singular_points_rational(f)
     locals_ = tuple(local_invariants(f, p) for p in points)
-    return SingularReport(locals_, complete, sum(s.tjurina for s in locals_))
+    total = sum(s.tjurina for s in locals_)
+    if complete and total != (degree := tjurina_total(f)):
+        raise InternalDefectError(
+            f"local Tjurina numbers sum to {total}, the singular scheme has degree {degree}"
+        )
+    return SingularReport(locals_, complete, total)
 
 
 def general_linear_position(points: Sequence[ProjPoint]) -> tuple[bool, int]:

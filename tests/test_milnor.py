@@ -13,6 +13,7 @@ from veroav.milnor import (
     is_smooth,
     jacobian_degree_matrix,
     jacobian_module_dims,
+    jacobian_module_series,
     smooth_reference_hf,
     tjurina_total,
     validate_input,
@@ -113,6 +114,19 @@ def test_self_duality_on_singular_entries():
         hi = validate_input(f)
         for q in range(hi.T + 1):
             assert jacobian_module_dims(f, q) == jacobian_module_dims(f, hi.T - q)
+
+
+def test_jacobian_module_series_matches_degree_by_degree_dims():
+    # one series against two Hilbert values per degree, past T as well;
+    # the quintic is not quasihomogeneous and the quartic has two tacnodes
+    for f in (G4, XYZ, X3("z*y^2 - x^3"), X3("x*y*z^2 + x^4 + y^4"),
+              X3("x^5 + y^5 + x^2*y^2*z"), X3("(x^2 - z^2)^2 + y^4"),
+              parse_poly("x*y*z + x*y*w + x*z*w + y*z*w", 4), X3("x^3+y^3+z^3")):
+        top = validate_input(f).T + 3
+        assert jacobian_module_series(f, top) == [
+            jacobian_module_dims(f, q) for q in range(top + 1)
+        ]
+    assert jacobian_module_series(G4, 0) == [jacobian_module_dims(G4, 0)]
 
 
 def test_smooth_reference_profile():

@@ -4,6 +4,15 @@ projective emptiness and its modular certificate, the Hilbert series, and
 saturation by the irrelevant ideal (one grevlex basis, by the Bayer-Stillman
 criterion).
 
+Quotient coordinates come from one table per basis and degree: the normal
+form of every degree-D monomial on the standard monomials, built in a single
+sweep in increasing monomial order, each non-standard monomial's row from
+the rows of smaller ones (as in FGLM), and memoized on the basis object.
+Every reader of coordinates in (R/I)_D shares it; the heap normal form is
+left to membership tests.  The one conversion of rational coefficients to
+residues mod p, with its refusal of a denominator the prime divides, is
+``residues``.
+
 Every counting question is read off the Hilbert series of the leading
 monomials, Q(t)/(1-t)^D, computed once per basis: Hilbert values are
 binomial sums, D is the Krull dimension and Q(1) the degree.
@@ -46,7 +55,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from veroav.orders import GREVLEX, MonomialOrder
-from veroav.polynomial import Monomial, Polynomial, iter_monomials
+from veroav.polynomial import Monomial, Polynomial, iter_monomials, mono_mul
 from veroav.polyring import linear_form
 
 DEFAULT_DEGREE_CAP = 60
@@ -197,19 +206,34 @@ def _to_int_terms(p: Polynomial, pk: _Packing) -> dict[int, int]:
     return _strip_content({pk.pack(m): int(c * den) for m, c in p.terms.items()})
 
 
-def _to_mod_terms(p: Polynomial, pk: _Packing, modulus: int) -> dict[int, int]:
-    """Residues of p's coefficients; raises ValueError when the modulus
-    divides a denominator."""
+def residues(p: Polynomial, modulus: int) -> dict[Monomial, int] | None:
+    """p's nonzero coefficient residues modulo a prime, by monomial; None
+    when the modulus divides a denominator."""
     out = {}
     for m, c in p.terms.items():
-        r = c.numerator * pow(c.denominator, -1, modulus) % modulus
+        den = c.denominator
+        if den == 1:
+            r = c.numerator % modulus
+        elif den % modulus:
+            r = c.numerator * pow(den, -1, modulus) % modulus
+        else:
+            return None
         if r:
-            out[pk.pack(m)] = r
+            out[m] = r
     return out
 
 
+def _to_mod_terms(p: Polynomial, pk: _Packing, modulus: int) -> dict[int, int]:
+    res = residues(p, modulus)
+    if res is None:
+        raise ValueError(f"a coefficient's denominator is divisible by {modulus}")
+    return {pk.pack(m): r for m, r in res.items()}
+
+
 def _from_terms(terms: dict[int, int], pk: _Packing, den: int) -> Polynomial:
-    return Polynomial(pk.nvars, {pk.unpack(m): Fraction(c, den) for m, c in terms.items()})
+    return Polynomial._trusted(
+        pk.nvars, {pk.unpack(m): Fraction(c, den) for m, c in terms.items()}
+    )
 
 
 class _IPoly:
@@ -432,6 +456,11 @@ class GroebnerBasis:
         return [_IPoly(_to_int_terms(g, pk), pk) for g in self.generators]
 
     @cached_property
+    def _coordinate_tables(self) -> dict[int, CoordinateTable]:
+        # degree -> table, filled by coordinate_table; dies with the basis
+        return {}
+
+    @cached_property
     def hilbert_series(self) -> HilbertSeries:
         """Hilbert series of R / (leading monomials); for a homogeneous
         ideal, that of R/I."""
@@ -585,20 +614,98 @@ def standard_monomials(gb: GroebnerBasis, degree: int) -> tuple[Monomial, ...]:
     )
 
 
+class CoordinateTable(NamedTuple):
+    """Coordinates in (R/I)_D, D = degree, of every degree-D monomial on
+    ``basis``, the standard monomials of degree D: x^a has coordinates
+    rows[a] / denominator."""
+
+    degree: int
+    basis: tuple[Monomial, ...]
+    denominator: int
+    rows: dict[Monomial, tuple[int, ...]]
+
+
+def coordinate_table(gb: GroebnerBasis, degree: int) -> CoordinateTable:
+    """The normal forms of all degree-``degree`` monomials of a homogeneous
+    ideal over Q, read on ``standard_monomials(gb, degree)``; built once per
+    basis and degree (ValueError for a GF(p) or non-homogeneous basis).
+
+    One sweep over the monomials in increasing order, as in FGLM
+    (Faugere-Gianni-Lazard-Mora 1993): a standard monomial is a unit
+    vector, and any other x = s * lm(g) has NF(x) = -(1/lc(g)) sum c_t
+    NF(s * t) over g's tail, whose monomials s * t are smaller and of the
+    same degree, so their rows are already known."""
+    tables = gb._coordinate_tables
+    table = tables.get(degree)
+    if table is None:
+        table = tables[degree] = _coordinate_sweep(gb, degree)
+    return table
+
+
+def _coordinate_sweep(gb: GroebnerBasis, degree: int) -> CoordinateTable:
+    if gb.modulus:
+        raise ValueError(f"quotient coordinates need a basis over Q, not over GF({gb.modulus})")
+    basis = standard_monomials(gb, degree)
+    _require_homogeneous(gb)
+    pk = _packing(gb.order, gb.nvars)
+    reducers = gb._reducers
+    index = {pk.pack(m): i for i, m in enumerate(basis)}
+    width = len(basis)
+    # packed monomial -> (denominator, numerators), in lowest terms
+    rows: dict[int, tuple[int, list[int]]] = {}
+    for x in sorted(pk.monomials(degree) if degree >= 0 else ()):
+        i = index.get(x)
+        if i is not None:
+            rows[x] = (1, [int(k == i) for k in range(width)])
+            continue
+        g = _find_reducer(x, reducers, pk)
+        shift = x - g.lm
+        tail = [(rows[mt + shift], ct) for mt, ct in g.tail]
+        den = math.lcm(*(d for (d, _), _ in tail))
+        acc = [0] * width
+        for (d, nums), ct in tail:
+            k = ct * (den // d)
+            for j, v in enumerate(nums):
+                acc[j] -= k * v
+        den *= g.lc
+        q = math.gcd(den, *acc)
+        rows[x] = (den // q, [v // q for v in acc])
+    common = math.lcm(*(d for d, _ in rows.values()))
+    return CoordinateTable(
+        degree,
+        basis,
+        common,
+        {
+            pk.unpack(x): tuple(v * (common // d) for v in nums)
+            for x, (d, nums) in rows.items()
+        },
+    )
+
+
 def quotient_coordinates(
     polys: Iterable[Polynomial], gb: GroebnerBasis, degree: int
 ) -> list[tuple[Fraction, ...]]:
     """Coordinates in (R/I)_degree of homogeneous degree-``degree``
     polynomials: their normal-form coefficients on
-    ``standard_monomials(gb, degree)``.  A coordinate vector vanishes
-    exactly when the polynomial lies in the ideal."""
-    basis = standard_monomials(gb, degree)
+    ``standard_monomials(gb, degree)``, read off ``coordinate_table``.  A
+    coordinate vector vanishes exactly when the polynomial lies in the
+    ideal."""
+    table = coordinate_table(gb, degree)
+    rows, width = table.rows, len(table.basis)
     out = []
     for p in polys:
+        if p.nvars != gb.nvars:
+            raise ValueError("polynomial and basis live in different rings")
         if not p.is_zero() and (not p.is_homogeneous() or p.homogeneous_degree() != degree):
             raise ValueError(f"polynomial is not homogeneous of degree {degree}")
-        r = normal_form(p, gb)
-        out.append(tuple(r.coeff(m) for m in basis))
+        den = _common_denominator(p)
+        acc = [0] * width
+        for m, c in p.terms.items():
+            k = c.numerator * (den // c.denominator)
+            for j, v in enumerate(rows[m]):
+                acc[j] += k * v
+        den *= table.denominator
+        out.append(tuple(Fraction(v, den) for v in acc))
     return out
 
 
@@ -638,7 +745,7 @@ def modular_certificate(
     over Q (Lazard 1983), so the zero set is empty over Q too; only a
     non-empty answer needs the basis over Q."""
     p = MACAULAY_CHECK_PRIME
-    if any(c.denominator % p == 0 for g in gens for c in g.terms.values()):
+    if any(residues(g, p) is None for g in gens):
         return None
     try:
         certificate = buchberger(gens, degree_cap=degree_cap, modulus=p)
@@ -736,9 +843,35 @@ def quotient_degree(gb: GroebnerBasis) -> int:
 
 
 def _shear(gens: Sequence[Polynomial], coeffs: Sequence[int]) -> list[Polynomial]:
-    """Substitute x_{n-1} -> x_{n-1} + sum_i coeffs[i] x_i in every generator."""
-    ell = linear_form([*coeffs, 1])
-    return [g.substitute({ell.nvars - 1: ell}) for g in gens]
+    """Substitute x_{n-1} -> x_{n-1} + L, L = sum_i coeffs[i] x_i, in every
+    generator: x^a x_{n-1}^e becomes sum_k C(e, k) x^a L^k x_{n-1}^(e-k),
+    with the powers of L, monomials in x_0..x_{n-2}, built once."""
+    n = len(coeffs) + 1
+    units = [tuple(int(j == i) for j in range(n - 1)) for i in range(n - 1)]
+    top = max((m[-1] for g in gens for m in g.terms), default=0)
+    powers = [{(0,) * (n - 1): 1}]
+    for _ in range(top):
+        nxt: dict[Monomial, int] = {}
+        for m, c in powers[-1].items():
+            for u, cu in zip(units, coeffs):
+                if cu:
+                    key = mono_mul(m, u)
+                    nxt[key] = nxt.get(key, 0) + c * cu
+        powers.append(nxt)
+    out = []
+    for g in gens:
+        den = _common_denominator(g)
+        terms: dict[Monomial, int] = {}
+        for m, c in g.terms.items():
+            e, head = m[-1], m[:-1]
+            num = c.numerator * (den // c.denominator)
+            for k in range(e + 1):
+                b = num * math.comb(e, k)
+                for u, cu in powers[k].items():
+                    key = (*mono_mul(head, u), e - k)
+                    terms[key] = terms.get(key, 0) + b * cu
+        out.append(Polynomial._trusted(n, {m: Fraction(v, den) for m, v in terms.items() if v}))
+    return out
 
 
 def _missing_linear_form(polys: Sequence[Polynomial], degree_cap: int | None) -> list[int]:

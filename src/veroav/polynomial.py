@@ -75,6 +75,17 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, nvars: int, terms: dict[Monomial, Fraction]) -> "Polynomial":
+        """Adopt ``terms`` without the constructor's checks: the caller
+        guarantees nonzero Fraction values on exponent tuples of length
+        nvars, and hands the dict over."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "nvars", nvars)
+        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "_hash", None)
+        return p
+
+    @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
         return cls(nvars, {})
 
@@ -135,10 +146,10 @@ class Polynomial:
                 terms[m] = s
             else:
                 terms.pop(m, None)
-        return Polynomial(self.nvars, terms)
+        return Polynomial._trusted(self.nvars, terms)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {m: -c for m, c in self.terms.items()})
+        return Polynomial._trusted(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -160,7 +171,7 @@ class Polynomial:
                     terms[m] = s
                 else:
                     del terms[m]
-        return Polynomial(self.nvars, terms)
+        return Polynomial._trusted(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -168,7 +179,7 @@ class Polynomial:
         c = Fraction(c)
         if not c:
             return Polynomial.zero(self.nvars)
-        return Polynomial(self.nvars, {m: v * c for m, v in self.terms.items()})
+        return Polynomial._trusted(self.nvars, {m: v * c for m, v in self.terms.items()})
 
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
@@ -217,7 +228,7 @@ class Polynomial:
             if e:
                 dm = m[:i] + (e - 1,) + m[i + 1 :]
                 terms[dm] = terms.get(dm, Fraction(0)) + c * e
-        return Polynomial(self.nvars, {m: c for m, c in terms.items() if c})
+        return Polynomial._trusted(self.nvars, {m: c for m, c in terms.items() if c})
 
     def gradient(self) -> list["Polynomial"]:
         return [self.partial(i) for i in range(self.nvars)]
@@ -274,7 +285,7 @@ class Polynomial:
                     terms[key] = s
                 else:
                     del terms[key]
-        return Polynomial(self.nvars, terms)
+        return Polynomial._trusted(self.nvars, terms)
 
     def drop_vars(self, keep: Sequence[int]) -> "Polynomial":
         """Project onto the listed variables; all others must be absent."""

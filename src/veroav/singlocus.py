@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from veroav.groebner import MACAULAY_CHECK_PRIME, buchberger, quotient_degree
+from veroav.groebner import MACAULAY_CHECK_PRIME, buchberger, quotient_degree, residues
 from veroav.linalg import MatrixQ, rank, rank_residues
 from veroav.milnor import (
     InternalDefectError,
@@ -136,10 +136,9 @@ def _local_colength(gens: list[Polynomial], k: int) -> int:
     the cap leaves the answer to the Groebner loop."""
     p = MACAULAY_CHECK_PRIME
     exact = [list(g.terms.items()) for g in gens if g.terms]
-    if all(c.denominator % p for terms in exact for _, c in terms):
-        modular = [
-            [(m, c.numerator * pow(c.denominator, -1, p)) for m, c in terms] for terms in exact
-        ]
+    modular = [residues(g, p) for g in gens]
+    if None not in modular:
+        modular = [list(terms.items()) for terms in modular if terms]
         prev = None
         for N in range(2, _LOCAL_TRUNCATION_CAP + 1):
             rows, ncols = _truncated_macaulay_rows(modular, k, N)

@@ -3,12 +3,16 @@
 Condition (II) is decided in the n coefficient parameters of a symbolic
 linear form: the normal-form coefficients of l^(T-1) on the standard
 monomials of the Jacobian Groebner basis are n forms whose common projective
-zero locus is exactly the set of offending linear forms.  Emptiness is
-certified by a Groebner basis with a pure-power leading monomial in every
-parameter, computed over GF(p) first and over Q only when that fails: a
-pure-power basis mod p means the forms' Macaulay matrix has full column rank
-mod p in some degree, hence over Q.  Non-emptiness is decided over Q and
-witnessed, when a rational witness exists, by an exact membership check.
+zero locus is exactly the set of offending linear forms.  Their coefficients
+are the rows of the degree-(T-1) coordinate table of that basis, one per
+monomial x^beta, times multinomials; the Lefschetz matrix of x -> l^(T-2) x
+is read off the same table.  Emptiness is certified by a Groebner basis with
+a pure-power leading monomial in every parameter, computed over GF(p) first
+and over Q only when that fails: a pure-power basis mod p means the forms'
+Macaulay matrix has full column rank mod p in some degree, hence over Q.
+Non-emptiness is decided over Q and witnessed, when a rational witness
+exists, by an exact membership check, which takes the heap normal form and
+so shares no code with the table.
 """
 
 from __future__ import annotations
@@ -20,17 +24,19 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Sequence
 
 from veroav.groebner import (
     MACAULAY_CHECK_PRIME,
+    CoordinateTable,
     DegreeCapExceeded,
     GroebnerBasis,
     buchberger,
+    coordinate_table,
     modular_certificate,
     projective_empty,
     quotient_coordinates,
+    residues,
 )
 from veroav.linalg import MatrixQ, determinant, kernel_basis, rank, rank_residues
 from veroav.milnor import (
@@ -77,8 +83,18 @@ def _power_quotient_forms(
     as polynomials in the parameters s_1..s_k; the linear forms l_j default
     to the variables, which gives the coefficient parameters a_1..a_n."""
     n = f.nvars
+    gb = gb_jacobian(f)
     if lins is None:
-        lins = [Polynomial.variable(i, n) for i in range(n)]
+        # each product of powers is a monomial x^beta: read its row
+        table = coordinate_table(gb, m)
+        rows = [(beta, mult, table.rows[beta]) for beta, mult in power_linear_form_symbolic(n, m)]
+        den = table.denominator
+        return [
+            Polynomial._trusted(
+                n, {beta: Fraction(mult * row[i], den) for beta, mult, row in rows if row[i]}
+            )
+            for i in range(len(table.basis))
+        ]
     expansion = power_linear_form_symbolic(len(lins), m)
     # powers[j][e] = lins[j]**e, each built once from the previous one
     powers = []
@@ -94,18 +110,11 @@ def _power_quotient_forms(
             if e:
                 prod = prod * row[e]
         products.append(prod)
-    coords = quotient_coordinates(products, gb_jacobian(f), m)
+    coords = quotient_coordinates(products, gb, m)
     return [
         Polynomial(len(lins), {beta: mult * c[i] for (beta, mult), c in zip(expansion, coords)})
         for i in range(len(coords[0]))
     ]
-
-
-@lru_cache(maxsize=256)
-def _condition_II_forms(f: Polynomial, m: int) -> tuple[Polynomial, ...]:
-    """The condition (II) forms in the coefficient parameters a_1..a_n,
-    shared by ``condition_II`` and ``lefschetz_degree_one``."""
-    return tuple(_power_quotient_forms(f, m))
 
 
 def _projective_candidates(n: int) -> list[tuple[int, ...]]:
@@ -191,7 +200,7 @@ def condition_II(f: Polynomial, degree_cap: int | None = None) -> ConditionIIRep
         )
     m = hi.T - 1
     certificate, empty, witnesses = _rational_zeros(
-        _condition_II_forms(f, m),
+        _power_quotient_forms(f, m),
         _normalize_projective,
         lambda ell: _verify_witness(f, m, ell),
         degree_cap,
@@ -305,10 +314,10 @@ def _macaulay_rank_agrees(f: Polynomial, m: int, dim_m: int) -> bool:
     p = MACAULAY_CHECK_PRIME
     index = {mono: j for j, mono in enumerate(graded_basis(f.nvars, m))}
     expected = len(index) - dim_m
-    grads = [g.terms.items() for g in f.gradient()]
-    if all(c.denominator % p for g in grads for _, c in g):
+    grads = [residues(g, p) for g in f.gradient()]
+    if None not in grads:
         rows = [
-            {index[mono_mul(mono, t)]: c.numerator * pow(c.denominator, -1, p) for t, c in g}
+            {index[mono_mul(mono, t)]: c for t, c in g.items()}
             for mono in iter_monomials(f.nvars, m - f.homogeneous_degree() + 1)
             for g in grads
         ]
@@ -409,10 +418,8 @@ def lefschetz_degree_one(
         raise ConditionIIPreconditionError(
             "the Lefschetz rank check needs both spaces of dimension n"
         )
-    n, m = hi.n, hi.T - 1
-    # d/da_i of the condition (II) forms is m times the coordinates of
-    # x_i * l^(T-2), so the map's matrix is their Jacobian matrix over m
-    partials = [[g.partial(i) for i in range(n)] for g in _condition_II_forms(f, m)]
+    n = hi.n
+    table = coordinate_table(gb_jacobian(f), hi.T - 1)
     dets: list[Fraction] = []
     witness = None
     for trial in range(trials):
@@ -421,13 +428,35 @@ def lefschetz_degree_one(
             coeffs = tuple(rng.randint(-coeff_bound, coeff_bound) for _ in range(n))
             if any(coeffs):
                 break
-        M = MatrixQ.from_rows([[p.evaluate(coeffs) / m for p in row] for row in partials])
+        M = _lefschetz_matrix(table, coeffs)
         det = determinant(M)
         dets.append(det)
         if det != 0:
             witness = coeffs
             break
     return LefschetzReport(seed, trials, coeff_bound, witness is not None, witness, tuple(dets))
+
+
+def _lefschetz_matrix(table: CoordinateTable, coeffs: Sequence[int]) -> MatrixQ:
+    """Matrix of multiplication by l^(m-1): (M_f)_1 -> (M_f)_m, l = sum
+    coeffs_j x_j, from the degree-m coordinate table.  Column j holds the
+    coordinates of x_j l^(m-1), the sum over |gamma| = m-1 of mult_gamma
+    c^gamma x^(gamma + e_j); it is the a_j-derivative of the condition (II)
+    forms at c, over m."""
+    n = len(coeffs)
+    cols = [[0] * len(table.basis) for _ in range(n)]
+    for gamma, mult in power_linear_form_symbolic(n, table.degree - 1):
+        w = mult * math.prod(c**e for c, e in zip(coeffs, gamma))
+        if not w:
+            continue
+        for j, col in enumerate(cols):
+            row = table.rows[gamma[:j] + (gamma[j] + 1,) + gamma[j + 1 :]]
+            for i, v in enumerate(row):
+                col[i] += w * v
+    den = table.denominator
+    return MatrixQ.from_rows(
+        [[Fraction(col[i], den) for col in cols] for i in range(len(table.basis))]
+    )
 
 
 # ---------------------------------------------------------------------------

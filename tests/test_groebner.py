@@ -15,12 +15,14 @@ from veroav.groebner import (
     _IPoly,
     _missing_linear_form,
     _packing,
+    _shear,
     buchberger,
     hilbert_value,
     krull_dim_quotient,
     normal_form,
     projective_empty,
     quotient_coordinates,
+    residues,
     saturate_irrelevant,
 )
 from veroav.linalg import MatrixQ, kernel_basis, random_unimodular
@@ -28,7 +30,7 @@ from veroav.milnor import gb_jacobian, is_smooth
 from veroav.orders import GREVLEX, GRLEX, LEX, lex_eliminating_down_to_first
 from veroav.parsing import parse_poly
 from veroav.polynomial import Polynomial, iter_monomials, mono_div, mono_mul
-from veroav.polyring import dim_graded, substitute_linear
+from veroav.polyring import dim_graded, linear_form, substitute_linear
 from veroav.veronese import f0_form
 
 X3 = lambda s: parse_poly(s, 3)  # noqa: E731
@@ -407,6 +409,39 @@ def test_modular_basis_refuses_normal_forms():
 def test_modular_input_with_the_prime_in_a_denominator():
     with pytest.raises(ValueError):
         buchberger([X3(f"x + {P31}*y").scale(Fraction(1, P31))], modulus=P31)
+
+
+@given(polynomials(nvars=st.integers(1, 4), max_terms=5))
+@settings(max_examples=60, deadline=None)
+def test_residues_match_the_field_inverse(p):
+    res = residues(p, P31)
+    assert res == {m: r for m, r in _residues(p, P31).terms.items()}
+    assert all(0 < r < P31 for r in res.values())
+
+
+def test_residues_refuse_the_prime_in_a_denominator():
+    assert residues(X3("x + 3*y").scale(Fraction(1, P31)), P31) is None
+    assert residues(X3(f"{P31}*x + y"), P31) == {(0, 1, 0): 1}
+    assert residues(Polynomial.zero(3), P31) == {}
+
+
+@given(st.lists(polynomials(nvars=st.just(3), max_terms=5), min_size=1, max_size=3),
+       st.lists(st.integers(-4, 4), min_size=2, max_size=2))
+@settings(max_examples=60, deadline=None)
+def test_shear_matches_substitution(gens, coeffs):
+    ell = linear_form([*coeffs, 1])
+    assert _shear(gens, coeffs) == [g.substitute({2: ell}) for g in gens]
+
+
+@given(polynomials(nvars=st.integers(1, 4), max_terms=5),
+       st.lists(st.integers(-4, 4), min_size=3, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_shear_matches_substitution_in_any_arity(p, coeffs):
+    coeffs = coeffs[: p.nvars - 1]
+    ell = linear_form([*coeffs, 1])
+    (sheared,) = _shear([p], coeffs)
+    assert sheared == p.substitute({p.nvars - 1: ell})
+    assert all(isinstance(c, Fraction) and c for c in sheared.terms.values())
 
 
 def _to_sympy_str(p):

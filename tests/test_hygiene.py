@@ -76,3 +76,105 @@ def test_every_import_is_used():
                     if bound not in used:
                         unused.append(f"{fname}:{node.lineno} {alias.name}")
     assert not unused, "imports never used: " + ", ".join(unused)
+
+
+_MUTABLE_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
+_MUTATING_METHODS = {
+    "append", "extend", "insert", "pop", "remove", "clear", "update", "setdefault",
+    "add", "discard", "popitem", "sort", "reverse", "appendleft", "extendleft",
+}
+
+
+def _module_level_containers(tree: ast.Module) -> set[str]:
+    """Names the module binds at top level to a dict, list or set."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        mutable = isinstance(
+            value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+        ) or (
+            isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Name)
+            and value.func.id in _MUTABLE_CALLS
+        )
+        if mutable:
+            out |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return out
+
+
+def _local_names(fn: ast.AST) -> set[str]:
+    args = fn.args
+    params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+    names = {a.arg for a in params if a is not None}
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+    return names
+
+
+def _module_state_writes(fname: str, tree: ast.Module) -> list[str]:
+    """Places where a function assigns into, deletes from or calls a
+    mutating method on a module-level dict, list or set, or rebinds a
+    module global."""
+    containers = _module_level_containers(tree)
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        shared = containers - _local_names(fn)
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Global):
+                found.append(f"{fname}:{node.lineno} global {', '.join(node.names)}")
+            elif (
+                isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, (ast.Store, ast.Del))
+                and isinstance(node.value, ast.Name)
+                and node.value.id in shared
+            ):
+                found.append(f"{fname}:{node.lineno} item write to {node.value.id}")
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _MUTATING_METHODS
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in shared
+            ):
+                found.append(f"{fname}:{node.lineno} {node.func.value.id}.{node.func.attr}()")
+    return found
+
+
+def test_no_function_writes_module_level_state():
+    """Every memo is an ``lru_cache`` or hangs off a cached object, so the
+    benchmark's cache clearing reaches it."""
+    offenders = [w for fname, tree in _modules().items() for w in _module_state_writes(fname, tree)]
+    assert not offenders, "module-level state written by a function: " + ", ".join(offenders)
+
+
+def test_the_module_state_check_flags_a_memo_dict():
+    source = (
+        "_MEMO = {}\n"
+        "_SEEN: set = set()\n"
+        "LIMIT = 3\n"
+        "COUNT = 0\n"
+        "def f(k):\n"
+        "    _MEMO[k] = 1\n"
+        "    _SEEN.add(k)\n"
+        "    return _MEMO.get(k)\n"
+        "def g(_MEMO):\n"
+        "    _MEMO[0] = 1\n"
+        "    local = {}\n"
+        "    local[1] = LIMIT\n"
+        "def h():\n"
+        "    global COUNT\n"
+        "    COUNT += 1\n"
+    )
+    assert _module_state_writes("m.py", ast.parse(source)) == [
+        "m.py:6 item write to _MEMO",
+        "m.py:7 _SEEN.add()",
+        "m.py:14 global COUNT",
+    ]

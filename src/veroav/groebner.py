@@ -26,6 +26,22 @@ selection strategy (smallest lcm first, from a heap keyed once per pair).
 A configurable degree cap turns runaway instances into a diagnostic instead
 of silent looping.
 
+A homogeneous GF(p) run skips the S-pairs that must reduce to zero
+(Traverso's Hilbert-driven Buchberger).  The bound is Froeberg's: for
+generators of degrees d_i, HS(R/I) >= prod (1 - t^d_i) / (1 - t)^n
+lexicographically, so while every finished degree has exactly that many
+standard monomials, the current degree D has at least max(CI_D, 0) of
+them, and once the basis leaves only that many, the remaining degree-D
+pairs are skipped.  The bookkeeping is armed by the first zero reduction,
+so a run without one pays nothing, and a finished degree off the bound
+disarms it for good.  Runs over Q never skip.  The degree cap is checked
+before the skip, so a capped input fails the same way with or without it.
+
+``buchberger`` returns the reduced basis.  ``modular_certificate`` returns
+a minimal one (``GroebnerBasis.reduced`` False): the same leading monomials
+and number of generators, without the interreduction of tails that an
+emptiness certificate never reads.
+
 Inside the engine a monomial is one packed int (Bachmann-Schoenemann 1998),
 X(m) = K(m) * 2^W + E(m).  E(m) holds the exponents in fields of _FIELD
 bits, W bits in all, whose top bits are guard bits and stay clear.  K(m) is
@@ -49,6 +65,7 @@ import itertools
 import math
 import operator
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -429,9 +446,14 @@ def _spoly_int(f: _IPoly, g: _IPoly, lcm: int, pk: _Packing) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced Groebner basis: monic generators, none of whose terms is
-    divisible by another generator's leading monomial.  Over GF(p) the
-    coefficients are residues in [0, p), stored as integral Fractions."""
+    """Groebner basis with monic generators, sorted by decreasing leading
+    monomial, no leading monomial dividing another's.  ``reduced`` True:
+    no term of a generator is divisible by another generator's leading
+    monomial.  ``reduced`` False (the GF(p) emptiness certificates): the
+    tails are not interreduced, so the generators depend on the run, while
+    the leading monomials, and every count read off them, are those of the
+    reduced basis.  Over GF(p) the coefficients are residues in [0, p),
+    stored as integral Fractions."""
 
     nvars: int
     generators: tuple[Polynomial, ...]
@@ -504,6 +526,15 @@ def _gm_update(
     return kept
 
 
+def _sorted_inputs(gens: Iterable[Polynomial]) -> list[Polynomial]:
+    """The nonzero gens in the order the pair loop adds them: by degree,
+    then by number of terms."""
+    polys = [g for g in gens if not g.is_zero()]
+    if any(p.nvars != polys[0].nvars for p in polys):
+        raise ValueError("generators live in different rings")
+    return sorted(polys, key=lambda q: (q.degree(), len(q.terms)))
+
+
 def buchberger(
     gens: Iterable[Polynomial],
     order: MonomialOrder = GREVLEX,
@@ -513,34 +544,48 @@ def buchberger(
     """Reduced Groebner basis of the ideal generated by ``gens``: over Q by
     default, over GF(modulus) when ``modulus`` is a prime (the coefficients
     are read as residues; a denominator divisible by it raises ValueError)."""
-    polys = [g for g in gens if not g.is_zero()]
+    polys = _sorted_inputs(gens)
     if not polys:
         return GroebnerBasis(0, (), order, (), modulus=modulus)
-    nvars = polys[0].nvars
-    if any(p.nvars != nvars for p in polys):
-        raise ValueError("generators live in different rings")
     cap = _degree_cap(degree_cap)
-    pk = _packing(order, nvars)
+    pk = _packing(order, polys[0].nvars)
+    inputs = [_to_mod_terms(p, pk, modulus) if modulus else _to_int_terms(p, pk) for p in polys]
+    return _reduce_basis(_pair_loop(inputs, pk, modulus, cap), pk, order, modulus)
 
+
+def _pair_loop(
+    inputs: list[dict[int, int]], pk: _Packing, modulus: int, cap: int
+) -> list[_IPoly]:
+    """Buchberger's pair loop on converted inputs (primitive integers over
+    Q, residues over GF(p)) in the order they are added: every nonzero
+    remainder, which together form a Groebner basis that is neither minimal
+    nor reduced.  A homogeneous GF(p) run skips the pairs that
+    ``_StandardCount`` proves to reduce to zero, once a first zero
+    reduction arms it."""
     basis: list[_IPoly] = []
     pairs: dict[tuple[int, int], int] = {}
     heap: list[tuple[int, int, tuple[int, int]]] = []
+    count: _StandardCount | None = None
+    unarmed = bool(modulus)  # GF(p) runs are armed at most once
 
-    def add(terms: dict[int, int]) -> None:
+    def add(terms: dict[int, int]) -> bool:
         nonlocal pairs
         reduced = _reduce(terms, basis, pk, modulus)
         if not reduced:
-            return
+            return False
         basis.append(_IPoly(reduced, pk, modulus))
+        if count is not None:
+            count.remove(basis[-1].lm)
         t = len(basis) - 1
         pairs = _gm_update([g.e for g in basis], pairs, t, pk)
         for (i, j), L in pairs.items():
             if j == t:
                 lcm = pk.unpack(L)
                 heapq.heappush(heap, (sum(lcm), pk.pack(lcm), (i, j)))
+        return True
 
-    for p in sorted(polys, key=lambda q: (q.degree(), len(q.terms))):
-        add(_to_mod_terms(p, pk, modulus) if modulus else _to_int_terms(p, pk))
+    for terms in inputs:
+        add(terms)
 
     while heap:
         lcm_deg, lcm, pair = heapq.heappop(heap)
@@ -552,34 +597,138 @@ def buchberger(
                 f"S-polynomial degree {lcm_deg} exceeds cap {cap}; "
                 "set VA_DEGREE_CAP to raise the limit"
             )
-        add(_spoly_int(basis[pair[0]], basis[pair[1]], lcm, pk))
+        if count is not None:
+            if not count.advance(lcm_deg):
+                count = None  # a finished degree is off the bound
+            elif count.saturated():
+                continue
+        zero = not add(_spoly_int(basis[pair[0]], basis[pair[1]], lcm, pk))
+        if zero and unarmed:
+            # armed by the first zero reduction; the next pair's advance
+            # checks every finished degree
+            unarmed = False
+            degrees = _homogeneous_degrees(inputs, pk)
+            if degrees:
+                count = _StandardCount(basis, degrees, pk)
+    return basis
 
-    return _reduce_basis(basis, pk, order, modulus)
+
+def _homogeneous_degrees(inputs: list[dict[int, int]], pk: _Packing) -> list[int] | None:
+    """The degrees of the nonzero inputs, or None when one is not homogeneous."""
+    degrees = []
+    for terms in inputs:
+        found = {sum(pk.unpack(m)) for m in terms}
+        if len(found) > 1:
+            return None
+        degrees.extend(found)
+    return degrees
+
+
+class _StandardCount:
+    """The standard monomials S of the current pair degree D in a
+    homogeneous run, held against the complete-intersection (CI) bound.
+
+    For generators of degrees d_i in n variables, HS(R/I) is at least
+    CI(t) = prod (1 - t^d_i) / (1 - t)^n in the lexicographic order
+    (Froeberg 1985).  So while |S_e| = max(CI_e, 0) for every finished
+    degree e < D, dim (R/I)_D >= max(CI_D, 0); once |S_D| is down to that,
+    the leading monomials of the basis span in(I)_D, and every remaining
+    degree-D pair reduces to zero (Traverso 1996).  The first finished
+    degree off the bound stops the skipping for good.  S steps up one
+    degree at a time: y is standard in degree D + 1 iff it is no leading
+    monomial and every y / x_i with x_i | y is standard in degree D."""
+
+    __slots__ = ("pk", "numerator", "lms", "degree", "standard", "limit")
+
+    def __init__(self, basis: list[_IPoly], degrees: list[int], pk: _Packing):
+        self.pk = pk
+        self.numerator = ci_numerator(degrees)
+        self.lms = {g.lm for g in basis}
+        self.degree = min(degrees)
+        level = {0}  # every monomial of degree min(degrees), packed
+        for _ in range(self.degree):
+            level = {x + u for x in level for u in pk.units}
+        self.standard = level - self.lms
+        self.limit = self._bound()
+
+    def _bound(self) -> int:
+        return max(series_coefficient(self.numerator, self.pk.nvars, self.degree), 0)
+
+    def advance(self, degree: int) -> bool:
+        """Step S up to ``degree``; False when a finished degree is off the
+        bound."""
+        low, guard, units = self.pk.low, self.pk.guard, self.pk.units
+        ones = guard >> (_FIELD - 1)
+        while self.degree < degree:
+            if len(self.standard) != self.limit:
+                return False
+            hits = Counter([s + u for s in self.standard for u in units])
+            # (E(y) | GUARD) - ONES keeps the guard bit of every variable in y
+            self.standard = {
+                y
+                for y, k in hits.items()
+                if k == ((((y & low) | guard) - ones) & guard).bit_count() and y not in self.lms
+            }
+            self.degree += 1
+            self.limit = self._bound()
+        return True
+
+    def remove(self, lm: int) -> None:
+        self.lms.add(lm)
+        self.standard.discard(lm)
+
+    def saturated(self) -> bool:
+        return len(self.standard) <= self.limit
+
+
+def _minimalize(basis: list[_IPoly], pk: _Packing) -> list[_IPoly]:
+    """Drop the generators whose leading monomial another's divides."""
+    minimal: list[_IPoly] = []
+    for g in sorted(basis, key=lambda g: g.lm):
+        if _find_reducer(g.lm, minimal, pk) is None:
+            minimal.append(g)
+    return minimal
+
+
+def _terms(g: _IPoly) -> dict[int, int]:
+    return dict([(g.lm, g.lc), *g.tail])
 
 
 def _reduce_basis(
     basis: list[_IPoly], pk: _Packing, order: MonomialOrder, modulus: int
 ) -> GroebnerBasis:
-    # minimalize: drop generators whose lm is divisible by another's
-    minimal: list[_IPoly] = []
-    for g in sorted(basis, key=lambda g: g.lm):
-        if _find_reducer(g.lm, minimal, pk) is None:
-            minimal.append(g)
+    minimal = _minimalize(basis, pk)
     # interreduce tails; over GF(p) the leading term stays 1, since no
     # other leading monomial divides it
-    final = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        terms = _reduce(dict([(g.lm, g.lc), *g.tail]), others, pk, modulus)
-        lm = max(terms)
-        final.append((lm, _from_terms(terms, pk, 1 if modulus else terms[lm])))
-    final.sort(reverse=True, key=lambda t: t[0])
+    return _basis_of(
+        [
+            _reduce(_terms(g), minimal[:idx] + minimal[idx + 1 :], pk, modulus)
+            for idx, g in enumerate(minimal)
+        ],
+        pk,
+        order,
+        modulus,
+    )
+
+
+def _basis_of(
+    polys: list[dict[int, int]],
+    pk: _Packing,
+    order: MonomialOrder,
+    modulus: int,
+    reduced: bool = True,
+) -> GroebnerBasis:
+    """The GroebnerBasis of packed generators: monic, by decreasing leading
+    monomial."""
+    polys = sorted(polys, key=max, reverse=True)
+    lms = [max(terms) for terms in polys]
     return GroebnerBasis(
         pk.nvars,
-        tuple(p for _, p in final),
+        tuple(_from_terms(t, pk, 1 if modulus else t[lm]) for t, lm in zip(polys, lms)),
         order,
-        tuple(pk.unpack(lm) for lm, _ in final),
-        modulus=modulus,
+        tuple(map(pk.unpack, lms)),
+        reduced,
+        modulus,
     )
 
 
@@ -738,19 +887,30 @@ def projective_empty(gb: GroebnerBasis) -> bool:
 def modular_certificate(
     gens: Sequence[Polynomial], degree_cap: int | None = None
 ) -> GroebnerBasis | None:
-    """A basis of the gens over GF(MACAULAY_CHECK_PRIME) with a pure power
-    of every variable, or None: when the prime divides a denominator, the
-    degree cap is hit, or the basis proves nothing.  Such a basis means the
-    gens' Macaulay matrix has full column rank mod p in some degree, hence
-    over Q (Lazard 1983), so the zero set is empty over Q too; only a
-    non-empty answer needs the basis over Q."""
+    """A grevlex basis of the gens over GF(MACAULAY_CHECK_PRIME) with a
+    pure power of every variable, or None: when the prime divides a
+    denominator, the degree cap is hit, or the basis proves nothing.  Such a
+    basis means the gens' Macaulay matrix has full column rank mod p in
+    some degree, hence over Q (Lazard 1983), so the zero set is empty over Q
+    too; only a non-empty answer needs the basis over Q.
+
+    The basis is minimal, not reduced (``reduced`` is False): emptiness
+    reads only the leading monomials, which are those of the reduced basis,
+    so the tails are not interreduced."""
     p = MACAULAY_CHECK_PRIME
-    if any(residues(g, p) is None for g in gens):
+    polys = _sorted_inputs(gens)
+    converted = [residues(g, p) for g in polys]
+    if not polys or any(r is None for r in converted):
         return None
+    cap = _degree_cap(degree_cap)
+    pk = _packing(GREVLEX, polys[0].nvars)
     try:
-        certificate = buchberger(gens, degree_cap=degree_cap, modulus=p)
+        inputs = [{pk.pack(m): r for m, r in res.items()} for res in converted]
+        basis = _pair_loop(inputs, pk, p, cap)
     except DegreeCapExceeded:
         return None
+    minimal = [_terms(g) for g in _minimalize(basis, pk)]
+    certificate = _basis_of(minimal, pk, GREVLEX, p, reduced=False)
     return certificate if projective_empty(certificate) else None
 
 
@@ -791,6 +951,16 @@ def _add_shifted(a: list[int], b: list[int], shift: int) -> list[int]:
     return out
 
 
+def ci_numerator(degrees: Iterable[int]) -> list[int]:
+    """prod (1 - t^d) over the degrees: the Hilbert-series numerator over
+    (1 - t)^n of n variables modulo a complete intersection of forms of
+    those degrees, pure powers x_i^d among them."""
+    out = [1]
+    for d in degrees:
+        out = _add_shifted(out, [-c for c in out], d)
+    return out
+
+
 def _hilbert_numerator(gens: list[Monomial]) -> list[int]:
     """N(t) = H(t) (1 - t)^n for the monomial ideal I with minimal generators
     gens, by the pivot recursion N(I) = N(I + (p)) + t^deg(p) N(I : p)
@@ -800,10 +970,7 @@ def _hilbert_numerator(gens: list[Monomial]) -> list[int]:
     are left, where N = prod (1 - t^deg g)."""
     mixed = [g for g in gens if sum(map(bool, g)) > 1]
     if not mixed:
-        out = [1]
-        for g in gens:
-            out = _add_shifted(out, [-c for c in out], sum(g))
-        return out
+        return ci_numerator(map(sum, gens))
     n = len(gens[0])
     i = max(range(n), key=lambda j: sum(1 for g in mixed if g[j]))
     exponents = sorted(g[i] for g in mixed if g[i])

@@ -13,13 +13,13 @@ mod p, and its exact rank only on disagreement.  Its exact RREF
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from veroav.groebner import (
     GroebnerBasis,
     buchberger,
+    ci_numerator,
     hilbert_value,
     krull_dim_quotient,
     projective_empty,
@@ -143,10 +143,7 @@ def smooth_numerator(n: int, d: int) -> tuple[int, ...]:
     """(1 - t^(d-1))^n: the Hilbert-series numerator over (1 - t)^n of the
     Milnor algebra of any smooth degree-d hypersurface, whose partials are a
     regular sequence of degree-(d-1) forms."""
-    out = [0] * (n * (d - 1) + 1)
-    for k in range(n + 1):
-        out[k * (d - 1)] += (-1) ** k * math.comb(n, k)
-    return tuple(out)
+    return tuple(ci_numerator([d - 1] * n))
 
 
 def smooth_reference_hf(n: int, d: int, i: int) -> int:

@@ -2,15 +2,19 @@
 certificate agrees with the rational basis, bad primes and the degree cap
 fall back to Q, and every non-empty answer still comes from Q."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import gradient_generic_forms
 from veroav import groebner, veronese
 from veroav.groebner import DegreeCapExceeded, buchberger, modular_certificate, projective_empty
+from veroav.orders import GREVLEX
 from veroav.parsing import parse_poly
+from veroav.polynomial import Polynomial, iter_monomials
 from veroav.veronese import (
     MACAULAY_CHECK_PRIME,
     _normalize_projective,
@@ -68,15 +72,14 @@ def test_prime_in_a_denominator_skips_the_modular_pass(monkeypatch):
 
 
 def test_modular_degree_cap_falls_back_to_rational_basis(monkeypatch):
-    real = veronese.buchberger
+    real = groebner._pair_loop
 
-    def capped(*args, **kwargs):
-        if kwargs.get("modulus"):
+    def capped(inputs, pk, modulus, cap):
+        if modulus:
             raise DegreeCapExceeded("S-polynomial degree 9 exceeds cap 8")
-        return real(*args, **kwargs)
+        return real(inputs, pk, modulus, cap)
 
-    for module in (groebner, veronese):
-        monkeypatch.setattr(module, "buchberger", capped)
+    monkeypatch.setattr(groebner, "_pair_loop", capped)
     report = condition_II(X3("x*y*z + x^3 + y^3"))
     assert report.empty and report.certificate.modulus == 0
 
@@ -97,3 +100,143 @@ def test_degree_cap_names_the_stage(monkeypatch):
     monkeypatch.setenv("VA_DEGREE_CAP", "4")
     with pytest.raises(DegreeCapExceeded, match=r"^validate: "):
         check_va(X3("x^4+y^4+z^4+4*x*y*z*(x+y+z)+x^3*y"))
+
+
+# ---------------------------------------------------------------------------
+# the certificate is minimal, and the pair loop skips what must reduce to zero
+
+
+def _dense(rng, n, d, point=None):
+    """A dense integer form of degree d; through ``point`` when given, by
+    subtracting the right multiple of x_k^d for a nonzero coordinate x_k."""
+    f = Polynomial(n, {m: Fraction(rng.randint(-9, 9)) for m in iter_monomials(n, d)})
+    if point is not None:
+        k = next(i for i, c in enumerate(point) if c)
+        pure = tuple(d * (i == k) for i in range(n))
+        f = f.scale(point[k] ** d) - Polynomial(n, {pure: f.evaluate(point)})
+    return f
+
+
+@st.composite
+def square_systems(draw):
+    """n = 3-4 dense forms of degree 2-4 in n variables (a fourth form in 4
+    variables has degree at most 3, which keeps sympy quick), through a
+    chosen rational point or not, plus at most one extra form."""
+    n = draw(st.sampled_from([3, 4]))
+    degrees = draw(st.lists(st.integers(2, 4), min_size=n, max_size=n))
+    if n == 4:
+        degrees = [degrees[0]] + [min(d, 3) for d in degrees[1:]]
+    degrees.extend(draw(st.lists(st.integers(2, 3), max_size=1)))
+    point = draw(st.none() | st.tuples(*[st.integers(-2, 2)] * n).filter(any))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return [_dense(rng, n, d, point) for d in degrees]
+
+
+def _sympy_basis(forms):
+    """sympy's reduced grevlex basis of the forms mod P, as residue dicts."""
+    import sympy
+
+    xs = sympy.symbols(f"x0:{forms[0].nvars}")
+    polys = [
+        sympy.Poly.from_dict(groebner.residues(g, P), *xs, modulus=P) for g in forms
+    ]
+    basis = sympy.groebner(polys, *xs, order="grevlex", modulus=P)
+    return [
+        {tuple(map(int, m)): int(c) % P for m, c in g.terms(order="grevlex")}
+        for g in basis.polys
+    ]
+
+
+def _sympy_leading_monomials(forms):
+    return sorted(max(g, key=GREVLEX.key) for g in _sympy_basis(forms))
+
+
+@given(square_systems())
+@example([X3("x^2 - y*z"), X3("y^2 - x*z"), X3("z^2 - x*y")])  # (1:1:1) and two more points
+@example([X3("x^2"), X3("y^2"), X3("z^2"), X3("x*y*z")])
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_certificate_has_the_leading_monomials_of_sympys_basis(forms):
+    reference = _sympy_leading_monomials(forms)
+    certificate = modular_certificate(forms)
+    n = forms[0].nvars
+    pure = all(any(m[i] == sum(m) > 0 for m in reference) for i in range(n))
+    assert (certificate is not None) == pure
+    if certificate is None:
+        return
+    assert sorted(certificate.leading_monomials) == reference
+    assert certificate.reduced is False and certificate.modulus == P
+    for g, lm in zip(certificate.generators, certificate.leading_monomials):
+        assert g.is_homogeneous()
+        assert g.terms[lm] == 1
+
+
+def _dense_quartics_and_cubic_surfaces():
+    rng = random.Random(0)
+    return [_dense(rng, 3, 4) for _ in range(3)] + [_dense(rng, 4, 3) for _ in range(2)]
+
+
+def _count_zero_reductions(monkeypatch):
+    zeros = []
+    real = groebner._reduce
+
+    def counting(terms, reducers, pk, modulus):
+        out = real(terms, reducers, pk, modulus)
+        if modulus and not out:
+            zeros.append(1)
+        return out
+
+    monkeypatch.setattr(groebner, "_reduce", counting)
+    return zeros
+
+
+@pytest.mark.parametrize("f", _dense_quartics_and_cubic_surfaces())
+def test_one_zero_reduction_arms_the_bound(f, monkeypatch):
+    forms = _power_quotient_forms(f, f.nvars * (f.homogeneous_degree() - 2) - 1)
+    zeros = _count_zero_reductions(monkeypatch)
+    certificate = modular_certificate(forms)
+    assert certificate is not None
+    assert len(zeros) <= 1
+    monkeypatch.undo()
+    assert sorted(certificate.leading_monomials) == _sympy_leading_monomials(forms)
+
+
+def test_a_non_empty_square_system_disarms_the_bound(monkeypatch):
+    # the common factor x + y leaves (R/I)_3 one dimension above the CI
+    # bound, and the degree-4 pairs still to come must not be skipped
+    forms = [X3("(x + y)*(x - 2*z)"), X3("(x + y)*(y + 3*z)"), X3("y^3 + z^3 + x*y*z")]
+    verdicts = []
+    real = groebner._StandardCount.advance
+
+    def advance(self, degree):
+        verdicts.append(real(self, degree))
+        return verdicts[-1]
+
+    monkeypatch.setattr(groebner._StandardCount, "advance", advance)
+    assert modular_certificate(forms) is None
+    assert verdicts[-1] is False
+    verdicts.clear()
+    basis = buchberger(forms, modulus=P)
+    assert verdicts[-1] is False
+    mine = [{m: int(c) for m, c in g.terms.items()} for g in basis.generators]
+    assert sorted(mine, key=sorted) == sorted(_sympy_basis(forms), key=sorted)
+
+
+def _cap_threshold(forms, monkeypatch):
+    """The least VA_DEGREE_CAP at which the modular certificate exists."""
+    for cap in range(1, 61):
+        monkeypatch.setenv("VA_DEGREE_CAP", str(cap))
+        if modular_certificate(forms) is not None:
+            return cap
+    return None
+
+
+def test_the_degree_cap_comes_before_the_skip(monkeypatch):
+    f = _dense_quartics_and_cubic_surfaces()[0]
+    forms = _power_quotient_forms(f, f.nvars * (f.homogeneous_degree() - 2) - 1)
+    threshold = _cap_threshold(forms, monkeypatch)
+    assert threshold is not None and threshold > forms[0].homogeneous_degree()
+    monkeypatch.setenv("VA_DEGREE_CAP", str(threshold - 1))
+    assert modular_certificate(forms) is None
+    # without the skip, as in a plain Buchberger run, the same cap applies
+    monkeypatch.setattr(groebner, "_homogeneous_degrees", lambda inputs, pk: None)
+    assert _cap_threshold(forms, monkeypatch) == threshold

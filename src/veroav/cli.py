@@ -63,7 +63,7 @@ def _certificate_json(cert, lef, timings_enabled: bool, seed: int) -> dict:
             "empty": cond2.empty,
             "witness": _witness_str(cond2.witness),
             "certificate_size": (
-                len(cond2.certificate.generators) if cond2.certificate else None
+                len(cond2.certificate.leading_monomials) if cond2.certificate else None
             ),
             "certificate_prime": (
                 (cond2.certificate.modulus or None) if cond2.certificate else None
@@ -131,7 +131,7 @@ def _print_human(cert, lef) -> None:
         field_name = f"GF({cert2.modulus})" if cert2.modulus else "Q"
         print(
             "condition (II): holds -- no power of a linear form lies in the "
-            f"top gradient piece (certificate basis size {len(cert2.generators)} "
+            f"top gradient piece (certificate basis size {len(cert2.leading_monomials)} "
             f"over {field_name})"
         )
     else:

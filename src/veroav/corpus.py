@@ -13,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
-from veroav.apolar import inverse_system, va_via_inverse_system
+from veroav.apolar import inverse_system, smoothness
 from veroav.milnor import ScopeError
 from veroav.parsing import parse_poly, render_poly
 from veroav.polyring import linear_form
@@ -255,7 +255,7 @@ def run_entry(entry: CorpusEntry, lefschetz_seed: int = 0) -> EntryResult:
             ).normalized_primitive()
             if inv.F != expected:
                 failures.append("inverse system does not match the expected dual form")
-            dual_verdict = va_via_inverse_system(f)
+            dual_verdict = smoothness(inv.F)  # the dual route: smooth F iff avoiding
             if dual_verdict != cert.verdict:
                 failures.append(
                     f"dual-smoothness route gives {dual_verdict}, verdict is {cert.verdict}"

@@ -23,19 +23,23 @@ arithmetic only appears at the public boundary.  Over GF(p) the same loop
 works on residues with monic reducers.  Pair management uses the
 Gebauer-Moeller variant of the product and chain criteria with the normal
 selection strategy (smallest lcm first, from a heap keyed once per pair).
-A configurable degree cap turns runaway instances into a diagnostic instead
-of silent looping.
+Each run memoizes the reducer of every monomial it meets.  A configurable
+degree cap turns runaway instances into a diagnostic instead of silent
+looping.  Bases stay packed: a GroebnerBasis keeps the loop's integer
+terms, and builds its Polynomial generators only when they are read.
 
-A homogeneous GF(p) run skips the S-pairs that must reduce to zero
-(Traverso's Hilbert-driven Buchberger).  The bound is Froeberg's: for
+A homogeneous run skips the S-pairs that must reduce to zero (Traverso's
+Hilbert-driven Buchberger).  Over GF(p) the bound is Froeberg's: for
 generators of degrees d_i, HS(R/I) >= prod (1 - t^d_i) / (1 - t)^n
 lexicographically, so while every finished degree has exactly that many
 standard monomials, the current degree D has at least max(CI_D, 0) of
 them, and once the basis leaves only that many, the remaining degree-D
 pairs are skipped.  The bookkeeping is armed by the first zero reduction,
 so a run without one pays nothing, and a finished degree off the bound
-disarms it for good.  Runs over Q never skip.  The degree cap is checked
-before the skip, so a capped input fails the same way with or without it.
+disarms it for good.  A run over Q skips only when given the exact
+Hilbert series, as the sheared basis of the saturation is.  The degree cap
+is checked before the skip, so a capped input fails the same way with or
+without it.
 
 ``buchberger`` returns the reduced basis.  ``modular_certificate`` returns
 a minimal one (``GroebnerBasis.reduced`` False): the same leading monomials
@@ -54,8 +58,8 @@ guard bit iff its exponent in m is at least that in lm, and no field
 borrows from the next.  Exponents are checked against the field size when
 a polynomial is packed and before every product, so a field never wraps;
 an exponent beyond it raises DegreeCapExceeded.  Monomials become tuples
-again only on the way out: basis generators, normal forms and standard
-monomials.
+again only on the way out: leading monomials, generators when read, normal
+forms and standard monomials.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ import math
 import operator
 import os
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -112,6 +116,7 @@ def _degree_cap(explicit: int | None) -> int:
 # Width of one exponent field; its top bit is the field's guard bit, so
 # exponents stay below 2^(_FIELD - 1).
 _FIELD = 16
+_FIELD_MASK = (1 << _FIELD) - 1
 MAX_EXPONENT = (1 << (_FIELD - 1)) - 1
 
 
@@ -131,11 +136,12 @@ class _Packing:
     total degree in size, and its field leaves room for a sign, so integer
     comparison of K is lexicographic comparison of keys."""
 
-    __slots__ = ("nvars", "low", "guard", "units")
+    __slots__ = ("nvars", "low", "guard", "units", "shifts")
 
     def __init__(self, order: MonomialOrder, nvars: int):
         self.nvars = nvars
         width = _FIELD * nvars
+        self.shifts = range(0, width, _FIELD)
         self.low = (1 << width) - 1
         self.guard = sum(1 << (_FIELD * i + _FIELD - 1) for i in range(nvars))
         # |key component| <= total degree < 2^(key_field - 1)
@@ -154,27 +160,11 @@ class _Packing:
 
     def unpack(self, x: int) -> Monomial:
         e = x & self.low
-        field = (1 << _FIELD) - 1
-        return tuple((e >> (_FIELD * i)) & field for i in range(self.nvars))
+        return tuple([(e >> s) & _FIELD_MASK for s in self.shifts])
 
     def monomials(self, degree: int) -> Iterator[int]:
         """Every monomial of the given degree, packed, in ``iter_monomials`` order."""
         return map(self.pack, iter_monomials(self.nvars, degree))
-
-    def divides(self, a: int, x: int) -> bool:
-        """Does the monomial a divide x?  (E(x) | GUARD) - E(a) keeps a
-        field's guard bit iff its exponent in x is at least that in a, and
-        no field borrows from the next."""
-        probe = ((x & self.low) | self.guard) - (a & self.low)
-        return probe & self.guard == self.guard
-
-    def exponent_max(self, a: int, b: int) -> int:
-        """E of lcm(a, b): the larger exponent in every field."""
-        a &= self.low
-        b &= self.low
-        ge = ((a | self.guard) - b) & self.guard  # guard bit kept where a_i >= b_i
-        mask = ge - (ge >> (_FIELD - 1))
-        return (a & mask) | (b & ~mask)
 
     def check_product(self, shift: int, emax: int) -> None:
         """Raise when shift times a monomial whose exponents are bounded by
@@ -275,31 +265,53 @@ class _IPoly:
         self.lm = lm
         self.lc = lc
         self.tail = [(m, c) for m, c in terms.items() if m != lm]
-        self.e = lm & pk.low
+        low, guard = pk.low, pk.guard
+        self.e = lm & low
         emax = 0
         for m in terms:
-            emax = pk.exponent_max(emax, m)
+            e = m & low
+            ge = ((emax | guard) - e) & guard  # guard bit kept where emax_i >= e_i
+            mask = ge - (ge >> (_FIELD - 1))
+            emax = (emax & mask) | (e & ~mask)
         self.emax = emax
 
 
-def _find_reducer(x: int, reducers: Sequence[_IPoly], pk: _Packing) -> _IPoly | None:
-    """First reducer whose leading monomial divides x, by ``pk.divides``
-    written out over the reducers (this loop is the engine's hottest)."""
+def _find_reducer(
+    x: int, reducers: Sequence[_IPoly], pk: _Packing, start: int = 0
+) -> _IPoly | None:
+    """First reducer from ``start`` on whose leading monomial divides x:
+    (E(x) | GUARD) - E(lm) keeps a field's guard bit iff its exponent in x
+    is at least that in lm, and no field borrows from the next."""
     guard = pk.guard
     probe = (x & pk.low) | guard
-    for g in reducers:
+    for g in itertools.islice(reducers, start, None):
         if (probe - g.e) & guard == guard:
             return g
     return None
+
+
+def _lookup(x: int, reducers: Sequence[_IPoly], pk: _Packing, memo: dict) -> _IPoly | None:
+    """``_find_reducer`` for reducers that only grow: ``memo`` maps x to its
+    reducer, which stays the first divisor in list order, or to the number
+    of reducers already scanned in vain, so that a miss scans only the
+    newer ones."""
+    hit = memo.get(x, 0)
+    if hit.__class__ is not int:
+        return hit
+    g = _find_reducer(x, reducers, pk, hit)
+    memo[x] = len(reducers) if g is None else g
+    return g
 
 
 def _normal_form_int(
     f: dict[int, int],
     reducers: Sequence[_IPoly],
     pk: _Packing,
+    memo: dict,
     track_scale: bool = True,
 ) -> tuple[dict[int, int], int]:
     """Full normal form of f; returns (terms, scale) with value = terms/scale.
+    ``memo`` is the reducer lookup's (see ``_lookup``).
 
     With ``track_scale`` off the result is only meaningful up to a positive
     rational factor: intermediate content is stripped wholesale, which keeps
@@ -319,7 +331,7 @@ def _normal_form_int(
         c = coeffs.pop(m, 0)
         if not c:
             continue
-        g = _find_reducer(m, reducers, pk)
+        g = _lookup(m, reducers, pk, memo)
         if g is None:
             out[m] = c
             continue
@@ -371,6 +383,7 @@ def _normal_form_mod(
     reducers: Sequence[_IPoly],
     pk: _Packing,
     modulus: int,
+    memo: dict,
 ) -> dict[int, int]:
     """Full normal form of f over GF(modulus) against monic reducers.
     Fresh coefficients are left unreduced until their monomial is popped."""
@@ -383,7 +396,7 @@ def _normal_form_mod(
         c = coeffs.pop(m, 0) % modulus
         if not c:
             continue
-        g = _find_reducer(m, reducers, pk)
+        g = _lookup(m, reducers, pk, memo)
         if g is None:
             out[m] = c
             continue
@@ -409,11 +422,12 @@ def _reduce(
     reducers: Sequence[_IPoly],
     pk: _Packing,
     modulus: int,
+    memo: dict,
 ) -> dict[int, int]:
     """Normal form up to a unit: primitive over Q, residues over GF(p)."""
     if modulus:
-        return _normal_form_mod(terms, reducers, pk, modulus)
-    reduced, _ = _normal_form_int(_strip_content(terms), reducers, pk, track_scale=False)
+        return _normal_form_mod(terms, reducers, pk, modulus, memo)
+    reduced, _ = _normal_form_int(_strip_content(terms), reducers, pk, memo, track_scale=False)
     return _strip_content(reduced)
 
 
@@ -444,7 +458,7 @@ def _spoly_int(f: _IPoly, g: _IPoly, lcm: int, pk: _Packing) -> dict[int, int]:
 # Buchberger proper
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroebnerBasis:
     """Groebner basis with monic generators, sorted by decreasing leading
     monomial, no leading monomial dividing another's.  ``reduced`` True:
@@ -452,18 +466,30 @@ class GroebnerBasis:
     monomial.  ``reduced`` False (the GF(p) emptiness certificates): the
     tails are not interreduced, so the generators depend on the run, while
     the leading monomials, and every count read off them, are those of the
-    reduced basis.  Over GF(p) the coefficients are residues in [0, p),
-    stored as integral Fractions."""
+    reduced basis.
+
+    The basis keeps the engine's packed terms: over Q primitive integers,
+    the generator being terms / (leading coefficient); over GF(p) monic
+    residues.  ``generators``, the Polynomials (residues in [0, p) as
+    integral Fractions over GF(p)), are built on first read; compare those
+    for equality of bases.  ``homogeneous`` says whether every generator
+    is."""
 
     nvars: int
-    generators: tuple[Polynomial, ...]
     order: MonomialOrder
+    packed: tuple[dict[int, int], ...] = field(repr=False)
     leading_monomials: tuple[Monomial, ...]
+    homogeneous: bool
     reduced: bool = True
     modulus: int = 0  # 0 over Q, else the prime p of GF(p)
 
+    @cached_property
+    def generators(self) -> tuple[Polynomial, ...]:
+        pk = _packing(self.order, self.nvars)
+        return tuple(_from_terms(t, pk, 1 if self.modulus else t[max(t)]) for t in self.packed)
+
     def is_zero_ideal(self) -> bool:
-        return not self.generators
+        return not self.packed
 
     def is_unit_ideal(self) -> bool:
         return any(sum(lm) == 0 for lm in self.leading_monomials)
@@ -475,7 +501,7 @@ class GroebnerBasis:
     def _reducers(self) -> list[_IPoly]:
         # built once per basis and shared by every normal form against it
         pk = _packing(self.order, self.nvars)
-        return [_IPoly(_to_int_terms(g, pk), pk) for g in self.generators]
+        return [_IPoly(terms, pk) for terms in self.packed]
 
     @cached_property
     def _coordinate_tables(self) -> dict[int, CoordinateTable]:
@@ -499,31 +525,43 @@ def _gm_update(
     lm: list[int],
     pairs: dict[tuple[int, int], int],
     t: int,
-    pk: _Packing,
-) -> dict[tuple[int, int], int]:
-    """Gebauer-Moeller pair update for the new basis element t: chain
-    criterion on old pairs, then lcm minimalization and the product
-    criterion on the new ones.  ``lm`` holds the exponent parts E of the
-    leading monomials, and ``pairs`` maps each pair to E of its lcm."""
+    guard: int,
+) -> list[tuple[tuple[int, int], int]]:
+    """Gebauer-Moeller pair update for the new basis element t: the chain
+    criterion drops old pairs from ``pairs`` in place, then lcm
+    minimalization and the product criterion choose the new pairs, which
+    are added to ``pairs`` and returned.  ``lm`` holds the exponent parts E
+    of the leading monomials, ``pairs`` maps each pair to E of its lcm, and
+    ``guard`` is the packing's guard bits (see ``_find_reducer``)."""
     lmt = lm[t]
-    lcm_t = [pk.exponent_max(a, lmt) for a in lm[:t]]
-    kept = {}
-    for (i, j), L in pairs.items():
-        if not pk.divides(lmt, L) or L == lcm_t[i] or L == lcm_t[j]:
-            kept[(i, j)] = L
+    lcm_t = []
+    for a in lm[:t]:  # E of lcm(a, lmt): the larger exponent in every field
+        ge = ((a | guard) - lmt) & guard
+        mask = ge - (ge >> (_FIELD - 1))
+        lcm_t.append((a & mask) | (lmt & ~mask))
+    dropped = [
+        (i, j)
+        for (i, j), L in pairs.items()
+        if ((L | guard) - lmt) & guard == guard and L != lcm_t[i] and L != lcm_t[j]
+    ]
+    for pair in dropped:
+        del pairs[pair]
     by_lcm: dict[int, list[int]] = {}
     for i, L in enumerate(lcm_t):
         by_lcm.setdefault(L, []).append(i)
     minimal: list[int] = []
     for L in sorted(by_lcm):  # a proper divisor M of L has E(M) < E(L)
-        if not any(pk.divides(M, L) for M in minimal):
+        probe = L | guard
+        if not any((probe - M) & guard == guard for M in minimal):
             minimal.append(L)
+    new = []
     for L in minimal:
         group = by_lcm[L]
         if any(L == lm[i] + lmt for i in group):
             continue  # product criterion: coprime leading monomials
-        kept[(min(group), t)] = L
-    return kept
+        new.append(((group[0], t), L))
+    pairs.update(new)
+    return new
 
 
 def _sorted_inputs(gens: Iterable[Polynomial]) -> list[Polynomial]:
@@ -546,42 +584,48 @@ def buchberger(
     are read as residues; a denominator divisible by it raises ValueError)."""
     polys = _sorted_inputs(gens)
     if not polys:
-        return GroebnerBasis(0, (), order, (), modulus=modulus)
+        return GroebnerBasis(0, order, (), (), True, modulus=modulus)
     cap = _degree_cap(degree_cap)
     pk = _packing(order, polys[0].nvars)
     inputs = [_to_mod_terms(p, pk, modulus) if modulus else _to_int_terms(p, pk) for p in polys]
-    return _reduce_basis(_pair_loop(inputs, pk, modulus, cap), pk, order, modulus)
+    homogeneous = all(p.is_homogeneous() for p in polys)
+    return _reduce_basis(_pair_loop(inputs, pk, modulus, cap), pk, order, modulus, homogeneous)
 
 
 def _pair_loop(
-    inputs: list[dict[int, int]], pk: _Packing, modulus: int, cap: int
+    inputs: list[dict[int, int]],
+    pk: _Packing,
+    modulus: int,
+    cap: int,
+    numerator: Sequence[int] | None = None,
 ) -> list[_IPoly]:
     """Buchberger's pair loop on converted inputs (primitive integers over
     Q, residues over GF(p)) in the order they are added: every nonzero
     remainder, which together form a Groebner basis that is neither minimal
-    nor reduced.  A homogeneous GF(p) run skips the pairs that
-    ``_StandardCount`` proves to reduce to zero, once a first zero
-    reduction arms it."""
+    nor reduced.  A homogeneous run skips the pairs that ``_StandardCount``
+    proves to reduce to zero, once a first zero reduction arms it: over
+    GF(p) against the complete-intersection bound, over Q only when the
+    caller passes ``numerator``, the exact Hilbert numerator of the ideal."""
     basis: list[_IPoly] = []
+    lms: list[int] = []  # E of every leading monomial, as _gm_update reads them
     pairs: dict[tuple[int, int], int] = {}
     heap: list[tuple[int, int, tuple[int, int]]] = []
+    memo: dict = {}  # the reducer lookup's, valid while the basis only grows
     count: _StandardCount | None = None
-    unarmed = bool(modulus)  # GF(p) runs are armed at most once
+    unarmed = bool(modulus) or numerator is not None  # armed at most once
 
     def add(terms: dict[int, int]) -> bool:
-        nonlocal pairs
-        reduced = _reduce(terms, basis, pk, modulus)
+        reduced = _reduce(terms, basis, pk, modulus, memo)
         if not reduced:
             return False
-        basis.append(_IPoly(reduced, pk, modulus))
+        g = _IPoly(reduced, pk, modulus)
+        basis.append(g)
+        lms.append(g.e)
         if count is not None:
-            count.remove(basis[-1].lm)
-        t = len(basis) - 1
-        pairs = _gm_update([g.e for g in basis], pairs, t, pk)
-        for (i, j), L in pairs.items():
-            if j == t:
-                lcm = pk.unpack(L)
-                heapq.heappush(heap, (sum(lcm), pk.pack(lcm), (i, j)))
+            count.remove(g.lm)
+        for pair, L in _gm_update(lms, pairs, len(basis) - 1, pk.guard):
+            lcm = pk.unpack(L)
+            heapq.heappush(heap, (sum(lcm), pk.pack(lcm), pair))
         return True
 
     for terms in inputs:
@@ -609,7 +653,8 @@ def _pair_loop(
             unarmed = False
             degrees = _homogeneous_degrees(inputs, pk)
             if degrees:
-                count = _StandardCount(basis, degrees, pk)
+                bound = ci_numerator(degrees) if numerator is None else numerator
+                count = _StandardCount(basis, degrees, bound, pk)
     return basis
 
 
@@ -626,7 +671,9 @@ def _homogeneous_degrees(inputs: list[dict[int, int]], pk: _Packing) -> list[int
 
 class _StandardCount:
     """The standard monomials S of the current pair degree D in a
-    homogeneous run, held against the complete-intersection (CI) bound.
+    homogeneous run, held against a lower bound numerator(t) / (1 - t)^n
+    of the Hilbert series: the exact one, or the complete-intersection (CI)
+    bound.
 
     For generators of degrees d_i in n variables, HS(R/I) is at least
     CI(t) = prod (1 - t^d_i) / (1 - t)^n in the lexicographic order
@@ -640,9 +687,11 @@ class _StandardCount:
 
     __slots__ = ("pk", "numerator", "lms", "degree", "standard", "limit")
 
-    def __init__(self, basis: list[_IPoly], degrees: list[int], pk: _Packing):
+    def __init__(
+        self, basis: list[_IPoly], degrees: list[int], numerator: Sequence[int], pk: _Packing
+    ):
         self.pk = pk
-        self.numerator = ci_numerator(degrees)
+        self.numerator = numerator
         self.lms = {g.lm for g in basis}
         self.degree = min(degrees)
         level = {0}  # every monomial of degree min(degrees), packed
@@ -695,19 +744,20 @@ def _terms(g: _IPoly) -> dict[int, int]:
 
 
 def _reduce_basis(
-    basis: list[_IPoly], pk: _Packing, order: MonomialOrder, modulus: int
+    basis: list[_IPoly], pk: _Packing, order: MonomialOrder, modulus: int, homogeneous: bool
 ) -> GroebnerBasis:
     minimal = _minimalize(basis, pk)
     # interreduce tails; over GF(p) the leading term stays 1, since no
     # other leading monomial divides it
     return _basis_of(
         [
-            _reduce(_terms(g), minimal[:idx] + minimal[idx + 1 :], pk, modulus)
+            _reduce(_terms(g), minimal[:idx] + minimal[idx + 1 :], pk, modulus, {})
             for idx, g in enumerate(minimal)
         ],
         pk,
         order,
         modulus,
+        homogeneous,
     )
 
 
@@ -716,17 +766,19 @@ def _basis_of(
     pk: _Packing,
     order: MonomialOrder,
     modulus: int,
+    homogeneous: bool,
     reduced: bool = True,
 ) -> GroebnerBasis:
-    """The GroebnerBasis of packed generators: monic, by decreasing leading
-    monomial."""
+    """The GroebnerBasis of packed generators, by decreasing leading
+    monomial.  ``homogeneous`` True says that the generators come from
+    homogeneous inputs, and so are homogeneous; False has them checked."""
     polys = sorted(polys, key=max, reverse=True)
-    lms = [max(terms) for terms in polys]
     return GroebnerBasis(
         pk.nvars,
-        tuple(_from_terms(t, pk, 1 if modulus else t[lm]) for t, lm in zip(polys, lms)),
         order,
-        tuple(map(pk.unpack, lms)),
+        tuple(polys),
+        tuple(pk.unpack(max(terms)) for terms in polys),
+        homogeneous or _homogeneous_degrees(polys, pk) is not None,
         reduced,
         modulus,
     )
@@ -745,7 +797,7 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     pk = _packing(gb.order, gb.nvars)
     den = _common_denominator(p)
     terms = {pk.pack(m): int(c * den) for m, c in p.terms.items()}
-    out, scale = _normal_form_int(terms, gb._reducers, pk)
+    out, scale = _normal_form_int(terms, gb._reducers, pk, {})
     return _from_terms(out, pk, den * scale)
 
 
@@ -863,7 +915,7 @@ def quotient_coordinates(
 
 
 def _require_homogeneous(gb: GroebnerBasis) -> None:
-    if any(not g.is_homogeneous() for g in gb.generators):
+    if not gb.homogeneous:
         raise NonHomogeneousIdeal("operation requires a homogeneous ideal")
 
 
@@ -910,7 +962,8 @@ def modular_certificate(
     except DegreeCapExceeded:
         return None
     minimal = [_terms(g) for g in _minimalize(basis, pk)]
-    certificate = _basis_of(minimal, pk, GREVLEX, p, reduced=False)
+    homogeneous = all(g.is_homogeneous() for g in polys)
+    certificate = _basis_of(minimal, pk, GREVLEX, p, homogeneous, reduced=False)
     return certificate if projective_empty(certificate) else None
 
 
@@ -1067,13 +1120,15 @@ def saturate_irrelevant(
 
     Bayer-Stillman: I : m^infinity = I : l^infinity for any linear form l
     that misses the zeros.  Shearing coordinates so that l becomes the last
-    variable, the saturation there is the grevlex basis with every generator
+    variable, the saturation there is any grevlex basis with every generator
     divided by its largest power of that variable; one basis in the original
-    coordinates follows the inverse shear.
+    coordinates follows the inverse shear.  A change of coordinates keeps
+    the Hilbert series, so the sheared basis is built with the exact
+    series of I and skips every pair it proves to reduce to zero.
     """
     polys = [g for g in gens if not g.is_zero()]
     if not polys:
-        return GroebnerBasis(0, (), order, ())
+        return GroebnerBasis(0, order, (), (), True)
     if any(not p.is_homogeneous() for p in polys):
         raise NonHomogeneousIdeal("saturation by the irrelevant ideal needs homogeneous input")
     nvars = polys[0].nvars
@@ -1084,15 +1139,20 @@ def saturate_irrelevant(
         raise ValueError("saturation needs finitely many projective zeros")
     coeffs = _missing_linear_form(polys, degree_cap)
     sheared = any(coeffs)
-    if sheared:
-        gb = buchberger(_shear(polys, [-c for c in coeffs]), GREVLEX, degree_cap)
     pk = _packing(GREVLEX, nvars)
+    generators = gb.packed
+    if sheared:
+        sheared_gens = _sorted_inputs(_shear(polys, [-c for c in coeffs]))
+        inputs = [_to_int_terms(p, pk) for p in sheared_gens]
+        loop = _pair_loop(inputs, pk, 0, _degree_cap(degree_cap), gb.hilbert_series.numerator)
+        generators = [_terms(g) for g in _minimalize(loop, pk)]
+    # divide by the largest power x_{n-1}^e, that is, subtract e * X(x_{n-1})
+    last, top = pk.units[-1], pk.shifts[-1]
     divided = []
-    for g in gb.generators:
-        e = min(m[-1] for m in g.terms)
-        terms = {m[:-1] + (m[-1] - e,): c for m, c in g.terms.items()}
-        divided.append(_IPoly(_to_int_terms(Polynomial(nvars, terms), pk), pk))
-    sat = _reduce_basis(divided, pk, GREVLEX, 0)
+    for terms in generators:
+        shift = last * min((m >> top) & _FIELD_MASK for m in terms)
+        divided.append(_IPoly({m - shift: c for m, c in terms.items()}, pk))
+    sat = _reduce_basis(divided, pk, GREVLEX, 0, True)
     if sheared:
         return buchberger(_shear(sat.generators, coeffs), order, degree_cap)
     return sat if order == GREVLEX else buchberger(sat.generators, order, degree_cap)

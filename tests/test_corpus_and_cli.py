@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -277,3 +278,17 @@ def test_cli_corpus_filter_and_failure(tmp_path):
     proc = run_cli("corpus", "--file", str(bad), "--jobs", "1")
     assert proc.returncode == 1
     assert "verdict" in proc.stdout
+
+
+GOLDEN_JSON = Path(__file__).resolve().parent / "data" / "corpus_check_json_seed0.txt"
+
+
+def test_seeded_json_of_the_corpus_is_byte_identical(capsys):
+    """``check --json --seed 0`` on every built-in entry, against the output
+    recorded in tests/data: one header line with the entry and exit code,
+    then the JSON exactly as printed."""
+    out = []
+    for entry in builtin_corpus():
+        code = cli.main(["check", "-n", str(entry.n), "-f", entry.source, "--json", "--seed", "0"])
+        out.append(f"=== {entry.name}: exit {code}\n" + capsys.readouterr().out)
+    assert "".join(out).encode() == GOLDEN_JSON.read_bytes()

@@ -536,10 +536,10 @@ def test_packing_agrees_with_tuple_monomials(order_name, pair):
     assert (xa == xb) == (a == b)
     for lm, m in ((a, b), (b, a), (a, mono_mul(a, b))):
         divides = mono_div(m, lm) is not None
-        assert pk.divides(pk.pack(lm), pk.pack(m)) == divides
         reducer = _IPoly({pk.pack(lm): 1}, pk)
         assert (_find_reducer(pk.pack(m), [reducer], pk) is reducer) == divides
-    assert pk.exponent_max(xa, xb) == pk.pack(tuple(map(max, a, b))) & pk.low
+    # emax, the largest exponent of each variable, is E of the lcm
+    assert _IPoly({xa: 1, xb: 1}, pk).emax == pk.pack(tuple(map(max, a, b))) & pk.low
 
 
 def test_packed_monomials_enumerate_in_iter_monomials_order():

@@ -179,8 +179,8 @@ def _count_zero_reductions(monkeypatch):
     zeros = []
     real = groebner._reduce
 
-    def counting(terms, reducers, pk, modulus):
-        out = real(terms, reducers, pk, modulus)
+    def counting(terms, reducers, pk, modulus, memo):
+        out = real(terms, reducers, pk, modulus, memo)
         if modulus and not out:
             zeros.append(1)
         return out

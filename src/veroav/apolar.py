@@ -28,7 +28,7 @@ def apolar_action(h: Polynomial, F: Polynomial) -> Polynomial:
     """h acting on F by differentiation: h(d/dy_1,...,d/dy_n) F."""
     if h.nvars != F.nvars:
         raise ValueError("polynomials live in different rings")
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, int | Fraction] = {}
     for beta, c in h.terms.items():
         for gamma, e in F.terms.items():
             diff = mono_div(gamma, beta)
@@ -38,7 +38,7 @@ def apolar_action(h: Polynomial, F: Polynomial) -> Polynomial:
             for g, b in zip(gamma, beta):
                 if b:
                     factor *= math.factorial(g) // math.factorial(g - b)
-            v = out.get(diff, Fraction(0)) + c * e * factor
+            v = out.get(diff, 0) + c * e * factor
             if v:
                 out[diff] = v
             else:
@@ -73,7 +73,8 @@ def inverse_system(f: Polynomial) -> InverseSystem:
         raise InternalDefectError(f"socle has dimension {len(coords[0])}, expected 1")
     F = Polynomial(
         hi.n,
-        {alpha: c / math.prod(map(math.factorial, alpha)) for alpha, (c,) in zip(monos, coords)},
+        {alpha: Fraction(c, math.prod(map(math.factorial, alpha)))
+         for alpha, (c,) in zip(monos, coords)},
     ).normalized_primitive()
     for g in f.gradient():
         if not apolar_action(g, F).is_zero():

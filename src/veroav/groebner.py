@@ -76,7 +76,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from veroav.orders import GREVLEX, MonomialOrder
-from veroav.polynomial import Monomial, Polynomial, iter_monomials, mono_mul
+from veroav.polynomial import Monomial, Polynomial, iter_monomials, mono_mul, ratio
 from veroav.polyring import linear_form
 
 DEFAULT_DEGREE_CAP = 60
@@ -238,9 +238,7 @@ def _to_mod_terms(p: Polynomial, pk: _Packing, modulus: int) -> dict[int, int]:
 
 
 def _from_terms(terms: dict[int, int], pk: _Packing, den: int) -> Polynomial:
-    return Polynomial._trusted(
-        pk.nvars, {pk.unpack(m): Fraction(c, den) for m, c in terms.items()}
-    )
+    return Polynomial._trusted(pk.nvars, {pk.unpack(m): ratio(c, den) for m, c in terms.items()})
 
 
 class _IPoly:
@@ -470,10 +468,9 @@ class GroebnerBasis:
 
     The basis keeps the engine's packed terms: over Q primitive integers,
     the generator being terms / (leading coefficient); over GF(p) monic
-    residues.  ``generators``, the Polynomials (residues in [0, p) as
-    integral Fractions over GF(p)), are built on first read; compare those
-    for equality of bases.  ``homogeneous`` says whether every generator
-    is."""
+    residues.  ``generators``, the Polynomials (residues in [0, p) as ints
+    over GF(p)), are built on first read; compare those for equality of
+    bases.  ``homogeneous`` says whether every generator is."""
 
     nvars: int
     order: MonomialOrder
@@ -885,12 +882,12 @@ def _coordinate_sweep(gb: GroebnerBasis, degree: int) -> CoordinateTable:
 
 def quotient_coordinates(
     polys: Iterable[Polynomial], gb: GroebnerBasis, degree: int
-) -> list[tuple[Fraction, ...]]:
+) -> list[tuple[int | Fraction, ...]]:
     """Coordinates in (R/I)_degree of homogeneous degree-``degree``
     polynomials: their normal-form coefficients on
-    ``standard_monomials(gb, degree)``, read off ``coordinate_table``.  A
-    coordinate vector vanishes exactly when the polynomial lies in the
-    ideal."""
+    ``standard_monomials(gb, degree)``, read off ``coordinate_table``, as
+    canonical rationals (ints when integral).  A coordinate vector vanishes
+    exactly when the polynomial lies in the ideal."""
     table = coordinate_table(gb, degree)
     rows, width = table.rows, len(table.basis)
     out = []
@@ -906,7 +903,7 @@ def quotient_coordinates(
             for j, v in enumerate(rows[m]):
                 acc[j] += k * v
         den *= table.denominator
-        out.append(tuple(Fraction(v, den) for v in acc))
+        out.append(tuple(ratio(v, den) for v in acc))
     return out
 
 
@@ -1090,7 +1087,7 @@ def _shear(gens: Sequence[Polynomial], coeffs: Sequence[int]) -> list[Polynomial
                 for u, cu in powers[k].items():
                     key = (*mono_mul(head, u), e - k)
                     terms[key] = terms.get(key, 0) + b * cu
-        out.append(Polynomial._trusted(n, {m: Fraction(v, den) for m, v in terms.items() if v}))
+        out.append(Polynomial._trusted(n, {m: ratio(v, den) for m, v in terms.items() if v}))
     return out
 
 

@@ -129,12 +129,12 @@ def determinant(M: MatrixQ) -> Fraction:
     if n == 0:
         return Fraction(1)
     a = []
-    scale = Fraction(1)
+    scale = 1  # the product of the row denominators
     for row in M.entries:
         den = 1
         for x in row:
             den = den * x.denominator // math.gcd(den, x.denominator)
-        scale /= den
+        scale *= den
         a.append([int(x * den) for x in row])
     sign = 1
     prev = 1
@@ -150,7 +150,7 @@ def determinant(M: MatrixQ) -> Fraction:
                 a[i][j] = _exact_div(a[k][k] * a[i][j] - a[i][k] * a[k][j], prev)
             a[i][k] = 0
         prev = a[k][k]
-    return scale * sign * a[n - 1][n - 1]
+    return Fraction(sign * a[n - 1][n - 1], scale)
 
 
 def quotient_coords(v: Sequence, L: RrefResult) -> tuple[Fraction, ...]:

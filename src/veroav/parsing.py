@@ -174,8 +174,8 @@ def _render_monomial(mono, names: Sequence[str]) -> str:
     return "*".join(factors)
 
 
-def _render_coeff(c: Fraction) -> str:
-    return str(c)  # Fraction renders as p/q or p
+def _render_coeff(c: int | Fraction) -> str:
+    return str(c)  # p for an int, p/q for a Fraction
 
 
 def render_poly(p: Polynomial, names: Sequence[str] | None = None) -> str:

@@ -1,14 +1,19 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-Terms map exponent tuples to nonzero ``Fraction`` values.  Values are
-immutable once built; every operation returns a fresh polynomial, so sharing
-across threads is safe.  Variables are anonymous positions 0..nvars-1; names
+Terms map exponent tuples to nonzero canonical coefficients: an ``int``
+when the value is integral, otherwise a ``Fraction`` with denominator above
+1; never a float, never an integral ``Fraction``.  Both compare and hash
+alike, so this is plain Q arithmetic, with the integral majority of
+coefficients left to C-level ``int`` arithmetic.  Values are immutable once
+built; every operation returns a fresh polynomial, so sharing across
+threads is safe.  Variables are anonymous positions 0..nvars-1; names
 exist only in the parser/printer.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
@@ -18,7 +23,7 @@ Monomial = tuple[int, ...]
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial | None:
@@ -33,6 +38,30 @@ def mono_div(a: Monomial, b: Monomial) -> Monomial | None:
 
 def mono_deg(a: Monomial) -> int:
     return sum(a)
+
+
+def canonical(c) -> int | Fraction:
+    """The rational c (an int, a Fraction or anything ``Fraction`` accepts)
+    as a canonical coefficient."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def ratio(num: int, den: int) -> int | Fraction:
+    """num / den as a canonical coefficient."""
+    return Fraction(num, den) if num % den else num // den
+
+
+def _demote(terms: dict) -> dict:
+    """Replace integral Fraction values by ints, in place: a sum or product
+    involving a Fraction may be integral."""
+    for m, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[m] = c.numerator
+    return terms
 
 
 def iter_monomials(nvars: int, degree: int) -> Iterator[Monomial]:
@@ -57,12 +86,12 @@ class Polynomial:
     def __init__(self, nvars: int, terms: Mapping[Monomial, Fraction | int] | None = None):
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, int | Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
                 if len(mono) != nvars:
                     raise ValueError(f"monomial {mono} has wrong arity for nvars={nvars}")
-                c = Fraction(coeff)
+                c = canonical(coeff)
                 if c:
                     clean[tuple(mono)] = c
         object.__setattr__(self, "nvars", nvars)
@@ -75,10 +104,11 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _trusted(cls, nvars: int, terms: dict[Monomial, Fraction]) -> "Polynomial":
+    def _trusted(cls, nvars: int, terms: dict[Monomial, int | Fraction]) -> "Polynomial":
         """Adopt ``terms`` without the constructor's checks: the caller
-        guarantees nonzero Fraction values on exponent tuples of length
-        nvars, and hands the dict over."""
+        guarantees nonzero canonical values (ints when integral, Fractions
+        with denominator above 1) on exponent tuples of length nvars, and
+        hands the dict over."""
         p = object.__new__(cls)
         object.__setattr__(p, "nvars", nvars)
         object.__setattr__(p, "terms", terms)
@@ -91,18 +121,18 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars: int, c) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, i: int, nvars: int) -> "Polynomial":
         if not 0 <= i < nvars:
             raise ValueError(f"variable index {i} out of range for {nvars} variables")
         mono = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {mono: Fraction(1)})
+        return cls(nvars, {mono: 1})
 
     @classmethod
     def monomial(cls, exps: Monomial, coeff=1) -> "Polynomial":
-        return cls(len(exps), {tuple(exps): Fraction(coeff)})
+        return cls(len(exps), {tuple(exps): coeff})
 
     # -- basic queries -----------------------------------------------------
 
@@ -124,8 +154,8 @@ class Polynomial:
             raise ValueError("polynomial is zero or not homogeneous")
         return degs.pop()
 
-    def coeff(self, mono: Monomial) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
+    def coeff(self, mono: Monomial) -> int | Fraction:
+        return self.terms.get(tuple(mono), 0)
 
     def leading_monomial(self, order: MonomialOrder = GRLEX) -> Monomial:
         if not self.terms:
@@ -141,11 +171,13 @@ class Polynomial:
         self._check(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, Fraction(0)) + c
-            if s:
+            s = terms.get(m, 0) + c
+            if not s:
+                del terms[m]
+            elif type(s) is int or s.denominator != 1:
                 terms[m] = s
             else:
-                terms.pop(m, None)
+                terms[m] = s.numerator
         return Polynomial._trusted(self.nvars, terms)
 
     def __neg__(self) -> "Polynomial":
@@ -162,24 +194,24 @@ class Polynomial:
             big, small = self.terms, other.terms
         else:
             big, small = other.terms, self.terms
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, int | Fraction] = {}
         for m2, c2 in small.items():
             for m1, c1 in big.items():
                 m = mono_mul(m1, m2)
-                s = terms.get(m, Fraction(0)) + c1 * c2
+                s = terms.get(m, 0) + c1 * c2
                 if s:
                     terms[m] = s
                 else:
                     del terms[m]
-        return Polynomial._trusted(self.nvars, terms)
+        return Polynomial._trusted(self.nvars, _demote(terms))
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
+        c = canonical(c)
         if not c:
             return Polynomial.zero(self.nvars)
-        return Polynomial._trusted(self.nvars, {m: v * c for m, v in self.terms.items()})
+        return Polynomial._trusted(self.nvars, _demote({m: v * c for m, v in self.terms.items()}))
 
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
@@ -222,29 +254,28 @@ class Polynomial:
         """Exact formal partial derivative with respect to variable i."""
         if not 0 <= i < self.nvars:
             raise ValueError(f"variable index {i} out of range")
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, int | Fraction] = {}
         for m, c in self.terms.items():
             e = m[i]
-            if e:
-                dm = m[:i] + (e - 1,) + m[i + 1 :]
-                terms[dm] = terms.get(dm, Fraction(0)) + c * e
-        return Polynomial._trusted(self.nvars, {m: c for m, c in terms.items() if c})
+            if e:  # distinct terms have distinct derivatives
+                terms[m[:i] + (e - 1,) + m[i + 1 :]] = c * e
+        return Polynomial._trusted(self.nvars, _demote(terms))
 
     def gradient(self) -> list["Polynomial"]:
         return [self.partial(i) for i in range(self.nvars)]
 
-    def evaluate(self, point: Sequence) -> Fraction:
+    def evaluate(self, point: Sequence) -> int | Fraction:
         if len(point) != self.nvars:
             raise ValueError("point has wrong length")
-        vals = [Fraction(v) for v in point]
-        total = Fraction(0)
+        vals = [canonical(v) for v in point]
+        total = 0
         for m, c in self.terms.items():
             prod = c
             for v, e in zip(vals, m):
                 if e:
                     prod *= v**e
             total += prod
-        return total
+        return canonical(total)
 
     def substitute(self, assignment: Mapping[int, "Polynomial"]) -> "Polynomial":
         """Replace variables by polynomials (all in the same ring)."""
@@ -269,29 +300,30 @@ class Polynomial:
 
     def specialize(self, values: Mapping[int, Fraction | int]) -> "Polynomial":
         """Plug constants into some variables; the arity does not change."""
-        terms: dict[Monomial, Fraction] = {}
+        values = {i: canonical(v) for i, v in values.items()}
+        terms: dict[Monomial, int | Fraction] = {}
         for m, c in self.terms.items():
             coeff = c
             new = list(m)
             for i, v in values.items():
                 e = m[i]
                 if e:
-                    coeff *= Fraction(v) ** e
+                    coeff *= v**e
                 new[i] = 0
             if coeff:
                 key = tuple(new)
-                s = terms.get(key, Fraction(0)) + coeff
+                s = terms.get(key, 0) + coeff
                 if s:
                     terms[key] = s
                 else:
                     del terms[key]
-        return Polynomial._trusted(self.nvars, terms)
+        return Polynomial._trusted(self.nvars, _demote(terms))
 
     def drop_vars(self, keep: Sequence[int]) -> "Polynomial":
         """Project onto the listed variables; all others must be absent."""
         keep = list(keep)
         keep_set = set(keep)
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, int | Fraction] = {}
         for m, c in self.terms.items():
             if any(e and i not in keep_set for i, e in enumerate(m)):
                 raise ValueError("polynomial involves a dropped variable")
@@ -311,7 +343,7 @@ class Polynomial:
         g = 0
         for v in nums:
             g = math.gcd(g, v)
-        return self.scale(Fraction(den_lcm, g))
+        return self.scale(ratio(den_lcm, g))
 
     def normalized_primitive(self, order: MonomialOrder = GRLEX) -> "Polynomial":
         """Primitive integer form with positive leading coefficient."""

@@ -35,7 +35,7 @@ def dim_graded(nvars: int, degree: int) -> int:
     return math.comb(nvars + degree - 1, degree)
 
 
-def coefficient_vector(p: Polynomial, degree: int) -> tuple[Fraction, ...]:
+def coefficient_vector(p: Polynomial, degree: int) -> tuple[int | Fraction, ...]:
     """Coordinates of a homogeneous polynomial in the graded basis."""
     if not p.is_homogeneous() or (not p.is_zero() and p.homogeneous_degree() != degree):
         raise ValueError(f"polynomial is not homogeneous of degree {degree}")
@@ -106,8 +106,4 @@ def power_linear_form_symbolic(nvars: int, degree: int) -> tuple[tuple[Monomial,
 def linear_form(coeffs: Sequence) -> Polynomial:
     """The linear form with the given coefficient vector."""
     n = len(coeffs)
-    return Polynomial(
-        n,
-        {tuple(1 if j == i else 0 for j in range(n)): Fraction(c)
-         for i, c in enumerate(coeffs) if Fraction(c)},
-    )
+    return Polynomial(n, {tuple(int(j == i) for j in range(n)): c for i, c in enumerate(coeffs)})

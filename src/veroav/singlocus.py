@@ -47,7 +47,7 @@ class ProjPoint:
         if not nonzero:
             raise ValueError("projective point needs a nonzero coordinate")
         scale = vals[nonzero[-1]]
-        return cls(tuple(v / scale for v in vals))
+        return cls(tuple(Fraction(v, scale) for v in vals))
 
     def chart(self) -> int:
         return max(i for i, v in enumerate(self.coords) if v)

@@ -54,7 +54,7 @@ from veroav.milnor import (
     smooth_numerator,
     validate_input,
 )
-from veroav.polynomial import Polynomial, iter_monomials, mono_mul
+from veroav.polynomial import Polynomial, iter_monomials, mono_mul, ratio
 from veroav.polyring import graded_basis, linear_form, power_linear_form_symbolic
 from veroav.ratpoints import rational_projective_points
 
@@ -91,7 +91,7 @@ def _power_quotient_forms(
         den = table.denominator
         return [
             Polynomial._trusted(
-                n, {beta: Fraction(mult * row[i], den) for beta, mult, row in rows if row[i]}
+                n, {beta: ratio(mult * row[i], den) for beta, mult, row in rows if row[i]}
             )
             for i in range(len(table.basis))
         ]
@@ -147,7 +147,7 @@ def _normalize_projective(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
     vals = [Fraction(v) for v in vec]
     last = max(i for i, v in enumerate(vals) if v)
     scale = vals[last]
-    return tuple(v / scale for v in vals)
+    return tuple(Fraction(v, scale) for v in vals)
 
 
 def _rational_zeros(

@@ -13,6 +13,12 @@ from veroav.milnor import ScopeError, condition_I
 from veroav.polynomial import Polynomial, iter_monomials
 from veroav.polyring import graded_basis
 
+def is_canonical(c) -> bool:
+    """A canonical polynomial coefficient: an int when integral, otherwise a
+    Fraction with denominator above 1."""
+    return type(c) is int or type(c) is Fraction and c.denominator > 1
+
+
 coefficients = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
 ).filter(lambda c: c != 0)

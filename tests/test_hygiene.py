@@ -178,3 +178,50 @@ def test_the_module_state_check_flags_a_memo_dict():
         "m.py:7 _SEEN.add()",
         "m.py:14 global COUNT",
     ]
+
+
+def _is_fraction_call(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "Fraction"
+    )
+
+
+def _float_divisions(fname: str, tree: ast.Module) -> list[str]:
+    """True divisions (``/`` or ``/=``) whose left operand is not a
+    ``Fraction(...)`` call: with integral coefficients held as ints, such a
+    division could quietly produce a float."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            left = node.left
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+            left = node.target
+        else:
+            continue
+        if not _is_fraction_call(left):
+            found.append(f"{fname}:{node.lineno} {ast.unparse(node)}")
+    return found
+
+
+def test_no_true_division_outside_fraction_arithmetic():
+    offenders = [d for fname, tree in _modules().items() for d in _float_divisions(fname, tree)]
+    assert not offenders, "true division that may yield a float: " + ", ".join(offenders)
+
+
+def test_the_division_check_flags_int_division():
+    source = (
+        "def f(a, b, c):\n"
+        "    x = a / b\n"
+        "    y = Fraction(a) / b\n"
+        "    z = Fraction(a, b) / c / 2\n"
+        "    w = a // b\n"
+        "    c /= 2\n"
+        "    return x, y, z, w, c\n"
+    )
+    assert set(_float_divisions("m.py", ast.parse(source))) == {
+        "m.py:2 a / b",
+        "m.py:4 Fraction(a, b) / c / 2",
+        "m.py:6 c /= 2",
+    }

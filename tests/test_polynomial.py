@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import homogeneous_polynomials, unimodular_matrices
+from conftest import homogeneous_polynomials, is_canonical, unimodular_matrices
 from veroav.parsing import parse_poly, render_poly
 from veroav.polynomial import Polynomial
 from veroav.polyring import (
@@ -30,20 +30,20 @@ def test_constructor_checks_arity_and_wraps_coefficients():
         Polynomial(-1, {})
     p = Polynomial(2, {(1, 0): 2, (0, 1): 0, (1, 1): Fraction(1, 2)})
     assert p.terms == {(1, 0): Fraction(2), (1, 1): Fraction(1, 2)}
-    assert all(type(c) is Fraction for c in p.terms.values())
+    assert all(is_canonical(c) for c in p.terms.values())
 
 
 @given(homogeneous_polynomials(nvars=st.just(3)), homogeneous_polynomials(nvars=st.just(3)))
 @settings(max_examples=40, deadline=None)
 def test_arithmetic_results_pass_the_constructor_checks(p, q):
     """Sums, products, scalings, partials and specializations skip the
-    constructor: each must already hold nonzero Fractions on tuples of the
-    right arity."""
+    constructor: each must already hold nonzero canonical coefficients on
+    tuples of the right arity."""
     results = [p + q, p - p, p * q, -p, p.scale(Fraction(-3, 2)), p.scale(0), p.partial(0),
                p.specialize({0: Fraction(1, 3)}), p.specialize({p.nvars - 1: 0})]
     for r in results:
         assert r == Polynomial(r.nvars, dict(r.terms))
-        assert all(type(c) is Fraction and c for c in r.terms.values())
+        assert all(is_canonical(c) and c for c in r.terms.values())
         assert all(type(m) is tuple and len(m) == r.nvars for m in r.terms)
 
 

@@ -175,7 +175,7 @@ def _lefschetz_matrix_by_partials(f, m, coeffs):
     (II) forms in the parameters a_j, at the coefficients, over m."""
     forms = _power_quotient_forms(f, m)
     return MatrixQ.from_rows(
-        [[g.partial(j).evaluate(coeffs) / m for j in range(f.nvars)] for g in forms]
+        [[Fraction(g.partial(j).evaluate(coeffs), m) for j in range(f.nvars)] for g in forms]
     )
 
 

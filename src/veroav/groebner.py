@@ -20,7 +20,9 @@ binomial sums, D is the Krull dimension and Q(1) the degree.
 Over Q the hot loop works on primitive integer coefficient dicts
 (content-stripped after every reduction) rather than Fractions; rational
 arithmetic only appears at the public boundary.  Over GF(p) the same loop
-works on residues with monic reducers.  Pair management uses the
+works on residues with monic reducers, and lazily: a tail update leaves its
+sum unreduced, and a coefficient is taken mod p only when its monomial is
+popped, the one time it is read.  Pair management uses the
 Gebauer-Moeller variant of the product and chain criteria with the normal
 selection strategy (smallest lcm first, from a heap keyed once per pair).
 Each run memoizes the reducer of every monomial it meets.  A configurable
@@ -44,7 +46,9 @@ without it.
 ``buchberger`` returns the reduced basis.  ``modular_certificate`` returns
 a minimal one (``GroebnerBasis.reduced`` False): the same leading monomials
 and number of generators, without the interreduction of tails that an
-emptiness certificate never reads.
+emptiness certificate never reads.  It does not run at all on homogeneous
+forms in which some variable has no pure power: that coordinate point is a
+common zero, so no basis could prove emptiness.
 
 Inside the engine a monomial is one packed int (Bachmann-Schoenemann 1998),
 X(m) = K(m) * 2^W + E(m).  E(m) holds the exponents in fields of _FIELD
@@ -384,14 +388,18 @@ def _normal_form_mod(
     memo: dict,
 ) -> dict[int, int]:
     """Full normal form of f over GF(modulus) against monic reducers.
-    Fresh coefficients are left unreduced until their monomial is popped."""
+
+    Lazy residues: a tail update accumulates prev - c * ct as a plain int,
+    and a coefficient is reduced mod p only when its monomial is popped,
+    the one time it is read.  A coefficient that cancels stays in ``coeffs``
+    until then, so every monomial enters the heap once."""
     coeffs = dict(f)
     out: dict[int, int] = {}
     heap = [-m for m in coeffs]
     heapq.heapify(heap)
     while heap:
         m = -heapq.heappop(heap)
-        c = coeffs.pop(m, 0) % modulus
+        c = coeffs.pop(m) % modulus
         if not c:
             continue
         g = _lookup(m, reducers, pk, memo)
@@ -407,11 +415,7 @@ def _normal_form_mod(
                 coeffs[key] = -c * ct
                 heapq.heappush(heap, -key)
             else:
-                v = (prev - c * ct) % modulus
-                if v:
-                    coeffs[key] = v
-                else:
-                    del coeffs[key]
+                coeffs[key] = prev - c * ct
     return out
 
 
@@ -945,11 +949,20 @@ def modular_certificate(
 
     The basis is minimal, not reduced (``reduced`` is False): emptiness
     reads only the leading monomials, which are those of the reduced basis,
-    so the tails are not interreduced."""
+    so the tails are not interreduced.
+
+    None comes without a run, too, when the gens are homogeneous and some
+    variable has a pure power in none of them: then that coordinate point
+    is a common zero, and no basis can prove emptiness."""
     p = MACAULAY_CHECK_PRIME
     polys = _sorted_inputs(gens)
+    if not polys:
+        return None
+    homogeneous = all(g.is_homogeneous() for g in polys)
+    if homogeneous and _coordinate_zero(polys):
+        return None
     converted = [residues(g, p) for g in polys]
-    if not polys or any(r is None for r in converted):
+    if any(r is None for r in converted):
         return None
     cap = _degree_cap(degree_cap)
     pk = _packing(GREVLEX, polys[0].nvars)
@@ -959,9 +972,22 @@ def modular_certificate(
     except DegreeCapExceeded:
         return None
     minimal = [_terms(g) for g in _minimalize(basis, pk)]
-    homogeneous = all(g.is_homogeneous() for g in polys)
     certificate = _basis_of(minimal, pk, GREVLEX, p, homogeneous, reduced=False)
     return certificate if projective_empty(certificate) else None
+
+
+def _coordinate_zero(polys: Sequence[Polynomial]) -> bool:
+    """Whether, for homogeneous polys, some coordinate point e_i is a
+    common zero: no poly has a term in x_i alone (a constant term counts
+    for every variable)."""
+    nvars = polys[0].nvars
+    powers = set()  # the variables with a pure power in some poly
+    for g in polys:
+        for m in g.terms:
+            support = [i for i, e in enumerate(m) if e]
+            if len(support) <= 1:
+                powers.update(support or range(nvars))
+    return len(powers) < nvars
 
 
 # ---------------------------------------------------------------------------

@@ -177,24 +177,27 @@ def rank_residues(rows: Sequence[dict[int, int]], p: int) -> int:
 
     Each row is reduced against the monic pivot rows found so far, leading
     column first, and becomes a pivot row itself if anything is left.
+    Lazy residues: entries (of any size or sign) accumulate as plain ints
+    and are reduced mod p only when read, that is, when their column leads
+    (a leading entry that is 0 mod p is dropped then) or when their row
+    becomes a pivot row.  A pivot row is stored as the (column, residue)
+    list of its tail, its leading entry being 1.
     """
-    pivots: dict[int, dict[int, int]] = {}
+    pivots: dict[int, list[tuple[int, int]]] = {}
     for row in rows:
-        row = {j: v % p for j, v in row.items() if v % p}
+        row = dict(row)
         while row:
             c = min(row)
+            v = row.pop(c) % p
+            if not v:
+                continue
             piv = pivots.get(c)
             if piv is None:
-                inv = pow(row[c], -1, p)
-                pivots[c] = {j: v * inv % p for j, v in row.items()}
+                inv = pow(v, -1, p)
+                pivots[c] = [(j, r) for j, w in row.items() if (r := w * inv % p)]
                 break
-            mult = row[c]
-            for j, v in piv.items():
-                w = (row.get(j, 0) - mult * v) % p
-                if w:
-                    row[j] = w
-                else:
-                    row.pop(j, None)
+            for j, w in piv:
+                row[j] = row.get(j, 0) - v * w
     return len(pivots)
 
 

@@ -240,3 +240,60 @@ def test_the_degree_cap_comes_before_the_skip(monkeypatch):
     # without the skip, as in a plain Buchberger run, the same cap applies
     monkeypatch.setattr(groebner, "_homogeneous_degrees", lambda inputs, pk: None)
     assert _cap_threshold(forms, monkeypatch) == threshold
+
+
+# ---------------------------------------------------------------------------
+# a coordinate point that is visibly a common zero skips the GF(p) run
+
+
+def _watch_pair_loop(monkeypatch, allowed: bool):
+    """Replace ``_pair_loop`` by one that raises when not ``allowed``, and
+    otherwise counts its runs."""
+    runs = []
+    real = groebner._pair_loop
+
+    def watched(*args, **kwargs):
+        if not allowed:
+            raise AssertionError("the GF(p) pair loop ran")
+        runs.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_pair_loop", watched)
+    return runs
+
+
+@pytest.mark.parametrize(
+    "sources",
+    [
+        ["x^2 + y*z", "y^2 + x*z", "x*y + y*z"],  # no pure power of z: (0:0:1)
+        ["x*y", "x*z", "y*z"],  # all three coordinate points
+        ["x^3 + x*y*z", "y^3 - x*z^2", "x*y^2"],  # z^k in no form
+    ],
+)
+def test_a_common_coordinate_zero_returns_none_without_a_run(sources, monkeypatch):
+    forms = [X3(s) for s in sources]
+    assert not projective_empty(buchberger(forms))
+    _watch_pair_loop(monkeypatch, allowed=False)
+    assert modular_certificate(forms) is None
+    monkeypatch.undo()  # the rational basis decides, with its own pair loop
+    certificate, empty, _ = _zeros(forms)
+    assert not empty and certificate.modulus == 0
+
+
+def test_a_pure_power_of_every_variable_still_runs_and_certifies(monkeypatch):
+    runs = _watch_pair_loop(monkeypatch, allowed=True)
+    certificate = modular_certificate([X3("x^2 + y*z"), X3("y^2"), X3("z^2 + x*y")])
+    assert certificate is not None and certificate.modulus == P
+    assert projective_empty(certificate)
+    # (1:1:1) is a common zero off the coordinate points: the run proves nothing
+    assert modular_certificate([X3("x^2 - y*z"), X3("y^2 - x*z"), X3("z^2 - x*y")]) is None
+    # a nonzero constant is a pure power of every variable: the unit ideal
+    assert modular_certificate([X3("x*y"), X3("3")]).is_unit_ideal()
+    assert len(runs) == 3
+
+
+def test_the_coordinate_check_leaves_non_homogeneous_input_alone(monkeypatch):
+    # e_1 = (0:1:0) is a zero of every form, but x*y - x is not homogeneous
+    runs = _watch_pair_loop(monkeypatch, allowed=True)
+    assert modular_certificate([X3("x*y - x"), X3("x*y"), X3("z^2")]) is None
+    assert len(runs) == 1

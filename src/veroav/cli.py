@@ -37,10 +37,6 @@ EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_DEFECT = 3
 
 
-def _parse_input(args) -> "Polynomial":
-    return parse_poly(args.f, args.n)
-
-
 def _witness_str(witness) -> str | None:
     if witness is None:
         return None
@@ -75,9 +71,7 @@ def _certificate_json(cert, lef, timings_enabled: bool, seed: int) -> dict:
                 "seed": seed,
                 "trials": lef.trials,
                 "success": lef.success,
-                "witness": (
-                    render_poly(linear_form(lef.witness)) if lef.witness else None
-                ),
+                "witness": _witness_str(lef.witness),
             }
             if lef is not None
             else None
@@ -100,7 +94,7 @@ def cmd_check(args) -> int:
         print("--json requires an explicit --seed", file=sys.stderr)
         return EXIT_INPUT_ERROR
     seed = args.seed if args.seed is not None else 0
-    f = _parse_input(args)
+    f = parse_poly(args.f, args.n)
     cert = check_va(f)
     lef = None
     if not args.skip_lefschetz and cert.condition_i.holds:
@@ -142,7 +136,7 @@ def _print_human(cert, lef) -> None:
     if lef is not None:
         if lef.success:
             print(
-                f"lefschetz: multiplication by ({render_poly(linear_form(lef.witness))})^(T-2) "
+                f"lefschetz: multiplication by ({_witness_str(lef.witness)})^(T-2) "
                 "is an isomorphism in degree 1"
             )
         else:
@@ -154,7 +148,7 @@ def _print_human(cert, lef) -> None:
 
 
 def cmd_inverse_system(args) -> int:
-    f = _parse_input(args)
+    f = parse_poly(args.f, args.n)
     inv = inverse_system(f)
     names = [f"y{i + 1}" for i in range(f.nvars)]
     if args.json:
@@ -165,7 +159,7 @@ def cmd_inverse_system(args) -> int:
 
 
 def cmd_singular(args) -> int:
-    f = _parse_input(args)
+    f = parse_poly(args.f, args.n)
     rep = singular_report(f)
     record = classify(f, rep)
     points = [
@@ -216,14 +210,14 @@ def cmd_lefschetz(args) -> int:
         print("--json requires an explicit --seed", file=sys.stderr)
         return EXIT_INPUT_ERROR
     seed = args.seed if args.seed is not None else 0
-    f = _parse_input(args)
+    f = parse_poly(args.f, args.n)
     lef = lefschetz_degree_one(f, seed=seed, trials=args.trials, coeff_bound=args.coeff_bound)
     payload = {
         "seed": seed,
         "trials": lef.trials,
         "coeff_bound": lef.coeff_bound,
         "success": lef.success,
-        "witness": render_poly(linear_form(lef.witness)) if lef.witness else None,
+        "witness": _witness_str(lef.witness),
         "determinants": [str(d) for d in lef.determinants],
     }
     if args.json:
@@ -231,7 +225,7 @@ def cmd_lefschetz(args) -> int:
     else:
         if lef.success:
             print(f"witness after {len(lef.determinants)} trial(s): "
-                  f"{render_poly(linear_form(lef.witness))}")
+                  f"{_witness_str(lef.witness)}")
         else:
             print(f"no witness in {lef.trials} trials")
     return 0 if lef.success else 1

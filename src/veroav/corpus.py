@@ -11,7 +11,6 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 from veroav.apolar import inverse_system, smoothness
 from veroav.milnor import ScopeError
@@ -281,17 +280,15 @@ def run_corpus(
     entries: list[CorpusEntry] | None = None,
     name_filter: str | None = None,
     jobs: int = 1,
-    lefschetz_seed: int = 0,
 ) -> list[EntryResult]:
     entries = list(builtin_corpus() if entries is None else entries)
     if name_filter:
         entries = [e for e in entries if name_filter in e.name]
     if jobs > 1 and len(entries) > 1:
-        worker = partial(run_entry, lefschetz_seed=lefschetz_seed)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(worker, entries))
+            results = list(pool.map(run_entry, entries))
     else:
-        results = [run_entry(e, lefschetz_seed) for e in entries]
+        results = [run_entry(e) for e in entries]
     return results
 
 

@@ -25,10 +25,12 @@ sum unreduced, and a coefficient is taken mod p only when its monomial is
 popped, the one time it is read.  Pair management uses the
 Gebauer-Moeller variant of the product and chain criteria with the normal
 selection strategy (smallest lcm first, from a heap keyed once per pair).
-Each run memoizes the reducer of every monomial it meets.  A configurable
-degree cap turns runaway instances into a diagnostic instead of silent
-looping.  Bases stay packed: a GroebnerBasis keeps the loop's integer
-terms, and builds its Polynomial generators only when they are read.
+Each run memoizes the reducer of every monomial it meets.  A degree cap
+turns runaway instances into a diagnostic instead of silent looping; its
+one setting is the VA_DEGREE_CAP environment variable (default 60), read
+by ``_degree_cap`` alone.  Bases stay packed: a GroebnerBasis keeps the
+loop's integer terms, and builds its Polynomial generators only when they
+are read.
 
 A homogeneous run skips the S-pairs that must reduce to zero (Traverso's
 Hilbert-driven Buchberger).  Over GF(p) the bound is Froeberg's: for
@@ -99,9 +101,7 @@ class NonHomogeneousIdeal(ValueError):
     pass
 
 
-def _degree_cap(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
+def _degree_cap() -> int:
     raw = os.environ.get("VA_DEGREE_CAP")
     if raw is None:
         return DEFAULT_DEGREE_CAP
@@ -577,7 +577,6 @@ def _sorted_inputs(gens: Iterable[Polynomial]) -> list[Polynomial]:
 def buchberger(
     gens: Iterable[Polynomial],
     order: MonomialOrder = GREVLEX,
-    degree_cap: int | None = None,
     modulus: int = 0,
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``gens``: over Q by
@@ -586,7 +585,7 @@ def buchberger(
     polys = _sorted_inputs(gens)
     if not polys:
         return GroebnerBasis(0, order, (), (), True, modulus=modulus)
-    cap = _degree_cap(degree_cap)
+    cap = _degree_cap()
     pk = _packing(order, polys[0].nvars)
     inputs = [_to_mod_terms(p, pk, modulus) if modulus else _to_int_terms(p, pk) for p in polys]
     homogeneous = all(p.is_homogeneous() for p in polys)
@@ -937,9 +936,7 @@ def projective_empty(gb: GroebnerBasis) -> bool:
     return True
 
 
-def modular_certificate(
-    gens: Sequence[Polynomial], degree_cap: int | None = None
-) -> GroebnerBasis | None:
+def modular_certificate(gens: Sequence[Polynomial]) -> GroebnerBasis | None:
     """A grevlex basis of the gens over GF(MACAULAY_CHECK_PRIME) with a
     pure power of every variable, or None: when the prime divides a
     denominator, the degree cap is hit, or the basis proves nothing.  Such a
@@ -964,7 +961,7 @@ def modular_certificate(
     converted = [residues(g, p) for g in polys]
     if any(r is None for r in converted):
         return None
-    cap = _degree_cap(degree_cap)
+    cap = _degree_cap()
     pk = _packing(GREVLEX, polys[0].nvars)
     try:
         inputs = [{pk.pack(m): r for m, r in res.items()} for res in converted]
@@ -1117,7 +1114,7 @@ def _shear(gens: Sequence[Polynomial], coeffs: Sequence[int]) -> list[Polynomial
     return out
 
 
-def _missing_linear_form(polys: Sequence[Polynomial], degree_cap: int | None) -> list[int]:
+def _missing_linear_form(polys: Sequence[Polynomial]) -> list[int]:
     """Coefficients c of the first l_k = x_{n-1} + sum_{i<n-1} k^(i+1) x_i,
     k = 0, 1, 2, ..., that misses the finitely many projective zeros of the
     polys.  Each zero p rules out at most n - 1 values of k, the roots of
@@ -1126,20 +1123,15 @@ def _missing_linear_form(polys: Sequence[Polynomial], degree_cap: int | None) ->
     for k in itertools.count():
         coeffs = [k ** (i + 1) for i in range(nvars - 1)]
         ell = linear_form([*coeffs, 1])
-        if projective_empty(buchberger([*polys, ell], GREVLEX, degree_cap)):
+        if projective_empty(buchberger([*polys, ell])):
             return coeffs
 
 
-def saturate_irrelevant(
-    gens: Sequence[Polynomial],
-    order: MonomialOrder = GREVLEX,
-    degree_cap: int | None = None,
-    basis: GroebnerBasis | None = None,
-) -> GroebnerBasis:
-    """Groebner basis of (I : m^infinity), m the irrelevant maximal ideal, for
+def saturate_irrelevant(gens: Sequence[Polynomial], basis: GroebnerBasis) -> GroebnerBasis:
+    """Grevlex basis of (I : m^infinity), m the irrelevant maximal ideal, for
     an ideal with finitely many projective zeros (ValueError otherwise).
-    ``basis``, when given, is the grevlex basis of the gens, which saves
-    computing it again.
+    ``basis`` is the grevlex basis of the gens over Q, which the saturation
+    reuses rather than computing it again.
 
     Bayer-Stillman: I : m^infinity = I : l^infinity for any linear form l
     that misses the zeros.  Shearing coordinates so that l becomes the last
@@ -1151,23 +1143,22 @@ def saturate_irrelevant(
     """
     polys = [g for g in gens if not g.is_zero()]
     if not polys:
-        return GroebnerBasis(0, order, (), (), True)
+        return GroebnerBasis(0, GREVLEX, (), (), True)
     if any(not p.is_homogeneous() for p in polys):
         raise NonHomogeneousIdeal("saturation by the irrelevant ideal needs homogeneous input")
     nvars = polys[0].nvars
-    if basis is not None and (basis.order != GREVLEX or basis.modulus):
+    if basis.order != GREVLEX or basis.modulus:
         raise ValueError("saturation reuses only a grevlex basis over Q")
-    gb = basis if basis is not None else buchberger(polys, GREVLEX, degree_cap)
-    if krull_dim_quotient(gb) > 1:
+    if krull_dim_quotient(basis) > 1:
         raise ValueError("saturation needs finitely many projective zeros")
-    coeffs = _missing_linear_form(polys, degree_cap)
+    coeffs = _missing_linear_form(polys)
     sheared = any(coeffs)
     pk = _packing(GREVLEX, nvars)
-    generators = gb.packed
+    generators = basis.packed
     if sheared:
         sheared_gens = _sorted_inputs(_shear(polys, [-c for c in coeffs]))
         inputs = [_to_int_terms(p, pk) for p in sheared_gens]
-        loop = _pair_loop(inputs, pk, 0, _degree_cap(degree_cap), gb.hilbert_series.numerator)
+        loop = _pair_loop(inputs, pk, 0, _degree_cap(), basis.hilbert_series.numerator)
         generators = [_terms(g) for g in _minimalize(loop, pk)]
     # divide by the largest power x_{n-1}^e, that is, subtract e * X(x_{n-1})
     last, top = pk.units[-1], pk.shifts[-1]
@@ -1176,6 +1167,4 @@ def saturate_irrelevant(
         shift = last * min((m >> top) & _FIELD_MASK for m in terms)
         divided.append(_IPoly({m - shift: c for m, c in terms.items()}, pk))
     sat = _reduce_basis(divided, pk, GREVLEX, 0, True)
-    if sheared:
-        return buchberger(_shear(sat.generators, coeffs), order, degree_cap)
-    return sat if order == GREVLEX else buchberger(sat.generators, order, degree_cap)
+    return buchberger(_shear(sat.generators, coeffs)) if sheared else sat

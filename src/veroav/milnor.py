@@ -193,10 +193,7 @@ def coincidence_threshold(f: Polynomial) -> int:
 
 def jacobian_module_dims(f: Polynomial, q: int) -> int:
     """dim N(f)_q where N(f) = J^sat/J_f."""
-    validate_input(f)
-    if is_smooth(f):
-        return 0
-    return hilbert_value(gb_jacobian(f), q) - hilbert_value(gb_jacobian_saturation(f), q)
+    return jacobian_module_series(f, q)[q] if q >= 0 else 0
 
 
 def jacobian_module_series(f: Polynomial, top: int) -> list[int]:

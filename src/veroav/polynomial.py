@@ -17,7 +17,7 @@ import operator
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from veroav.orders import GRLEX, MonomialOrder
+from veroav.orders import GRLEX
 
 Monomial = tuple[int, ...]
 
@@ -131,8 +131,8 @@ class Polynomial:
         return cls(nvars, {mono: 1})
 
     @classmethod
-    def monomial(cls, exps: Monomial, coeff=1) -> "Polynomial":
-        return cls(len(exps), {tuple(exps): coeff})
+    def monomial(cls, exps: Monomial) -> "Polynomial":
+        return cls(len(exps), {tuple(exps): 1})
 
     # -- basic queries -----------------------------------------------------
 
@@ -157,13 +157,15 @@ class Polynomial:
     def coeff(self, mono: Monomial) -> int | Fraction:
         return self.terms.get(tuple(mono), 0)
 
-    def leading_monomial(self, order: MonomialOrder = GRLEX) -> Monomial:
+    def leading_monomial(self) -> Monomial:
+        """The grlex-largest monomial."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return order.leading(self.terms)
+        return GRLEX.leading(self.terms)
 
-    def sorted_terms(self, order: MonomialOrder = GRLEX, reverse: bool = True):
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=reverse)
+    def sorted_terms(self):
+        """The terms in descending grlex order."""
+        return sorted(self.terms.items(), key=lambda t: GRLEX.key(t[0]), reverse=True)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -345,9 +347,9 @@ class Polynomial:
             g = math.gcd(g, v)
         return self.scale(ratio(den_lcm, g))
 
-    def normalized_primitive(self, order: MonomialOrder = GRLEX) -> "Polynomial":
-        """Primitive integer form with positive leading coefficient."""
+    def normalized_primitive(self) -> "Polynomial":
+        """Primitive integer form with positive grlex-leading coefficient."""
         p = self.primitive_integer()
-        if p.terms and p.terms[p.leading_monomial(order)] < 0:
+        if p.terms and p.terms[p.leading_monomial()] < 0:
             p = -p
         return p

@@ -18,9 +18,7 @@ from veroav.orders import lex_eliminating_down_to_first
 from veroav.polynomial import Polynomial
 
 
-def _solve_affine(
-    gens: list[Polynomial], k: int, degree_cap: int | None
-) -> tuple[list[tuple[Fraction, ...]], bool]:
+def _solve_affine(gens: list[Polynomial], k: int) -> tuple[list[tuple[Fraction, ...]], bool]:
     """Rational solutions of an affine system in k variables."""
     gens = [g for g in gens if not g.is_zero()]
     if k == 0:
@@ -32,7 +30,7 @@ def _solve_affine(
         return [], False
     if any(g.degree() == 0 for g in gens):
         return [], True  # a nonzero constant: no solutions
-    gb = buchberger(gens, lex_eliminating_down_to_first(k), degree_cap)
+    gb = buchberger(gens, lex_eliminating_down_to_first(k))
     if gb.is_unit_ideal():
         return [], True
     eliminants = [
@@ -51,7 +49,7 @@ def _solve_affine(
                 solutions.append((r,))
             continue
         reduced = [g.drop_vars(range(1, k)) for g in substituted if not g.is_zero()]
-        sub_solutions, sub_complete = _solve_affine(reduced, k - 1, degree_cap)
+        sub_solutions, sub_complete = _solve_affine(reduced, k - 1)
         complete = complete and sub_complete
         for sol in sub_solutions:
             solutions.append((r,) + sol)
@@ -59,7 +57,7 @@ def _solve_affine(
 
 
 def rational_projective_points(
-    gens: Sequence[Polynomial], degree_cap: int | None = None
+    gens: Sequence[Polynomial],
 ) -> tuple[list[tuple[Fraction, ...]], bool]:
     """Rational points of V(gens) in P^{n-1}, normalized so the last nonzero
     coordinate is 1, ordered by chart (last coordinate's chart first)."""
@@ -82,7 +80,7 @@ def rational_projective_points(
             # chart entirely contained in the variety: positive-dimensional
             complete = False
             continue
-        solutions, chart_complete = _solve_affine(affine, chart, degree_cap)
+        solutions, chart_complete = _solve_affine(affine, chart)
         complete = complete and chart_complete
         for sol in solutions:
             pt = sol + (Fraction(1),) + (Fraction(0),) * (n - chart - 1)

@@ -57,6 +57,7 @@ from veroav.milnor import (
 from veroav.polynomial import Polynomial, iter_monomials, mono_mul, ratio
 from veroav.polyring import graded_basis, linear_form, power_linear_form_symbolic
 from veroav.ratpoints import rational_projective_points
+from veroav.singlocus import ProjPoint
 
 
 # ---------------------------------------------------------------------------
@@ -143,18 +144,10 @@ def _verify_witness(f: Polynomial, m: int, coeffs: Sequence[Fraction]) -> bool:
     return gb_jacobian(f).contains(ell**m)
 
 
-def _normalize_projective(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    vals = [Fraction(v) for v in vec]
-    last = max(i for i, v in enumerate(vals) if v)
-    scale = vals[last]
-    return tuple(Fraction(v, scale) for v in vals)
-
-
 def _rational_zeros(
     forms: Sequence[Polynomial],
     lift: Callable[[Sequence], tuple[Fraction, ...]],
     verify: Callable[[tuple[Fraction, ...]], bool],
-    degree_cap: int | None,
     first_only: bool,
 ) -> tuple[GroebnerBasis, bool, list[tuple[Fraction, ...]]]:
     """Decide whether the forms have a common projective zero.
@@ -166,10 +159,10 @@ def _rational_zeros(
     tried over GF(MACAULAY_CHECK_PRIME) first; that basis is returned only
     when it proves emptiness, and every other outcome is decided over Q.
     """
-    certificate = modular_certificate(forms, degree_cap)
+    certificate = modular_certificate(forms)
     if certificate is not None:
         return certificate, True, []
-    certificate = buchberger(forms, degree_cap=degree_cap)
+    certificate = buchberger(forms)
     if projective_empty(certificate):
         return certificate, True, []
     found: list[tuple[Fraction, ...]] = []
@@ -185,11 +178,11 @@ def _rational_zeros(
     k = forms[0].nvars
     collect(c for c in _projective_candidates(k) if all(g.evaluate(c) == 0 for g in forms))
     if not found:
-        collect(rational_projective_points(forms, degree_cap)[0])
+        collect(rational_projective_points(forms)[0])
     return certificate, False, found
 
 
-def condition_II(f: Polynomial, degree_cap: int | None = None) -> ConditionIIReport:
+def condition_II(f: Polynomial) -> ConditionIIReport:
     """Veronese-avoidance condition: no nonzero linear form l has
     l^(T-1) in (J_f)_{T-1}."""
     hi = validate_input(f)
@@ -201,9 +194,8 @@ def condition_II(f: Polynomial, degree_cap: int | None = None) -> ConditionIIRep
     m = hi.T - 1
     certificate, empty, witnesses = _rational_zeros(
         _power_quotient_forms(f, m),
-        _normalize_projective,
+        lambda v: ProjPoint.normalize(v).coords,
         lambda ell: _verify_witness(f, m, ell),
-        degree_cap,
         first_only=True,
     )
     if empty:
@@ -243,7 +235,7 @@ def _stage(timings: dict[str, float], key: str, label: str):
     timings[key] = (time.perf_counter() - t0) * 1000
 
 
-def check_va(f: Polynomial, degree_cap: int | None = None) -> VACertificate:
+def check_va(f: Polynomial) -> VACertificate:
     """Full Veronese-avoidance verdict with cross-checks."""
     timings: dict[str, float] = {}
     with _stage(timings, "validate", "validate"):
@@ -254,7 +246,7 @@ def check_va(f: Polynomial, degree_cap: int | None = None) -> VACertificate:
 
     if cond1.holds:
         with _stage(timings, "condition_II", "condition (II)"):
-            cond2 = condition_II(f, degree_cap)
+            cond2 = condition_II(f)
     else:
         cond2 = ConditionIIReport(False, None, None, None, note="not evaluated")
 
@@ -344,11 +336,7 @@ class PhiBaseLocusReport:
     certificate: GroebnerBasis
 
 
-def phi_base_locus(
-    f: Polynomial,
-    points: Sequence[Sequence[Fraction]],
-    degree_cap: int | None = None,
-) -> PhiBaseLocusReport:
+def phi_base_locus(f: Polynomial, points: Sequence[Sequence[Fraction]]) -> PhiBaseLocusReport:
     """Base locus of [l] -> [l^(T-1) mod (J_f)_{T-1}] restricted to the
     linear forms vanishing on the given singular points."""
     hi = validate_input(f)
@@ -378,13 +366,12 @@ def phi_base_locus(
         for j, s in enumerate(svec):
             for i in range(n):
                 coeffs[i] += Fraction(s) * i1_basis[j][i]
-        return _normalize_projective(coeffs)
+        return ProjPoint.normalize(coeffs).coords
 
     certificate, empty, base_points = _rational_zeros(
         _power_quotient_forms(f, m, lins),
         to_linear_form,
         lambda ell: _verify_witness(f, m, ell),
-        degree_cap,
         first_only=False,
     )
     return PhiBaseLocusReport(

@@ -1,6 +1,7 @@
 """Dead-code checks on the package source, standing in for a linter: every
 function is used by the package itself (or is part of the interface the
-acceptance suite imports), and every import is used.  Stdlib ``ast`` only."""
+acceptance suite imports), every import is used, and every defaulted
+parameter is set by some real caller.  Stdlib ``ast`` only."""
 
 import ast
 from pathlib import Path
@@ -225,3 +226,121 @@ def test_the_division_check_flags_int_division():
         "m.py:4 Fraction(a, b) / c / 2",
         "m.py:6 c /= 2",
     }
+
+
+PERFBENCH = SRC.parent.parent / "perfbench"
+
+# Defaulted parameters that stay although no caller above sets them.
+_KEPT_DEFAULTS = {
+    "main(argv)": "the console entry point: the script wrapper calls it with no "
+    "argument, so it reads sys.argv, and the CLI tests pass argv",
+    "buchberger(modulus)": "the tests' reference: the reduced GF(p) basis that "
+    "modular_certificate is checked against, and the lex GF(p) exponent guard",
+}
+
+
+def _callers() -> list[ast.Module]:
+    files = [*sorted(SRC.glob("*.py")), *sorted(PERFBENCH.glob("*.py")), ACCEPTANCE]
+    return [ast.parse(p.read_text(), str(p)) for p in files]
+
+
+def _passed_arguments(callers: list[ast.Module]) -> dict[str, tuple[float, set[str]]]:
+    """For every name called (the last part of ``a.b.name(...)``): the most
+    positional arguments one call passes (unbounded past a ``*args``) and
+    every keyword passed (``**kwargs`` stands for all of them, as "*")."""
+    passed: dict[str, tuple[float, set[str]]] = {}
+    for tree in callers:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            npos = len(node.args)
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                npos = float("inf")
+            keywords = {k.arg or "*" for k in node.keywords}
+            most, seen = passed.get(name, (0, set()))
+            passed[name] = (max(most, npos), seen | keywords)
+    return passed
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(callee name, function, parameter, position or None) for every
+    parameter with a default; the position counts from the first argument a
+    call passes, after ``self`` or ``cls``, and is None for keyword-only
+    ones.  An ``__init__`` is called by its class's name."""
+    methods = {
+        id(fn): cls.name
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        owner = methods.get(id(fn))
+        static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+        callee = owner if fn.name == "__init__" else fn.name
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        offset = 1 if owner is not None and not static else 0
+        first_default = len(positional) - len(args.defaults)
+        for i, a in enumerate(positional[first_default:], start=first_default):
+            yield callee, fn, a.arg, i - offset
+        for a, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield callee, fn, a.arg, None
+
+
+def _unset_defaults(defs: dict[str, ast.Module], callers: list[ast.Module]) -> list[str]:
+    """Defaulted parameters that no call among the callers passes, by
+    keyword or by position."""
+    passed = _passed_arguments(callers)
+    found = []
+    for fname, tree in defs.items():
+        for callee, fn, param, position in _defaulted_parameters(tree):
+            most, keywords = passed.get(callee, (0, set()))
+            if param in keywords or "*" in keywords:
+                continue
+            if position is not None and most > position:
+                continue
+            found.append(f"{fname}:{fn.lineno} {fn.name}({param})")
+    return found
+
+
+def test_every_default_is_overridden_by_some_caller():
+    """An option that nothing but a unit test sets is one more configuration
+    to reason about for nothing: the package, the benchmark or the
+    acceptance suite must pass every defaulted parameter somewhere."""
+    unset = _unset_defaults(_modules(), _callers())
+    kept = [u for u in unset if u.split(" ", 1)[1] in _KEPT_DEFAULTS]
+    assert len(kept) == len(_KEPT_DEFAULTS), "stale exceptions: " + ", ".join(kept)
+    offenders = [u for u in unset if u not in kept]
+    assert not offenders, "defaults no caller overrides: " + ", ".join(offenders)
+
+
+def test_the_default_check_flags_an_unused_option():
+    definitions = (
+        "def check_va(f, degree_cap=None):\n"
+        "    return f\n"
+        "def render(p, names=None, *, width=80):\n"
+        "    return p\n"
+        "class Report:\n"
+        "    def __init__(self, verdict, note=''):\n"
+        "        self.note = note\n"
+        "    def show(self, full=False):\n"
+        "        return full\n"
+    )
+    callers = (
+        "check_va(f)\n"
+        "render(p, names)\n"
+        "Report(True, 'empty').show()\n"
+    )
+    assert _unset_defaults({"m.py": ast.parse(definitions)}, [ast.parse(callers)]) == [
+        "m.py:1 check_va(degree_cap)",
+        "m.py:3 render(width)",
+        "m.py:8 show(full)",
+    ]

@@ -15,9 +15,9 @@ from veroav.groebner import DegreeCapExceeded, buchberger, modular_certificate, 
 from veroav.orders import GREVLEX
 from veroav.parsing import parse_poly
 from veroav.polynomial import Polynomial, iter_monomials
+from veroav.singlocus import ProjPoint
 from veroav.veronese import (
     MACAULAY_CHECK_PRIME,
-    _normalize_projective,
     _power_quotient_forms,
     _rational_zeros,
     check_va,
@@ -47,7 +47,7 @@ def test_modular_verdict_matches_rational_basis(f):
 
 
 def _zeros(forms):
-    return _rational_zeros(forms, _normalize_projective, lambda ell: True, None, True)
+    return _rational_zeros(forms, lambda v: ProjPoint.normalize(v).coords, lambda ell: True, True)
 
 
 def test_bad_prime_falls_back_to_rational_basis():
@@ -61,7 +61,7 @@ def test_bad_prime_falls_back_to_rational_basis():
 
 def test_prime_in_a_denominator_skips_the_modular_pass(monkeypatch):
     forms = [X3("x"), X3("y"), X3("z").scale(Fraction(1, P))]
-    assert modular_certificate(forms, None) is None
+    assert modular_certificate(forms) is None
     calls = []
     real = groebner.buchberger
     for module in (groebner, veronese):

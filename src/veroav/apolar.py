@@ -5,8 +5,8 @@ criterion.
 The action is plain differentiation, h(d/dy_1, ..., d/dy_n) F, so the
 pairing of the degree-e monomial bases is diagonal with entries alpha!.  For
 smooth f the Milnor algebra has a one-dimensional socle in degree T, and the
-inverse system is read off the socle coordinates of the degree-T monomials
-on the standard monomials of the Jacobian Groebner basis.
+inverse system is read off the socle column of the degree-T coordinate
+table of the Jacobian Groebner basis.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from veroav.groebner import buchberger, modular_certificate, projective_empty, quotient_coordinates
+from veroav.groebner import buchberger, coordinate_table, modular_certificate, projective_empty
 from veroav.milnor import InternalDefectError, gb_jacobian, is_smooth, validate_input
-from veroav.polynomial import Monomial, Polynomial, iter_monomials, mono_div
+from veroav.polynomial import Monomial, Polynomial, mono_div
 
 
 class NotSmoothError(ValueError):
@@ -67,14 +67,13 @@ def inverse_system(f: Polynomial) -> InverseSystem:
     if not is_smooth(f):
         raise NotSmoothError("the inverse system is computed for smooth hypersurfaces")
     T = hi.T
-    monos = list(iter_monomials(hi.n, T))
-    coords = quotient_coordinates(map(Polynomial.monomial, monos), gb_jacobian(f), T)
-    if len(coords[0]) != 1:
-        raise InternalDefectError(f"socle has dimension {len(coords[0])}, expected 1")
+    table = coordinate_table(gb_jacobian(f), T)
+    if len(table.basis) != 1:
+        raise InternalDefectError(f"socle has dimension {len(table.basis)}, expected 1")
     F = Polynomial(
         hi.n,
-        {alpha: Fraction(c, math.prod(map(math.factorial, alpha)))
-         for alpha, (c,) in zip(monos, coords)},
+        {alpha: Fraction(row[0], table.denominator * math.prod(map(math.factorial, alpha)))
+         for alpha, row in table.rows.items()},
     ).normalized_primitive()
     for g in f.gradient():
         if not apolar_action(g, F).is_zero():

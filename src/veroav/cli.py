@@ -21,8 +21,7 @@ from veroav.apolar import inverse_system
 from veroav.corpus import builtin_corpus, parse_corpus_file, run_corpus
 from veroav.groebner import DegreeCapExceeded
 from veroav.milnor import InternalDefectError
-from veroav.parsing import parse_poly, render_poly
-from veroav.polyring import linear_form
+from veroav.parsing import parse_poly, render_poly, render_witness
 from veroav.singlocus import classify, general_linear_position, singular_report
 from veroav.veronese import (
     check_va,
@@ -35,12 +34,6 @@ EXIT_VA_TRUE = 0
 EXIT_VA_FALSE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_DEFECT = 3
-
-
-def _witness_str(witness) -> str | None:
-    if witness is None:
-        return None
-    return render_poly(linear_form(witness))
 
 
 def _certificate_json(cert, lef, timings_enabled: bool, seed: int) -> dict:
@@ -57,7 +50,7 @@ def _certificate_json(cert, lef, timings_enabled: bool, seed: int) -> dict:
         "condition_II": {
             "evaluated": cond2.evaluated,
             "empty": cond2.empty,
-            "witness": _witness_str(cond2.witness),
+            "witness": render_witness(cond2.witness),
             "certificate_size": (
                 len(cond2.certificate.leading_monomials) if cond2.certificate else None
             ),
@@ -71,7 +64,7 @@ def _certificate_json(cert, lef, timings_enabled: bool, seed: int) -> dict:
                 "seed": seed,
                 "trials": lef.trials,
                 "success": lef.success,
-                "witness": _witness_str(lef.witness),
+                "witness": render_witness(lef.witness),
             }
             if lef is not None
             else None
@@ -129,14 +122,14 @@ def _print_human(cert, lef) -> None:
             f"over {field_name})"
         )
     else:
-        w = _witness_str(c2.witness)
+        w = render_witness(c2.witness)
         detail = f"witness {w}" if w else c2.note
         print(f"condition (II): fails -- {detail}")
     print(f"verdict: {'Veronese-avoiding' if cert.verdict else 'NOT Veronese-avoiding'}")
     if lef is not None:
         if lef.success:
             print(
-                f"lefschetz: multiplication by ({_witness_str(lef.witness)})^(T-2) "
+                f"lefschetz: multiplication by ({render_witness(lef.witness)})^(T-2) "
                 "is an isomorphism in degree 1"
             )
         else:
@@ -217,7 +210,7 @@ def cmd_lefschetz(args) -> int:
         "trials": lef.trials,
         "coeff_bound": lef.coeff_bound,
         "success": lef.success,
-        "witness": _witness_str(lef.witness),
+        "witness": render_witness(lef.witness),
         "determinants": [str(d) for d in lef.determinants],
     }
     if args.json:
@@ -225,7 +218,7 @@ def cmd_lefschetz(args) -> int:
     else:
         if lef.success:
             print(f"witness after {len(lef.determinants)} trial(s): "
-                  f"{_witness_str(lef.witness)}")
+                  f"{render_witness(lef.witness)}")
         else:
             print(f"no witness in {lef.trials} trials")
     return 0 if lef.success else 1

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 from veroav.apolar import inverse_system, smoothness
 from veroav.milnor import ScopeError
-from veroav.parsing import parse_poly, render_poly
-from veroav.polyring import linear_form
+from veroav.parsing import parse_poly, render_witness
 from veroav.singlocus import classify, general_linear_position, singular_report
 from veroav.veronese import check_va, lefschetz_degree_one
 
@@ -211,11 +210,7 @@ def run_entry(entry: CorpusEntry, lefschetz_seed: int = 0) -> EntryResult:
                 f"condition II empty: expected {entry.expect_empty}, got {cert.condition_ii.empty}"
             )
         if entry.expect_witness is not None:
-            got = (
-                render_poly(linear_form(cert.condition_ii.witness))
-                if cert.condition_ii.witness is not None
-                else None
-            )
+            got = render_witness(cert.condition_ii.witness)
             if got != entry.expect_witness:
                 failures.append(f"witness: expected {entry.expect_witness!r}, got {got!r}")
         if entry.expect_singular_count is not None:

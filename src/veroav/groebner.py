@@ -8,10 +8,11 @@ Quotient coordinates come from one table per basis and degree: the normal
 form of every degree-D monomial on the standard monomials, built in a single
 sweep in increasing monomial order, each non-standard monomial's row from
 the rows of smaller ones (as in FGLM), and memoized on the basis object.
-Every reader of coordinates in (R/I)_D shares it; the heap normal form is
-left to membership tests.  The one conversion of rational coefficients to
-residues mod p, with its refusal of a denominator the prime divides, is
-``residues``.
+The table is the only reader of coordinates in (R/I)_D: its callers read
+the rows of monomials and combine them themselves, and the heap normal
+form is left to membership tests.  The one conversion of rational
+coefficients to residues mod p, with its refusal of a denominator the
+prime divides, is ``residues``.
 
 Every counting question is read off the Hilbert series of the leading
 monomials, Q(t)/(1-t)^D, computed once per basis: Hilbert values are
@@ -77,7 +78,6 @@ import operator
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -881,33 +881,6 @@ def _coordinate_sweep(gb: GroebnerBasis, degree: int) -> CoordinateTable:
             for x, (d, nums) in rows.items()
         },
     )
-
-
-def quotient_coordinates(
-    polys: Iterable[Polynomial], gb: GroebnerBasis, degree: int
-) -> list[tuple[int | Fraction, ...]]:
-    """Coordinates in (R/I)_degree of homogeneous degree-``degree``
-    polynomials: their normal-form coefficients on
-    ``standard_monomials(gb, degree)``, read off ``coordinate_table``, as
-    canonical rationals (ints when integral).  A coordinate vector vanishes
-    exactly when the polynomial lies in the ideal."""
-    table = coordinate_table(gb, degree)
-    rows, width = table.rows, len(table.basis)
-    out = []
-    for p in polys:
-        if p.nvars != gb.nvars:
-            raise ValueError("polynomial and basis live in different rings")
-        if not p.is_zero() and (not p.is_homogeneous() or p.homogeneous_degree() != degree):
-            raise ValueError(f"polynomial is not homogeneous of degree {degree}")
-        den = _common_denominator(p)
-        acc = [0] * width
-        for m, c in p.terms.items():
-            k = c.numerator * (den // c.denominator)
-            for j, v in enumerate(rows[m]):
-                acc[j] += k * v
-        den *= table.denominator
-        out.append(tuple(ratio(v, den) for v in acc))
-    return out
 
 
 # ---------------------------------------------------------------------------

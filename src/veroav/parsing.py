@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from veroav.polynomial import Polynomial
+from veroav.polyring import linear_form
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*^()/]))")
 
@@ -200,3 +201,11 @@ def render_poly(p: Polynomial, names: Sequence[str] | None = None) -> str:
         else:
             parts.append(f" + {body}" if coeff > 0 else f" - {body}")
     return "".join(parts)
+
+
+def render_witness(witness: Sequence | None) -> str | None:
+    """The linear form with coefficient vector ``witness``, rendered; None
+    stays None."""
+    if witness is None:
+        return None
+    return render_poly(linear_form(witness))

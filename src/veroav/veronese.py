@@ -13,6 +13,10 @@ Macaulay matrix has full column rank mod p in some degree, hence over Q.
 Non-emptiness is decided over Q and witnessed, when a rational witness
 exists, by an exact membership check, which takes the heap normal form and
 so shares no code with the table.
+
+The criterion for r < n nodes is decided by the same routine: the base
+locus of l -> l^(T-1) on the linear forms through the nodes is the
+condition (II) zero set cut by the r linear conditions <a, p> = 0.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from veroav.groebner import (
     coordinate_table,
     modular_certificate,
     projective_empty,
-    quotient_coordinates,
     residues,
 )
 from veroav.linalg import MatrixQ, determinant, kernel_basis, rank, rank_residues
@@ -77,44 +80,20 @@ class ConditionIIPreconditionError(ValueError):
     """Condition (II) is only defined once condition (I) holds."""
 
 
-def _power_quotient_forms(
-    f: Polynomial, m: int, lins: Sequence[Polynomial] | None = None
-) -> list[Polynomial]:
-    """Quotient coordinates of the symbolic power (s_1 l_1 + ... + s_k l_k)^m
-    as polynomials in the parameters s_1..s_k; the linear forms l_j default
-    to the variables, which gives the coefficient parameters a_1..a_n."""
+def _power_quotient_forms(f: Polynomial, m: int) -> list[Polynomial]:
+    """Quotient coordinates of the symbolic power (a_1 x_1 + ... + a_n x_n)^m
+    as polynomials in the coefficient parameters a_1..a_n: each product of
+    powers is a monomial x^beta, whose row of the coordinate table is read
+    and weighted by its multinomial."""
     n = f.nvars
-    gb = gb_jacobian(f)
-    if lins is None:
-        # each product of powers is a monomial x^beta: read its row
-        table = coordinate_table(gb, m)
-        rows = [(beta, mult, table.rows[beta]) for beta, mult in power_linear_form_symbolic(n, m)]
-        den = table.denominator
-        return [
-            Polynomial._trusted(
-                n, {beta: ratio(mult * row[i], den) for beta, mult, row in rows if row[i]}
-            )
-            for i in range(len(table.basis))
-        ]
-    expansion = power_linear_form_symbolic(len(lins), m)
-    # powers[j][e] = lins[j]**e, each built once from the previous one
-    powers = []
-    for lin in lins:
-        row = [Polynomial.constant(n, 1)]
-        for _ in range(m):
-            row.append(row[-1] * lin)
-        powers.append(row)
-    products = []
-    for beta, _ in expansion:
-        prod = Polynomial.constant(n, 1)
-        for row, e in zip(powers, beta):
-            if e:
-                prod = prod * row[e]
-        products.append(prod)
-    coords = quotient_coordinates(products, gb, m)
+    table = coordinate_table(gb_jacobian(f), m)
+    rows = [(beta, mult, table.rows[beta]) for beta, mult in power_linear_form_symbolic(n, m)]
+    den = table.denominator
     return [
-        Polynomial(len(lins), {beta: mult * c[i] for (beta, mult), c in zip(expansion, coords)})
-        for i in range(len(coords[0]))
+        Polynomial._trusted(
+            n, {beta: ratio(mult * row[i], den) for beta, mult, row in rows if row[i]}
+        )
+        for i in range(len(table.basis))
     ]
 
 
@@ -146,18 +125,20 @@ def _verify_witness(f: Polynomial, m: int, coeffs: Sequence[Fraction]) -> bool:
 
 def _rational_zeros(
     forms: Sequence[Polynomial],
-    lift: Callable[[Sequence], tuple[Fraction, ...]],
     verify: Callable[[tuple[Fraction, ...]], bool],
     first_only: bool,
 ) -> tuple[GroebnerBasis, bool, list[tuple[Fraction, ...]]]:
     """Decide whether the forms have a common projective zero.
 
-    Returns the Groebner certificate, its emptiness verdict and, when
-    non-empty, the distinct verified rational zeros, each lifted to a
-    normalized linear form: the finite candidate list first, the rational
-    points of the zero set only if no candidate qualifies.  Emptiness is
-    tried over GF(MACAULAY_CHECK_PRIME) first; that basis is returned only
-    when it proves emptiness, and every other outcome is decided over Q.
+    The forms live in the coefficient parameters a_1..a_n of a linear form:
+    the condition (II) forms for ``condition_II``, and the same forms with
+    the linear conditions <a, p> = 0 of the singular points appended for
+    ``phi_base_locus``.  Returns the Groebner certificate, its emptiness
+    verdict and, when non-empty, the distinct verified rational zeros, each
+    normalized: the finite candidate list first, the rational points of the
+    zero set only if no candidate qualifies.  Emptiness is tried over
+    GF(MACAULAY_CHECK_PRIME) first; that basis is returned only when it
+    proves emptiness, and every other outcome is decided over Q.
     """
     certificate = modular_certificate(forms)
     if certificate is not None:
@@ -169,7 +150,7 @@ def _rational_zeros(
 
     def collect(points) -> None:
         for pt in points:
-            ell = lift(pt)
+            ell = ProjPoint.normalize(pt).coords
             if ell not in found and verify(ell):
                 found.append(ell)
                 if first_only:
@@ -194,7 +175,6 @@ def condition_II(f: Polynomial) -> ConditionIIReport:
     m = hi.T - 1
     certificate, empty, witnesses = _rational_zeros(
         _power_quotient_forms(f, m),
-        lambda v: ProjPoint.normalize(v).coords,
         lambda ell: _verify_witness(f, m, ell),
         first_only=True,
     )
@@ -338,7 +318,13 @@ class PhiBaseLocusReport:
 
 def phi_base_locus(f: Polynomial, points: Sequence[Sequence[Fraction]]) -> PhiBaseLocusReport:
     """Base locus of [l] -> [l^(T-1) mod (J_f)_{T-1}] restricted to the
-    linear forms vanishing on the given singular points."""
+    linear forms vanishing on the given singular points.
+
+    It is the zero set of the condition (II) forms cut by the linear
+    conditions <a, p> = 0, one per point: [a] is a common zero exactly when
+    l_a vanishes at every point and l_a^(T-1) lies in (J_f)_{T-1}.  So the
+    certificate is a basis in the n coefficient parameters, and the base
+    points are linear forms through the points."""
     hi = validate_input(f)
     n, m = hi.n, hi.T - 1
     r = len(points)
@@ -359,18 +345,8 @@ def phi_base_locus(f: Polynomial, points: Sequence[Sequence[Fraction]]) -> PhiBa
     cond1 = condition_I(f)
     if not cond1.holds:
         raise ConditionIIPreconditionError("gradient-generic condition fails")
-    lins = [linear_form(b) for b in i1_basis]
-
-    def to_linear_form(svec: Sequence) -> tuple[Fraction, ...]:
-        coeffs = [Fraction(0)] * n
-        for j, s in enumerate(svec):
-            for i in range(n):
-                coeffs[i] += Fraction(s) * i1_basis[j][i]
-        return ProjPoint.normalize(coeffs).coords
-
     certificate, empty, base_points = _rational_zeros(
-        _power_quotient_forms(f, m, lins),
-        to_linear_form,
+        [*_power_quotient_forms(f, m), *map(linear_form, points)],
         lambda ell: _verify_witness(f, m, ell),
         first_only=False,
     )

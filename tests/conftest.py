@@ -8,10 +8,27 @@ from fractions import Fraction
 from hypothesis import assume
 from hypothesis import strategies as st
 
+from veroav.groebner import coordinate_table
 from veroav.linalg import random_unimodular
 from veroav.milnor import ScopeError, condition_I
 from veroav.polynomial import Polynomial, iter_monomials
 from veroav.polyring import graded_basis
+
+
+def table_coordinates(polys, gb, degree) -> list[tuple[Fraction, ...]]:
+    """Coordinates in (R/I)_degree of degree-``degree`` polynomials: the
+    coefficient-weighted sums of their monomials' rows in
+    ``coordinate_table(gb, degree)``."""
+    table = coordinate_table(gb, degree)
+    out = []
+    for p in polys:
+        acc = [Fraction(0)] * len(table.basis)
+        for mono, c in p.terms.items():
+            for j, v in enumerate(table.rows[mono]):
+                acc[j] += c * Fraction(v, table.denominator)
+        out.append(tuple(acc))
+    return out
+
 
 def is_canonical(c) -> bool:
     """A canonical polynomial coefficient: an int when integral, otherwise a

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import homogeneous_polynomials, is_canonical, polynomials
+from conftest import homogeneous_polynomials, is_canonical, polynomials, table_coordinates
 from veroav.corpus import builtin_corpus
 from veroav.groebner import (
     MAX_EXPONENT,
@@ -21,7 +21,6 @@ from veroav.groebner import (
     krull_dim_quotient,
     normal_form,
     projective_empty,
-    quotient_coordinates,
     residues,
     saturate_irrelevant,
 )
@@ -210,7 +209,7 @@ def _oracle_saturation_pieces(f):
     n = f.nvars
     T = n * (f.homogeneous_degree() - 2)
     top = list(iter_monomials(n, T + 2))
-    top_coords = quotient_coordinates(map(Polynomial.monomial, top), gb_jacobian(f), T + 2)
+    top_coords = table_coordinates(map(Polynomial.monomial, top), gb_jacobian(f), T + 2)
     coords = dict(zip(top, top_coords))
     width = len(top_coords[0])
     for q in range(T + 2):

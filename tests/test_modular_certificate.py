@@ -15,7 +15,6 @@ from veroav.groebner import DegreeCapExceeded, buchberger, modular_certificate, 
 from veroav.orders import GREVLEX
 from veroav.parsing import parse_poly
 from veroav.polynomial import Polynomial, iter_monomials
-from veroav.singlocus import ProjPoint
 from veroav.veronese import (
     MACAULAY_CHECK_PRIME,
     _power_quotient_forms,
@@ -47,7 +46,7 @@ def test_modular_verdict_matches_rational_basis(f):
 
 
 def _zeros(forms):
-    return _rational_zeros(forms, lambda v: ProjPoint.normalize(v).coords, lambda ell: True, True)
+    return _rational_zeros(forms, lambda ell: True, True)
 
 
 def test_bad_prime_falls_back_to_rational_basis():

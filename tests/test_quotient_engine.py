@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import gradient_generic_forms
+from conftest import gradient_generic_forms, table_coordinates
 from veroav.apolar import inverse_system
 from veroav.corpus import builtin_corpus
 from veroav.groebner import (
@@ -20,7 +20,6 @@ from veroav.groebner import (
     buchberger,
     coordinate_table,
     normal_form,
-    quotient_coordinates,
     standard_monomials,
 )
 from veroav.linalg import MatrixQ, determinant, quotient_coords, rank
@@ -61,7 +60,7 @@ def test_coordinates_match_macaulay_reference(f, data):
             c = data.draw(st.integers(-3, 3))
             member = member + (Polynomial.monomial(mono) * g).scale(c)
         polys.append(member)
-    new = quotient_coordinates(polys, gb_jacobian(f), m)
+    new = table_coordinates(polys, gb_jacobian(f), m)
     old = [quotient_coords(coefficient_vector(p, m), jacobian_rref(f, m)) for p in polys]
     for p, a, b in zip(polys, new, old):
         assert all(c == 0 for c in a) == all(c == 0 for c in b), p
@@ -77,10 +76,8 @@ def test_standard_monomials_span_the_milnor_algebra():
     gb = gb_jacobian(f)
     assert standard_monomials(gb, 3) == ((1, 1, 1),)
     assert standard_monomials(gb, 4) == ()
-    (coords,) = quotient_coordinates([parse_poly("x*y*z", 3)], gb, 3)
+    (coords,) = table_coordinates([parse_poly("x*y*z", 3)], gb, 3)
     assert coords == (Fraction(1),)
-    with pytest.raises(ValueError):
-        quotient_coordinates([parse_poly("x^2", 3)], gb, 3)
 
 
 def test_pipeline_never_uses_the_macaulay_rref(monkeypatch):
@@ -140,7 +137,7 @@ def test_table_rows_are_heap_normal_forms(f, data):
         p = _form(n, degree, data.draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size)))
         p = p.scale(Fraction(1, data.draw(st.integers(1, 6))))
         r = normal_form(p, gb)
-        (coords,) = quotient_coordinates([p], gb, degree)
+        (coords,) = table_coordinates([p], gb, degree)
         assert coords == tuple(r.coeff(b) for b in standard_monomials(gb, degree))
 
 
@@ -161,13 +158,9 @@ def test_table_needs_a_homogeneous_basis_over_q():
     modular = buchberger(gens, modulus=MACAULAY_CHECK_PRIME)
     with pytest.raises(ValueError, match="over Q"):
         coordinate_table(modular, 2)
-    with pytest.raises(ValueError):
-        quotient_coordinates([parse_poly("x*y", 3)], modular, 2)
     affine = buchberger([parse_poly("x^2 + y", 2), parse_poly("y^2 - 1", 2)])
     with pytest.raises(ValueError, match="homogeneous"):
         coordinate_table(affine, 2)
-    with pytest.raises(ValueError):
-        quotient_coordinates([parse_poly("x*y", 2)], affine, 2)
 
 
 def _lefschetz_matrix_by_partials(f, m, coeffs):

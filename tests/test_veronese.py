@@ -1,13 +1,23 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import unimodular_matrices
-from veroav.groebner import projective_empty, quotient_coordinates
-from veroav.linalg import MatrixQ, determinant, quotient_coords, rank, rank_residues
+from conftest import table_coordinates, unimodular_matrices
+from veroav.corpus import builtin_corpus
+from veroav.groebner import normal_form, projective_empty, standard_monomials
+from veroav.linalg import (
+    MatrixQ,
+    determinant,
+    kernel_basis,
+    quotient_coords,
+    random_unimodular,
+    rank,
+    rank_residues,
+)
 from veroav.milnor import (
     condition_I,
     gb_jacobian,
@@ -23,10 +33,13 @@ from veroav.polyring import (
     power_linear_form_symbolic,
     substitute_linear,
 )
+from veroav.singlocus import ProjPoint, general_linear_position, singular_report
 from veroav.veronese import (
     MACAULAY_CHECK_PRIME,
     ConditionIIPreconditionError,
     _power_quotient_forms,
+    _rational_zeros,
+    _verify_witness,
     check_va,
     condition_II,
     f0_form,
@@ -38,30 +51,20 @@ from veroav.veronese import (
 X3 = lambda s: parse_poly(s, 3)  # noqa: E731
 
 
-@pytest.mark.parametrize("src, lins", [
-    ("x*y*z + x^3 + y^3", None),
-    ("x*y*z^2 + x^4 + y^4", None),
-    ("x*y*z^2 + x^4 + y^4 + x^3*z", [[1, 2, 0], [0, 1, -3]]),
-])
-def test_power_quotient_forms_match_products_of_powers(src, lins):
+@pytest.mark.parametrize("src", ["x*y*z + x^3 + y^3", "x*y*z^2 + x^4 + y^4"])
+def test_power_quotient_forms_match_products_of_powers(src):
     """The forms are the quotient coordinates of each product of powers
-    lin_j^beta_j, times its multinomial, read as polynomials in s."""
+    x_j^beta_j, times its multinomial, read as polynomials in a."""
     f = X3(src)
     m = 3 * (f.homogeneous_degree() - 2) - 1
-    lins = [linear_form(c) for c in lins] if lins else [Polynomial.variable(i, 3) for i in range(3)]
-    expansion = power_linear_form_symbolic(len(lins), m)
-    products = []
-    for beta, _ in expansion:
-        prod = Polynomial.constant(3, 1)
-        for lin, e in zip(lins, beta):
-            prod = prod * lin**e
-        products.append(prod)
-    coords = quotient_coordinates(products, gb_jacobian(f), m)
+    expansion = power_linear_form_symbolic(3, m)
+    products = [Polynomial.monomial(beta) for beta, _ in expansion]
+    coords = table_coordinates(products, gb_jacobian(f), m)
     expected = [
-        Polynomial(len(lins), {beta: mult * c[i] for (beta, mult), c in zip(expansion, coords)})
+        Polynomial(3, {beta: mult * c[i] for (beta, mult), c in zip(expansion, coords)})
         for i in range(len(coords[0]))
     ]
-    assert _power_quotient_forms(f, m, lins) == expected
+    assert _power_quotient_forms(f, m) == expected
 
 
 def test_condition_II_fermat_witness():
@@ -195,6 +198,135 @@ def test_phi_base_locus_rejects_dependent_points():
     f = X3("x*y*z^2 + x^4 + y^4 + x^3*z")
     with pytest.raises(DependentConditionsError):
         phi_base_locus(f, [(0, 0, 1), (0, 0, 1)])
+
+
+# ---------------------------------------------------------------------------
+# the base locus against the route restricted to the linear forms through
+# the nodes
+
+
+def _base_locus_in_kernel_parameters(f, points):
+    """The route the appended linear conditions replace: a kernel basis
+    l_1..l_k of the linear forms through the points, the heap normal forms of
+    the products of powers of the l_j read on the standard monomials, the
+    common zeros in the k parameters s of the quotient coordinates of
+    (s_1 l_1 + ... + s_k l_k)^(T-1), each lifted to a normalized linear form.
+    Returns the emptiness verdict and the set of base points."""
+    n = f.nvars
+    m = validate_input(f).T - 1
+    gb = gb_jacobian(f)
+    basis = kernel_basis(MatrixQ.from_rows([list(p) for p in points]))
+    lins = [linear_form(b) for b in basis]
+    expansion = power_linear_form_symbolic(len(lins), m)
+    standard = standard_monomials(gb, m)
+    coords = []
+    for beta, _ in expansion:
+        prod = Polynomial.constant(n, 1)
+        for lin, e in zip(lins, beta):
+            prod = prod * lin**e
+        r = normal_form(prod, gb)
+        coords.append([r.coeff(b) for b in standard])
+    forms = [
+        Polynomial(len(lins), {beta: mult * c[i] for (beta, mult), c in zip(expansion, coords)})
+        for i in range(len(standard))
+    ]
+
+    def lift(s):
+        return ProjPoint.normalize(
+            [sum(Fraction(sj) * b[i] for sj, b in zip(s, basis)) for i in range(n)]
+        ).coords
+
+    _, empty, zeros = _rational_zeros(
+        forms, lambda s: _verify_witness(f, m, lift(s)), first_only=False
+    )
+    return empty, {lift(s) for s in zeros}
+
+
+def _few_nodes(f):
+    """The nodes on which ``classify`` asks for the base locus, else None."""
+    rep = singular_report(f)
+    pts = [s.point for s in rep.points]
+    if (
+        rep.complete
+        and 0 < len(pts) < f.nvars
+        and all(s.is_node for s in rep.points)
+        and general_linear_position(pts)[0]
+    ):
+        return [p.coords for p in pts]
+    return None
+
+
+def _assert_base_locus_matches_the_restricted_route(f, points):
+    base = phi_base_locus(f, points)
+    empty, base_points = _base_locus_in_kernel_parameters(f, points)
+    assert base.empty == empty
+    assert set(base.base_points) == base_points
+    assert len(base.base_points) == len(base_points)
+    if base.empty:
+        assert projective_empty(base.certificate)
+        assert base.certificate.nvars == f.nvars
+    for ell in base.base_points:
+        assert all(linear_form(ell).evaluate(p) == 0 for p in points)
+
+
+def test_base_locus_matches_the_restricted_route_on_the_corpus():
+    calls = 0
+    for entry in builtin_corpus():
+        f = parse_poly(entry.source, entry.n)
+        points = _few_nodes(f)
+        if points is not None:
+            calls += 1
+            _assert_base_locus_matches_the_restricted_route(f, points)
+    assert calls == 7
+
+
+ONE_NODE_QUARTICS = ("x*y*z^2 + x^4 + y^4 + x^3*z", "x*y*z^2 + x^4 + y^4")
+
+
+def _moved(src, seed):
+    return substitute_linear(X3(src), random_unimodular(3, random.Random(seed)))
+
+
+FEW_NODES_CASES = [
+    ("septic-twin", X3("x*y*z^5+x^7+y^7+x^6*z")),
+    ("sextic-twin", X3("x*y*z^4+x^6+y^6")),
+    *((src, X3(src)) for src in ONE_NODE_QUARTICS),
+    # nodes off the coordinate points: linear conditions other than a_i = 0
+    *((f"{src} moved {seed}", _moved(src, seed)) for src in ONE_NODE_QUARTICS for seed in (0, 1)),
+]
+
+
+@pytest.mark.parametrize("f", [f for _, f in FEW_NODES_CASES], ids=[n for n, _ in FEW_NODES_CASES])
+def test_base_locus_matches_the_restricted_route(f):
+    points = _few_nodes(f)
+    assert points is not None
+    _assert_base_locus_matches_the_restricted_route(f, points)
+
+
+OFF_NODE_CASES = [
+    ("x*y*z^2 + x^4 + y^4", (1, 0, 0), {(0, 1, 0)}),
+    ("x*y*z^2 + x^4 + y^4", (0, 1, 1), {(1, 0, 0)}),
+    ("x*y*z^2 + x^4 + y^4", (1, 1, 0), set()),
+    ("x*y*z^4+x^6+y^6", (1, -1, 0), {(1, 1, 0)}),
+    ("x*y*z^4+x^6+y^6", (1, 0, 0), {(0, 1, 0)}),
+]
+
+
+@pytest.mark.parametrize("src, point, expected", OFF_NODE_CASES)
+def test_base_locus_through_a_point_off_the_node(src, point, expected):
+    """At a node the condition <a, p> = 0 follows from l_a^(T-1) in J_f,
+    which vanishes there; through a point that is not singular only the
+    appended condition cuts the condition (II) zero set down."""
+    f = X3(src)
+    assert set(phi_base_locus(f, [point]).base_points) == expected
+    _assert_base_locus_matches_the_restricted_route(f, [point])
+
+
+def test_moved_quartics_have_their_node_off_the_coordinate_points():
+    for src in ONE_NODE_QUARTICS:
+        for seed in (0, 1):
+            (point,) = _few_nodes(_moved(src, seed))
+            assert sum(1 for c in point if c) > 1
 
 
 def test_lefschetz_nodal_cubic():

@@ -64,9 +64,11 @@ when ((E(m) | GUARD) - E(lm)) keeps every guard bit: a field keeps its
 guard bit iff its exponent in m is at least that in lm, and no field
 borrows from the next.  Exponents are checked against the field size when
 a polynomial is packed and before every product, so a field never wraps;
-an exponent beyond it raises DegreeCapExceeded.  Monomials become tuples
-again only on the way out: leading monomials, generators when read, normal
-forms and standard monomials.
+an exponent beyond it raises DegreeCapExceeded.  The product checks are
+skipped only in a homogeneous pair-loop run under a graded order whose cap
+and input degrees are at most MAX_EXPONENT, where none can fire.
+Monomials become tuples again only on the way out: leading monomials,
+generators when read, normal forms and standard monomials.
 """
 
 from __future__ import annotations
@@ -140,7 +142,7 @@ class _Packing:
     total degree in size, and its field leaves room for a sign, so integer
     comparison of K is lexicographic comparison of keys."""
 
-    __slots__ = ("nvars", "low", "guard", "units", "shifts")
+    __slots__ = ("nvars", "low", "guard", "units", "shifts", "graded")
 
     def __init__(self, order: MonomialOrder, nvars: int):
         self.nvars = nvars
@@ -150,6 +152,7 @@ class _Packing:
         self.guard = sum(1 << (_FIELD * i + _FIELD - 1) for i in range(nvars))
         # |key component| <= total degree < 2^(key_field - 1)
         key_field = _FIELD + nvars.bit_length()
+        self.graded = order.kind != "lex"  # the key starts with the total degree
         self.units = []
         for i in range(nvars):
             key = 0
@@ -165,6 +168,15 @@ class _Packing:
     def unpack(self, x: int) -> Monomial:
         e = x & self.low
         return tuple([(e >> s) & _FIELD_MASK for s in self.shifts])
+
+    def lift(self, e: int) -> tuple[int, int]:
+        """(total degree, X) of the monomial with the exponent part e."""
+        degree = x = 0
+        for s, u in zip(self.shifts, self.units):
+            k = (e >> s) & _FIELD_MASK
+            degree += k
+            x += k * u
+        return degree, x
 
     def monomials(self, degree: int) -> Iterator[int]:
         """Every monomial of the given degree, packed, in ``iter_monomials`` order."""
@@ -249,11 +261,12 @@ class _IPoly:
     """Integer polynomial prepared for division, on packed monomials:
     primitive with a positive leading coefficient over Q, monic residues
     modulo ``modulus``.  ``e`` is the leading monomial's exponent part and
-    ``emax`` the largest exponent of each variable over all terms."""
+    ``emax`` the largest exponent of each variable over all terms, or 0
+    without ``check``: a product with it is checked only when emax is not 0."""
 
     __slots__ = ("lm", "lc", "tail", "e", "emax")
 
-    def __init__(self, terms: dict[int, int], pk: _Packing, modulus: int = 0):
+    def __init__(self, terms: dict[int, int], pk: _Packing, modulus: int = 0, check: bool = True):
         lm = max(terms)
         lc = terms[lm]
         if modulus:
@@ -270,7 +283,7 @@ class _IPoly:
         low, guard = pk.low, pk.guard
         self.e = lm & low
         emax = 0
-        for m in terms:
+        for m in terms if check else ():
             e = m & low
             ge = ((emax | guard) - e) & guard  # guard bit kept where emax_i >= e_i
             mask = ge - (ge >> (_FIELD - 1))
@@ -338,7 +351,8 @@ def _normal_form_int(
             out[m] = c
             continue
         shift = m - g.lm
-        pk.check_product(shift, g.emax)
+        if g.emax:
+            pk.check_product(shift, g.emax)
         q = math.gcd(c, g.lc)
         mult_all = g.lc // q
         mult_g = c // q
@@ -363,20 +377,14 @@ def _normal_form_int(
         steps += 1
         if steps % 16 == 0 and scale > 1:
             g_all = math.gcd(_content(coeffs), _content(out))
-            if not track_scale and g_all > 1:
+            if track_scale:
+                g_all = math.gcd(scale, g_all)
+            if g_all > 1:
                 for k in coeffs:
                     coeffs[k] //= g_all
                 for k in out:
                     out[k] //= g_all
-                scale = 1
-            else:
-                g_all = math.gcd(scale, g_all)
-                if g_all > 1:
-                    for k in coeffs:
-                        coeffs[k] //= g_all
-                    for k in out:
-                        out[k] //= g_all
-                    scale //= g_all
+                scale = scale // g_all if track_scale else 1
     return out, scale
 
 
@@ -407,7 +415,8 @@ def _normal_form_mod(
             out[m] = c
             continue
         shift = m - g.lm
-        pk.check_product(shift, g.emax)
+        if g.emax:
+            pk.check_product(shift, g.emax)
         for mt, ct in g.tail:
             key = mt + shift
             prev = coeffs.get(key)
@@ -438,8 +447,9 @@ def _spoly_int(f: _IPoly, g: _IPoly, lcm: int, pk: _Packing) -> dict[int, int]:
     monomials; the leading terms cancel and are left out."""
     sf = lcm - f.lm
     sg = lcm - g.lm
-    pk.check_product(sf, f.emax)
-    pk.check_product(sg, g.emax)
+    if f.emax | g.emax:
+        pk.check_product(sf, f.emax)
+        pk.check_product(sg, g.emax)
     q = math.gcd(f.lc, g.lc)
     cf = g.lc // q
     cg = f.lc // q
@@ -536,10 +546,14 @@ def _gm_update(
     ``guard`` is the packing's guard bits (see ``_find_reducer``)."""
     lmt = lm[t]
     lcm_t = []
+    coprime = set()  # the lcms of leading monomials coprime to lmt
     for a in lm[:t]:  # E of lcm(a, lmt): the larger exponent in every field
         ge = ((a | guard) - lmt) & guard
         mask = ge - (ge >> (_FIELD - 1))
-        lcm_t.append((a & mask) | (lmt & ~mask))
+        L = (a & mask) | (lmt & ~mask)
+        lcm_t.append(L)
+        if L == a + lmt:
+            coprime.add(L)
     dropped = [
         (i, j)
         for (i, j), L in pairs.items()
@@ -551,16 +565,16 @@ def _gm_update(
     for i, L in enumerate(lcm_t):
         by_lcm.setdefault(L, []).append(i)
     minimal: list[int] = []
+    new = []
     for L in sorted(by_lcm):  # a proper divisor M of L has E(M) < E(L)
         probe = L | guard
-        if not any((probe - M) & guard == guard for M in minimal):
+        for M in minimal:
+            if (probe - M) & guard == guard:
+                break
+        else:
             minimal.append(L)
-    new = []
-    for L in minimal:
-        group = by_lcm[L]
-        if any(L == lm[i] + lmt for i in group):
-            continue  # product criterion: coprime leading monomials
-        new.append(((group[0], t), L))
+            if L not in coprime:  # the product criterion
+                new.append(((by_lcm[L][0], t), L))
     pairs.update(new)
     return new
 
@@ -605,7 +619,12 @@ def _pair_loop(
     nor reduced.  A homogeneous run skips the pairs that ``_StandardCount``
     proves to reduce to zero, once a first zero reduction arms it: over
     GF(p) against the complete-intersection bound, over Q only when the
-    caller passes ``numerator``, the exact Hilbert numerator of the ideal."""
+    caller passes ``numerator``, the exact Hilbert numerator of the ideal.
+
+    Under a graded order no monomial of a homogeneous run has a degree
+    above max(cap, input degrees): a pair past the cap raises first, and no
+    S-polynomial or reduction raises the degree.  When that fits in a
+    field, no product can overflow, and the run skips the product checks."""
     basis: list[_IPoly] = []
     lms: list[int] = []  # E of every leading monomial, as _gm_update reads them
     pairs: dict[tuple[int, int], int] = {}
@@ -613,19 +632,20 @@ def _pair_loop(
     memo: dict = {}  # the reducer lookup's, valid while the basis only grows
     count: _StandardCount | None = None
     unarmed = bool(modulus) or numerator is not None  # armed at most once
+    degrees = _homogeneous_degrees(inputs, pk)  # read once, also for arming
+    check = not (pk.graded and degrees and max(cap, *degrees) <= MAX_EXPONENT)
 
     def add(terms: dict[int, int]) -> bool:
         reduced = _reduce(terms, basis, pk, modulus, memo)
         if not reduced:
             return False
-        g = _IPoly(reduced, pk, modulus)
+        g = _IPoly(reduced, pk, modulus, check)
         basis.append(g)
         lms.append(g.e)
         if count is not None:
             count.remove(g.lm)
         for pair, L in _gm_update(lms, pairs, len(basis) - 1, pk.guard):
-            lcm = pk.unpack(L)
-            heapq.heappush(heap, (sum(lcm), pk.pack(lcm), pair))
+            heapq.heappush(heap, (*pk.lift(L), pair))
         return True
 
     for terms in inputs:
@@ -651,7 +671,6 @@ def _pair_loop(
             # armed by the first zero reduction; the next pair's advance
             # checks every finished degree
             unarmed = False
-            degrees = _homogeneous_degrees(inputs, pk)
             if degrees:
                 bound = ci_numerator(degrees) if numerator is None else numerator
                 count = _StandardCount(basis, degrees, bound, pk)
@@ -659,10 +678,12 @@ def _pair_loop(
 
 
 def _homogeneous_degrees(inputs: list[dict[int, int]], pk: _Packing) -> list[int] | None:
-    """The degrees of the nonzero inputs, or None when one is not homogeneous."""
+    """The degrees of the nonzero inputs, or None when one is not homogeneous.
+    Under a graded order the least and the greatest monomial have the
+    smallest and the largest degree, so only they are read."""
     degrees = []
     for terms in inputs:
-        found = {sum(pk.unpack(m)) for m in terms}
+        found = {sum(pk.unpack(m)) for m in ((min(terms), max(terms)) if pk.graded else terms)}
         if len(found) > 1:
             return None
         degrees.extend(found)
@@ -681,9 +702,9 @@ class _StandardCount:
     degree e < D, dim (R/I)_D >= max(CI_D, 0); once |S_D| is down to that,
     the leading monomials of the basis span in(I)_D, and every remaining
     degree-D pair reduces to zero (Traverso 1996).  The first finished
-    degree off the bound stops the skipping for good.  S steps up one
-    degree at a time: y is standard in degree D + 1 iff it is no leading
-    monomial and every y / x_i with x_i | y is standard in degree D."""
+    degree off the bound stops the skipping for good.  S starts in the least
+    input degree and steps up one degree at a time: y is standard in degree
+    D + 1 iff it is no leading monomial and every y / x_i with x_i | y is."""
 
     __slots__ = ("pk", "numerator", "lms", "degree", "standard", "limit")
 
@@ -694,10 +715,7 @@ class _StandardCount:
         self.numerator = numerator
         self.lms = {g.lm for g in basis}
         self.degree = min(degrees)
-        level = {0}  # every monomial of degree min(degrees), packed
-        for _ in range(self.degree):
-            level = {x + u for x in level for u in pk.units}
-        self.standard = level - self.lms
+        self.standard = set(pk.monomials(self.degree)) - self.lms
         self.limit = self._bound()
 
     def _bound(self) -> int:

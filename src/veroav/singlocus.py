@@ -241,7 +241,10 @@ def classify(f: Polynomial, report: SingularReport | None = None) -> ClassifyRec
     applies: (nodal-cubic) reduced singular plane cubics are avoiding iff
     nodal; (n-points) exactly n singular points are avoiding iff n nodes in
     general position; (few-nodes) r < n independent nodes are avoiding iff
-    the power map on their linear system is base-point free."""
+    the power map on their linear system is base-point free.  The few-nodes
+    prediction shares its premise with condition (II): every partial
+    vanishes at a node p, so l^(T-1) in J_f already gives <a, p> = 0, and
+    its base locus is the condition-(II) zero set, not an independent check."""
     hi = validate_input(f)
     if report is None:
         report = singular_report(f)

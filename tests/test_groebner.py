@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import homogeneous_polynomials, is_canonical, polynomials, table_coordinates
+from veroav import groebner
 from veroav.corpus import builtin_corpus
 from veroav.groebner import (
     MAX_EXPONENT,
     DegreeCapExceeded,
     _find_reducer,
+    _homogeneous_degrees,
     _IPoly,
     _missing_linear_form,
     _packing,
@@ -19,6 +21,7 @@ from veroav.groebner import (
     buchberger,
     hilbert_value,
     krull_dim_quotient,
+    modular_certificate,
     normal_form,
     projective_empty,
     residues,
@@ -26,7 +29,7 @@ from veroav.groebner import (
 )
 from veroav.linalg import MatrixQ, kernel_basis, random_unimodular
 from veroav.milnor import gb_jacobian, is_smooth
-from veroav.orders import GREVLEX, GRLEX, LEX, lex_eliminating_down_to_first
+from veroav.orders import GREVLEX, GRLEX, LEX, MonomialOrder, lex_eliminating_down_to_first
 from veroav.parsing import parse_poly
 from veroav.polynomial import Polynomial, iter_monomials, mono_div, mono_mul
 from veroav.polyring import dim_graded, linear_form, substitute_linear
@@ -540,6 +543,31 @@ def test_packing_agrees_with_tuple_monomials(order_name, pair):
     assert _IPoly({xa: 1, xb: 1}, pk).emax == pk.pack(tuple(map(max, a, b))) & pk.low
 
 
+LIFT_ORDERS = {
+    **PACKED_ORDERS,
+    "grevlex-reversed": lambda n: MonomialOrder("grevlex", tuple(reversed(range(n)))),
+}
+
+
+@pytest.mark.parametrize("order_name", LIFT_ORDERS)
+@given(monomial_pairs())
+@settings(max_examples=100, deadline=None)
+def test_pair_heap_key_and_graded_shortcuts(order_name, pair):
+    a, b = pair
+    order = LIFT_ORDERS[order_name](len(a))
+    pk = _packing(order, len(a))
+    lcm = pk.pack(tuple(map(max, a, b))) & pk.low  # E(lcm), as _gm_update makes it
+    assert pk.lift(lcm) == (sum(pk.unpack(lcm)), pk.pack(pk.unpack(lcm)))
+    xa, xb = pk.pack(a), pk.pack(b)
+    if pk.graded:  # a graded order compares total degrees first
+        assert sum(a) == sum(b) or (xa < xb) == (sum(a) < sum(b))
+    # under a graded order, the first and last term decide homogeneity
+    terms = {xa: 1, xb: 2, pk.pack(mono_mul(a, b)): 3}
+    degrees = {sum(pk.unpack(m)) for m in terms}
+    expected = list(degrees) if len(degrees) == 1 else None
+    assert _homogeneous_degrees([terms], pk) == expected
+
+
 def test_packed_monomials_enumerate_in_iter_monomials_order():
     for n in range(0, 5):
         pk = _packing(GREVLEX, n)
@@ -566,3 +594,34 @@ def test_exponent_beyond_the_packed_field_raises(monkeypatch):
     # the largest exponent that fits is exact
     top = (MAX_EXPONENT - 1) // 2
     assert normal_form(x**top, buchberger([x - y**2], LEX)) == y ** (2 * top)
+
+
+def test_the_exponent_check_stays_where_a_field_can_overflow(monkeypatch):
+    x, y, z = (Polynomial.variable(i, 3) for i in range(3))
+    # an input degree beyond MAX_EXPONENT keeps the check under grevlex:
+    # reducing x^20000 y^20000 by x - y reaches y^40000
+    for modulus in (0, 2**31 - 1):
+        with pytest.raises(DegreeCapExceeded, match="exceeds the packed exponent limit"):
+            buchberger([x - y, x**20000 * y**20000], modulus=modulus)
+    # (x - y, x^20000 y^20000, z) has no projective zero, but its GF(p) run
+    # stops at the check, and the certificate is None
+    raised = []
+    real_loop = groebner._pair_loop
+
+    def watched(*args):
+        try:
+            return real_loop(*args)
+        except DegreeCapExceeded as exc:
+            raised.append(str(exc))
+            raise
+
+    monkeypatch.setattr(groebner, "_pair_loop", watched)
+    assert modular_certificate([x - y, x**20000 * y**20000, z]) is None
+    assert len(raised) == 1 and "exceeds the packed exponent limit" in raised[0]
+    # a degree cap beyond MAX_EXPONENT keeps it too: every input has a degree
+    # below the limit, but the S-polynomial of the pair, of degree
+    # 2^15 <= cap, is -y^32768
+    monkeypatch.setenv("VA_DEGREE_CAP", str(MAX_EXPONENT + 1))
+    for modulus in (0, 2**31 - 1):
+        with pytest.raises(DegreeCapExceeded, match="exceeds the packed exponent limit"):
+            buchberger([x**16384 - y**16384, x * y**16384], modulus=modulus)

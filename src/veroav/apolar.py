@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from veroav.groebner import buchberger, coordinate_table, modular_certificate, projective_empty
+from veroav.groebner import coordinate_table, decide_emptiness
 from veroav.milnor import InternalDefectError, gb_jacobian, is_smooth, validate_input
 from veroav.polynomial import Monomial, Polynomial, mono_div
 
@@ -82,12 +82,11 @@ def inverse_system(f: Polynomial) -> InverseSystem:
 
 
 def smoothness(F: Polynomial) -> bool:
-    """Is V(F) smooth, i.e. is the gradient ideal projectively empty?  Tried
-    over GF(p) first; only a basis over Q can show that it is not."""
+    """Is V(F) smooth, i.e. is the gradient ideal projectively empty?
+    Decided by ``groebner.decide_emptiness``, over GF(p) first."""
     if F.is_zero() or not F.is_homogeneous():
         raise ValueError("requires a nonzero homogeneous polynomial")
-    grads = F.gradient()
-    return modular_certificate(grads) is not None or projective_empty(buchberger(grads))
+    return decide_emptiness(F.gradient())[1]
 
 
 def va_via_inverse_system(f: Polynomial) -> bool:

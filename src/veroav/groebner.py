@@ -1,8 +1,7 @@
 """Buchberger's algorithm over Q or GF(p), with the ideal-theoretic helpers
 built on top of it: normal forms, quotient coordinates on standard monomials,
-projective emptiness and its modular certificate, the Hilbert series, and
-saturation by the irrelevant ideal (one grevlex basis, by the Bayer-Stillman
-criterion).
+projective emptiness, the Hilbert series, and saturation by the irrelevant
+ideal (one grevlex basis, by the Bayer-Stillman criterion).
 
 Quotient coordinates come from one table per basis and degree: the normal
 form of every degree-D monomial on the standard monomials, built in a single
@@ -34,24 +33,15 @@ loop's integer terms, and builds its Polynomial generators only when they
 are read.
 
 A homogeneous run skips the S-pairs that must reduce to zero (Traverso's
-Hilbert-driven Buchberger).  Over GF(p) the bound is Froeberg's: for
-generators of degrees d_i, HS(R/I) >= prod (1 - t^d_i) / (1 - t)^n
-lexicographically, so while every finished degree has exactly that many
-standard monomials, the current degree D has at least max(CI_D, 0) of
-them, and once the basis leaves only that many, the remaining degree-D
-pairs are skipped.  The bookkeeping is armed by the first zero reduction,
-so a run without one pays nothing, and a finished degree off the bound
-disarms it for good.  A run over Q skips only when given the exact
-Hilbert series, as the sheared basis of the saturation is.  The degree cap
-is checked before the skip, so a capped input fails the same way with or
-without it.
+Hilbert-driven Buchberger, see ``_StandardCount``): over GF(p) against
+Froeberg's complete-intersection bound, over Q only when given the exact
+Hilbert series, as the sheared bases of the saturation are.
 
-``buchberger`` returns the reduced basis.  ``modular_certificate`` returns
-a minimal one (``GroebnerBasis.reduced`` False): the same leading monomials
-and number of generators, without the interreduction of tails that an
-emptiness certificate never reads.  It does not run at all on homogeneous
-forms in which some variable has no pure power: that coordinate point is a
-common zero, so no basis could prove emptiness.
+Projective emptiness is decided in one place, ``decide_emptiness``: over
+GF(p) first (``modular_certificate``, a minimal basis or None), over Q only
+when that proves nothing.  Every pure-power test, on leading monomials or
+on input terms, reads ``_pure_power_variables``; so does the saturation's
+choice of linear form, on the sheared basis it builds anyway.
 
 Inside the engine a monomial is one packed int (Bachmann-Schoenemann 1998),
 X(m) = K(m) * 2^W + E(m).  E(m) holds the exponents in fields of _FIELD
@@ -85,7 +75,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from veroav.orders import GREVLEX, MonomialOrder
 from veroav.polynomial import Monomial, Polynomial, iter_monomials, mono_mul, ratio
-from veroav.polyring import linear_form
 
 DEFAULT_DEGREE_CAP = 60
 
@@ -914,17 +903,30 @@ def projective_empty(gb: GroebnerBasis) -> bool:
     """True iff the projective zero set is empty (over any field extension):
     every variable must have a pure power among the leading monomials."""
     _require_homogeneous(gb)
-    if gb.is_zero_ideal():
-        return False
-    if gb.is_unit_ideal():
-        return True
-    for i in range(gb.nvars):
-        if not any(
-            lm[i] and all(e == 0 for k, e in enumerate(lm) if k != i)
-            for lm in gb.leading_monomials
-        ):
-            return False
-    return True
+    powers = _pure_power_variables(gb.leading_monomials, gb.nvars)
+    return not gb.is_zero_ideal() and len(powers) == gb.nvars
+
+
+def _pure_power_variables(monomials: Iterable[Monomial], nvars: int) -> set[int]:
+    """The variables x_i of which some monomial is a pure power x_i^e; a
+    constant counts for every variable."""
+    powers = set()
+    for m in monomials:
+        support = [i for i, e in enumerate(m) if e]
+        if len(support) <= 1:
+            powers.update(support or range(nvars))
+    return powers
+
+
+def decide_emptiness(gens: Sequence[Polynomial]) -> tuple[GroebnerBasis, bool]:
+    """Whether homogeneous gens have no common projective zero, with the
+    grevlex basis that decides it: the GF(MACAULAY_CHECK_PRIME) certificate
+    when it proves emptiness, else the reduced basis over Q."""
+    certificate = modular_certificate(gens)
+    if certificate is not None:
+        return certificate, True
+    basis = buchberger(gens)
+    return basis, projective_empty(basis)
 
 
 def modular_certificate(gens: Sequence[Polynomial]) -> GroebnerBasis | None:
@@ -966,16 +968,9 @@ def modular_certificate(gens: Sequence[Polynomial]) -> GroebnerBasis | None:
 
 def _coordinate_zero(polys: Sequence[Polynomial]) -> bool:
     """Whether, for homogeneous polys, some coordinate point e_i is a
-    common zero: no poly has a term in x_i alone (a constant term counts
-    for every variable)."""
+    common zero: no poly has a term in x_i alone."""
     nvars = polys[0].nvars
-    powers = set()  # the variables with a pure power in some poly
-    for g in polys:
-        for m in g.terms:
-            support = [i for i, e in enumerate(m) if e]
-            if len(support) <= 1:
-                powers.update(support or range(nvars))
-    return len(powers) < nvars
+    return len(_pure_power_variables((m for g in polys for m in g.terms), nvars)) < nvars
 
 
 # ---------------------------------------------------------------------------
@@ -1105,17 +1100,33 @@ def _shear(gens: Sequence[Polynomial], coeffs: Sequence[int]) -> list[Polynomial
     return out
 
 
-def _missing_linear_form(polys: Sequence[Polynomial]) -> list[int]:
-    """Coefficients c of the first l_k = x_{n-1} + sum_{i<n-1} k^(i+1) x_i,
+def _sheared_basis(
+    polys: Sequence[Polynomial], basis: GroebnerBasis
+) -> tuple[list[int], Sequence[dict[int, int]]]:
+    """The coefficients c of the first l_k = x_{n-1} + sum_{i<n-1} k^(i+1) x_i,
     k = 0, 1, 2, ..., that misses the finitely many projective zeros of the
-    polys.  Each zero p rules out at most n - 1 values of k, the roots of
-    the nonzero polynomial l_k(p) in k, so the search ends."""
-    nvars = polys[0].nvars
+    polys, and a minimal grevlex basis, packed, of the polys sheared by
+    x_{n-1} -> x_{n-1} - sum c_i x_i, which takes l_k to x_{n-1} (for k = 0,
+    ``basis``).  l_k misses the zeros iff I + (l_k) has none, iff the
+    sheared basis has a pure power of every variable but x_{n-1} among its
+    leading monomials, since in(I + (x_{n-1})) = in(I) + (x_{n-1}) under
+    grevlex (Bayer-Stillman 1987).  A shear keeps the Hilbert series, so
+    each sheared basis skips the pairs the exact series of I proves zero.
+    Each zero p rules out at most n - 1 values of k, the roots of the
+    nonzero polynomial l_k(p) in k, so the search ends."""
+    nvars = basis.nvars
+    pk = _packing(GREVLEX, nvars)
     for k in itertools.count():
         coeffs = [k ** (i + 1) for i in range(nvars - 1)]
-        ell = linear_form([*coeffs, 1])
-        if projective_empty(buchberger([*polys, ell])):
-            return coeffs
+        generators: Sequence[dict[int, int]] = basis.packed
+        if k:
+            sheared = _sorted_inputs(_shear(polys, [-c for c in coeffs]))
+            inputs = [_to_int_terms(p, pk) for p in sheared]
+            loop = _pair_loop(inputs, pk, 0, _degree_cap(), basis.hilbert_series.numerator)
+            generators = [_terms(g) for g in _minimalize(loop, pk)]
+        lms = [pk.unpack(max(terms)) for terms in generators]
+        if _pure_power_variables(lms, nvars) >= set(range(nvars - 1)):
+            return coeffs, generators
 
 
 def saturate_irrelevant(gens: Sequence[Polynomial], basis: GroebnerBasis) -> GroebnerBasis:
@@ -1128,29 +1139,20 @@ def saturate_irrelevant(gens: Sequence[Polynomial], basis: GroebnerBasis) -> Gro
     that misses the zeros.  Shearing coordinates so that l becomes the last
     variable, the saturation there is any grevlex basis with every generator
     divided by its largest power of that variable; one basis in the original
-    coordinates follows the inverse shear.  A change of coordinates keeps
-    the Hilbert series, so the sheared basis is built with the exact
-    series of I and skips every pair it proves to reduce to zero.
+    coordinates follows the inverse shear.  The form l is read off the
+    sheared basis itself (``_sheared_basis``).
     """
     polys = [g for g in gens if not g.is_zero()]
     if not polys:
         return GroebnerBasis(0, GREVLEX, (), (), True)
     if any(not p.is_homogeneous() for p in polys):
         raise NonHomogeneousIdeal("saturation by the irrelevant ideal needs homogeneous input")
-    nvars = polys[0].nvars
     if basis.order != GREVLEX or basis.modulus:
         raise ValueError("saturation reuses only a grevlex basis over Q")
     if krull_dim_quotient(basis) > 1:
         raise ValueError("saturation needs finitely many projective zeros")
-    coeffs = _missing_linear_form(polys)
-    sheared = any(coeffs)
-    pk = _packing(GREVLEX, nvars)
-    generators = basis.packed
-    if sheared:
-        sheared_gens = _sorted_inputs(_shear(polys, [-c for c in coeffs]))
-        inputs = [_to_int_terms(p, pk) for p in sheared_gens]
-        loop = _pair_loop(inputs, pk, 0, _degree_cap(), basis.hilbert_series.numerator)
-        generators = [_terms(g) for g in _minimalize(loop, pk)]
+    coeffs, generators = _sheared_basis(polys, basis)
+    pk = _packing(GREVLEX, basis.nvars)
     # divide by the largest power x_{n-1}^e, that is, subtract e * X(x_{n-1})
     last, top = pk.units[-1], pk.shifts[-1]
     divided = []
@@ -1158,4 +1160,4 @@ def saturate_irrelevant(gens: Sequence[Polynomial], basis: GroebnerBasis) -> Gro
         shift = last * min((m >> top) & _FIELD_MASK for m in terms)
         divided.append(_IPoly({m - shift: c for m, c in terms.items()}, pk))
     sat = _reduce_basis(divided, pk, GREVLEX, 0, True)
-    return buchberger(_shear(sat.generators, coeffs)) if sheared else sat
+    return buchberger(_shear(sat.generators, coeffs)) if any(coeffs) else sat

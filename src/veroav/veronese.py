@@ -7,9 +7,8 @@ zero locus is exactly the set of offending linear forms.  Their coefficients
 are the rows of the degree-(T-1) coordinate table of that basis, one per
 monomial x^beta, times multinomials; the Lefschetz matrix of x -> l^(T-2) x
 is read off the same table.  Emptiness is certified by a Groebner basis with
-a pure-power leading monomial in every parameter, computed over GF(p) first
-and over Q only when that fails: a pure-power basis mod p means the forms'
-Macaulay matrix has full column rank mod p in some degree, hence over Q.
+a pure-power leading monomial in every parameter, from
+``groebner.decide_emptiness`` (over GF(p) first, over Q when that fails).
 Non-emptiness is decided over Q and witnessed, when a rational witness
 exists, by an exact membership check, which takes the heap normal form and
 so shares no code with the table.
@@ -35,9 +34,8 @@ from veroav.groebner import (
     CoordinateTable,
     DegreeCapExceeded,
     GroebnerBasis,
-    buchberger,
     coordinate_table,
-    modular_certificate,
+    decide_emptiness,
     projective_empty,
     residues,
 )
@@ -136,15 +134,11 @@ def _rational_zeros(
     ``phi_base_locus``.  Returns the Groebner certificate, its emptiness
     verdict and, when non-empty, the distinct verified rational zeros, each
     normalized: the finite candidate list first, the rational points of the
-    zero set only if no candidate qualifies.  Emptiness is tried over
-    GF(MACAULAY_CHECK_PRIME) first; that basis is returned only when it
-    proves emptiness, and every other outcome is decided over Q.
+    zero set only if no candidate qualifies.  Emptiness and its certificate
+    come from ``groebner.decide_emptiness`` (GF(p) first, then Q).
     """
-    certificate = modular_certificate(forms)
-    if certificate is not None:
-        return certificate, True, []
-    certificate = buchberger(forms)
-    if projective_empty(certificate):
+    certificate, empty = decide_emptiness(forms)
+    if empty:
         return certificate, True, []
     found: list[tuple[Fraction, ...]] = []
 
@@ -374,7 +368,11 @@ def lefschetz_degree_one(
 ) -> LefschetzReport:
     """Seeded search for a linear form l with l^(T-2): (M_f)_1 -> (M_f)_{T-1}
     an isomorphism; each trial draws integer coefficients independently (the
-    generator is split per trial index, so results are order-independent)."""
+    generator is split per trial index, so results are order-independent).
+    ``trials`` and ``coeff_bound`` must be at least 1."""
+    for name, value in (("trials", trials), ("coeff_bound", coeff_bound)):
+        if value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, not {value}")
     hi = validate_input(f)
     cond1 = condition_I(f)
     if not cond1.holds:

@@ -259,6 +259,19 @@ def test_cli_lefschetz():
     assert payload["success"] is True
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--coeff-bound", "0", "coeff_bound must be an integer >= 1, not 0"),
+    ("--coeff-bound", "-1", "coeff_bound must be an integer >= 1, not -1"),
+    ("--trials", "0", "trials must be an integer >= 1, not 0"),
+])
+def test_cli_lefschetz_refuses_an_empty_search(option, value, message):
+    # a bound of 0 can draw only the zero form, so the redraw loop never ended
+    proc = run_cli("lefschetz", "-n", "3", "-f", "x*y*z", option, value, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {message}\n"
+    assert proc.stdout == ""
+
+
 def test_cli_f0_and_dims():
     proc = run_cli("f0", "-n", "3", "-d", "4")
     assert proc.stdout.strip() == "2*x^2*y^2 + 2*x^2*z^2 + 2*y^2*z^2"

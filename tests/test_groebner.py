@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -14,10 +15,11 @@ from veroav.groebner import (
     DegreeCapExceeded,
     _find_reducer,
     _homogeneous_degrees,
+    _coordinate_zero,
     _IPoly,
-    _missing_linear_form,
     _packing,
     _shear,
+    _sheared_basis,
     buchberger,
     hilbert_value,
     krull_dim_quotient,
@@ -173,9 +175,90 @@ def test_saturation_for_each_linear_form(n, src, coeffs, expected):
     # a single form stands for its gradient ideal
     polys = [parse_poly(s, n) for s in src.split(", ")]
     gens = polys[0].gradient() if len(polys) == 1 else polys
-    assert _missing_linear_form(gens) == coeffs
+    assert _sheared_basis(gens, buchberger(gens))[0] == coeffs
     sat = _saturate(gens)
     assert sat.generators == buchberger([parse_poly(e, n) for e in expected]).generators
+
+
+def _first_missing_linear_form(gens):
+    """The reference choice of linear form: the first k with I + (l_k)
+    projectively empty, l_k = x_{n-1} + sum_{i<n-1} k^(i+1) x_i, decided on
+    a basis of the sum itself."""
+    n = gens[0].nvars
+    for k in itertools.count():
+        coeffs = [k ** (i + 1) for i in range(n - 1)]
+        if projective_empty(buchberger([*gens, linear_form([*coeffs, 1])])):
+            return coeffs
+
+
+def _line_arrangement(seed):
+    """A product of 3-4 integer linear forms in x, y, z, two of which meet
+    on z = 0, so that l_0 = z does not miss the singular points."""
+    rng = random.Random(seed)
+    a, b = rng.choice([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2)])
+    forms = [[a, b, c] for c in rng.sample(range(-3, 4), 2)]
+    size = rng.choice((3, 4))
+    while len(forms) < size:
+        v = [rng.randint(-3, 3) for _ in range(3)]
+        if any(v):
+            forms.append(v)
+    return math.prod((linear_form(v) for v in forms), start=Polynomial.constant(3, 1))
+
+
+def test_the_linear_form_read_off_the_sheared_basis_is_the_first_that_misses_the_zeros():
+    chosen = set()
+    for seed in range(24):
+        gens = _line_arrangement(seed).gradient()
+        basis = buchberger(gens)
+        if krull_dim_quotient(basis) > 1:  # a repeated line
+            continue
+        coeffs = _sheared_basis(gens, basis)[0]
+        assert coeffs == _first_missing_linear_form(gens), seed
+        chosen.add(coeffs[0])
+    assert chosen == {1, 2, 3}
+
+
+@pytest.mark.parametrize("n, d", [(3, 3), (3, 4), (4, 3), (3, 5), (4, 4), (5, 3)])
+def test_saturating_a_coordinate_node_form_builds_at_most_the_unshearing_basis(
+    n, d, monkeypatch
+):
+    # the coordinate points are the zeros, so l_0 = x_{n-1} fails and l_1
+    # is taken: one sheared basis, read for the choice and saturated, and
+    # the basis of the unshearing
+    gens = f0_form(n, d).gradient()
+    basis = buchberger(gens)
+    expected = saturate_irrelevant(gens, basis)
+    calls = []
+
+    def counted(name):
+        real = getattr(groebner, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return counting
+
+    for name in ("buchberger", "_pair_loop"):
+        monkeypatch.setattr(groebner, name, counted(name))
+    assert saturate_irrelevant(gens, basis).generators == expected.generators
+    assert calls.count("buchberger") <= 1
+    assert calls.count("_pair_loop") == 2
+
+
+def test_a_constant_counts_as_a_pure_power_of_every_variable(monkeypatch):
+    gens = [X3("x*y"), X3("x*z^2"), Polynomial.constant(3, 5)]
+    assert projective_empty(buchberger(gens))
+    assert _coordinate_zero([X3("x*y"), X3("z^2")])
+    assert not _coordinate_zero([X3("x*y"), X3("z^2"), Polynomial.constant(3, 5)])
+
+    def no_shear(*args):
+        raise AssertionError("the saturation went past k = 0")
+
+    monkeypatch.setattr(groebner, "_shear", no_shear)
+    basis = buchberger(gens)
+    assert _sheared_basis(gens, basis)[0] == [0, 0]
+    assert saturate_irrelevant(gens, basis).is_unit_ideal()
 
 
 def test_saturation_reuses_a_given_grevlex_basis(monkeypatch):

@@ -4,6 +4,7 @@ acceptance suite imports), every import is used, and every defaulted
 parameter is set by some real caller.  Stdlib ``ast`` only."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "veroav"
@@ -14,20 +15,15 @@ def _modules() -> dict[str, ast.Module]:
     return {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
 
 
-def _names_used(node: ast.AST, skip: ast.AST | None = None) -> set[str]:
-    """Every identifier read or attribute accessed under node, leaving out
-    the subtree ``skip``."""
-    out: set[str] = set()
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        if cur is skip:
-            continue
+def _identifiers(node: ast.AST) -> Counter[str]:
+    """How often each identifier is read or each attribute accessed under
+    node."""
+    out: Counter[str] = Counter()
+    for cur in ast.walk(node):
         if isinstance(cur, ast.Name):
-            out.add(cur.id)
+            out[cur.id] += 1
         elif isinstance(cur, ast.Attribute):
-            out.add(cur.attr)
-        stack.extend(ast.iter_child_nodes(cur))
+            out[cur.attr] += 1
     return out
 
 
@@ -40,9 +36,11 @@ def _imported_by(tree: ast.Module) -> set[str]:
     }
 
 
-def test_every_function_is_used_by_the_package_or_the_acceptance_suite():
-    modules = _modules()
-    public = _imported_by(ast.parse(ACCEPTANCE.read_text()))
+def _unused_functions(modules: dict[str, ast.Module], public: set[str]) -> list[str]:
+    """Functions whose names no module mentions outside their own body, so
+    that a function's uses of itself do not count.  Identifiers are counted
+    once per module, and each function's own are subtracted from the total."""
+    total: Counter[str] = sum(map(_identifiers, modules.values()), Counter())
     unused = []
     for fname, tree in modules.items():
         for node in ast.walk(tree):
@@ -51,15 +49,40 @@ def test_every_function_is_used_by_the_package_or_the_acceptance_suite():
             name = node.name
             if name.startswith("__") and name.endswith("__") or name in public:
                 continue
-            if not any(name in _names_used(t, skip=node) for t in modules.values()):
+            if total[name] == _identifiers(node)[name]:
                 unused.append(f"{fname}:{node.lineno} {name}")
+    return unused
+
+
+def test_every_function_is_used_by_the_package_or_the_acceptance_suite():
+    public = _imported_by(ast.parse(ACCEPTANCE.read_text()))
+    unused = _unused_functions(_modules(), public)
     assert not unused, "functions nothing in the package calls: " + ", ".join(unused)
+
+
+def test_the_usage_check_flags_unused_and_self_only_functions():
+    modules = {
+        "a.py": ast.parse(
+            "def unused(x):\n"
+            "    return x\n"
+            "def recursive(n):\n"
+            "    return recursive(n - 1) if n else 0\n"
+            "def helper(x):\n"
+            "    return x\n"
+        ),
+        "b.py": ast.parse(
+            "from a import helper\n"
+            "def main():\n"
+            "    return helper(2)\n"
+        ),
+    }
+    assert _unused_functions(modules, {"main"}) == ["a.py:1 unused", "a.py:3 recursive"]
 
 
 def test_every_import_is_used():
     unused = []
     for fname, tree in _modules().items():
-        used = _names_used(tree)
+        used = set(_identifiers(tree))
         if fname == "__init__.py":
             used |= {
                 elt.value

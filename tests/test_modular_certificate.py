@@ -10,8 +10,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import gradient_generic_forms
-from veroav import groebner, veronese
-from veroav.groebner import DegreeCapExceeded, buchberger, modular_certificate, projective_empty
+from veroav import groebner
+from veroav.groebner import (
+    DegreeCapExceeded,
+    buchberger,
+    decide_emptiness,
+    modular_certificate,
+    projective_empty,
+)
 from veroav.orders import GREVLEX
 from veroav.parsing import parse_poly
 from veroav.polynomial import Polynomial, iter_monomials
@@ -63,8 +69,7 @@ def test_prime_in_a_denominator_skips_the_modular_pass(monkeypatch):
     assert modular_certificate(forms) is None
     calls = []
     real = groebner.buchberger
-    for module in (groebner, veronese):
-        monkeypatch.setattr(module, "buchberger", lambda *a, **k: calls.append(k) or real(*a, **k))
+    monkeypatch.setattr(groebner, "buchberger", lambda *a, **k: calls.append(k) or real(*a, **k))
     certificate, empty, _ = _zeros(forms)
     assert certificate.modulus == 0 and empty
     assert all(not k.get("modulus") for k in calls)
@@ -296,3 +301,15 @@ def test_the_coordinate_check_leaves_non_homogeneous_input_alone(monkeypatch):
     runs = _watch_pair_loop(monkeypatch, allowed=True)
     assert modular_certificate([X3("x*y - x"), X3("x*y"), X3("z^2")]) is None
     assert len(runs) == 1
+
+
+def test_decide_emptiness_returns_the_basis_that_decides():
+    certificate, empty = decide_emptiness([X3("x^2 + y*z"), X3("y^2"), X3("z^2 + x*y")])
+    assert empty and certificate.modulus == P and not certificate.reduced
+    # (1:1:1) is a common zero: the GF(p) run proves nothing, Q decides
+    forms = [X3("x^2 - y*z"), X3("y^2 - x*z"), X3("z^2 - x*y")]
+    basis, empty = decide_emptiness(forms)
+    assert not empty and basis.generators == buchberger(forms).generators
+    # the prime in a denominator: Q proves the emptiness
+    basis, empty = decide_emptiness([X3("x"), X3("y"), X3("z").scale(Fraction(1, P))])
+    assert empty and basis.modulus == 0

@@ -82,11 +82,19 @@ def _print_json(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
-def cmd_check(args) -> int:
+def _trial_seed(args) -> int | None:
+    """The seed of the Lefschetz trials, 0 by default; None, after the
+    diagnostic, when --json comes without an explicit --seed."""
     if args.json and args.seed is None:
         print("--json requires an explicit --seed", file=sys.stderr)
+        return None
+    return args.seed or 0
+
+
+def cmd_check(args) -> int:
+    seed = _trial_seed(args)
+    if seed is None:
         return EXIT_INPUT_ERROR
-    seed = args.seed if args.seed is not None else 0
     f = parse_poly(args.f, args.n)
     cert = check_va(f)
     lef = None
@@ -199,10 +207,9 @@ def cmd_singular(args) -> int:
 
 
 def cmd_lefschetz(args) -> int:
-    if args.json and args.seed is None:
-        print("--json requires an explicit --seed", file=sys.stderr)
+    seed = _trial_seed(args)
+    if seed is None:
         return EXIT_INPUT_ERROR
-    seed = args.seed if args.seed is not None else 0
     f = parse_poly(args.f, args.n)
     lef = lefschetz_degree_one(f, seed=seed, trials=args.trials, coeff_bound=args.coeff_bound)
     payload = {
@@ -269,11 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-f", type=str, required=True, help="polynomial in the expression grammar")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
+    def add_trial_args(p):
+        p.add_argument("--seed", type=int, default=None, help="seed for the Lefschetz trials")
+        p.add_argument("--trials", type=int, default=5)
+        p.add_argument("--coeff-bound", type=int, default=50)
+
     check = sub.add_parser("check", help="decide the Veronese-avoiding property")
     add_poly_args(check)
-    check.add_argument("--seed", type=int, default=None, help="seed for the Lefschetz trials")
-    check.add_argument("--trials", type=int, default=5)
-    check.add_argument("--coeff-bound", type=int, default=50)
+    add_trial_args(check)
     check.add_argument("--skip-lefschetz", action="store_true")
     check.add_argument("--timings", action="store_true", help="include timings in JSON output")
     check.set_defaults(func=cmd_check)
@@ -288,9 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lef = sub.add_parser("lefschetz", help="seeded degree-one Lefschetz rank check")
     add_poly_args(lef)
-    lef.add_argument("--seed", type=int, default=None)
-    lef.add_argument("--trials", type=int, default=5)
-    lef.add_argument("--coeff-bound", type=int, default=50)
+    add_trial_args(lef)
     lef.set_defaults(func=cmd_lefschetz)
 
     f0 = sub.add_parser("f0", help="print the coordinate-node auxiliary form")

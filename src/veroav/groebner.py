@@ -1,7 +1,13 @@
-"""Buchberger's algorithm over Q or GF(p), with the ideal-theoretic helpers
-built on top of it: normal forms, quotient coordinates on standard monomials,
-projective emptiness, the Hilbert series, and saturation by the irrelevant
-ideal (one grevlex basis, by the Bayer-Stillman criterion).
+"""Buchberger's algorithm, with the ideal-theoretic helpers built on top of
+it: normal forms, quotient coordinates on standard monomials, projective
+emptiness, the Hilbert series, and saturation by the irrelevant ideal (one
+grevlex basis, by the Bayer-Stillman criterion).
+
+There are two kinds of run, one pair loop.  ``buchberger`` computes the
+reduced basis over Q, under any order and on any input.  Over GF(p) there
+is one run, ``modular_certificate``: homogeneous input, grevlex, and a
+minimal basis that certifies projective emptiness.  It refuses
+non-homogeneous input and degrees beyond the packed field before it starts.
 
 Quotient coordinates come from one table per basis and degree: the normal
 form of every degree-D monomial on the standard monomials, built in a single
@@ -33,9 +39,9 @@ loop's integer terms, and builds its Polynomial generators only when they
 are read.
 
 A homogeneous run skips the S-pairs that must reduce to zero (Traverso's
-Hilbert-driven Buchberger, see ``_StandardCount``): over GF(p) against
-Froeberg's complete-intersection bound, over Q only when given the exact
-Hilbert series, as the sheared bases of the saturation are.
+Hilbert-driven Buchberger, see ``_StandardCount``): the GF(p) run against
+Froeberg's complete-intersection bound, a run over Q only when given the
+exact Hilbert series, as the sheared bases of the saturation are.
 
 Projective emptiness is decided in one place, ``decide_emptiness``: over
 GF(p) first (``modular_certificate``, a minimal basis or None), over Q only
@@ -56,7 +62,8 @@ borrows from the next.  Exponents are checked against the field size when
 a polynomial is packed and before every product, so a field never wraps;
 an exponent beyond it raises DegreeCapExceeded.  The product checks are
 skipped only in a homogeneous pair-loop run under a graded order whose cap
-and input degrees are at most MAX_EXPONENT, where none can fire.
+and input degrees are at most MAX_EXPONENT, where none can fire.  Every
+GF(p) run is one, so only the work over Q checks products.
 Monomials become tuples again only on the way out: leading monomials,
 generators when read, normal forms and standard monomials.
 """
@@ -235,13 +242,6 @@ def residues(p: Polynomial, modulus: int) -> dict[Monomial, int] | None:
     return out
 
 
-def _to_mod_terms(p: Polynomial, pk: _Packing, modulus: int) -> dict[int, int]:
-    res = residues(p, modulus)
-    if res is None:
-        raise ValueError(f"a coefficient's denominator is divisible by {modulus}")
-    return {pk.pack(m): r for m, r in res.items()}
-
-
 def _from_terms(terms: dict[int, int], pk: _Packing, den: int) -> Polynomial:
     return Polynomial._trusted(pk.nvars, {pk.unpack(m): ratio(c, den) for m, c in terms.items()})
 
@@ -389,7 +389,9 @@ def _normal_form_mod(
     Lazy residues: a tail update accumulates prev - c * ct as a plain int,
     and a coefficient is reduced mod p only when its monomial is popped,
     the one time it is read.  A coefficient that cancels stays in ``coeffs``
-    until then, so every monomial enters the heap once."""
+    until then, so every monomial enters the heap once.  No product is
+    checked: every GF(p) run is a ``modular_certificate`` run, whose
+    exponents all fit in a field."""
     coeffs = dict(f)
     out: dict[int, int] = {}
     heap = [-m for m in coeffs]
@@ -404,8 +406,6 @@ def _normal_form_mod(
             out[m] = c
             continue
         shift = m - g.lm
-        if g.emax:
-            pk.check_product(shift, g.emax)
         for mt, ct in g.tail:
             key = mt + shift
             prev = coeffs.get(key)
@@ -462,12 +462,13 @@ def _spoly_int(f: _IPoly, g: _IPoly, lcm: int, pk: _Packing) -> dict[int, int]:
 @dataclass(frozen=True, eq=False)
 class GroebnerBasis:
     """Groebner basis with monic generators, sorted by decreasing leading
-    monomial, no leading monomial dividing another's.  ``reduced`` True:
-    no term of a generator is divisible by another generator's leading
-    monomial.  ``reduced`` False (the GF(p) emptiness certificates): the
-    tails are not interreduced, so the generators depend on the run, while
-    the leading monomials, and every count read off them, are those of the
-    reduced basis.
+    monomial, no leading monomial dividing another's.  Over Q (``modulus``
+    0, from ``buchberger``) it is reduced: no term of a generator is
+    divisible by another generator's leading monomial.  Over GF(p) it is
+    the minimal emptiness certificate of ``modular_certificate``, grevlex
+    and homogeneous: the tails are not interreduced, so the generators
+    depend on the run, while the leading monomials, and every count read
+    off them, are those of the reduced basis.
 
     The basis keeps the engine's packed terms: over Q primitive integers,
     the generator being terms / (leading coefficient); over GF(p) monic
@@ -480,7 +481,6 @@ class GroebnerBasis:
     packed: tuple[dict[int, int], ...] = field(repr=False)
     leading_monomials: tuple[Monomial, ...]
     homogeneous: bool
-    reduced: bool = True
     modulus: int = 0  # 0 over Q, else the prime p of GF(p)
 
     @cached_property
@@ -577,22 +577,16 @@ def _sorted_inputs(gens: Iterable[Polynomial]) -> list[Polynomial]:
     return sorted(polys, key=lambda q: (q.degree(), len(q.terms)))
 
 
-def buchberger(
-    gens: Iterable[Polynomial],
-    order: MonomialOrder = GREVLEX,
-    modulus: int = 0,
-) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by ``gens``: over Q by
-    default, over GF(modulus) when ``modulus`` is a prime (the coefficients
-    are read as residues; a denominator divisible by it raises ValueError)."""
+def buchberger(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX) -> GroebnerBasis:
+    """Reduced Groebner basis over Q of the ideal generated by ``gens``.
+    The one run over GF(p) is ``modular_certificate``'s."""
     polys = _sorted_inputs(gens)
     if not polys:
-        return GroebnerBasis(0, order, (), (), True, modulus=modulus)
-    cap = _degree_cap()
+        return GroebnerBasis(0, order, (), (), True)
     pk = _packing(order, polys[0].nvars)
-    inputs = [_to_mod_terms(p, pk, modulus) if modulus else _to_int_terms(p, pk) for p in polys]
+    inputs = [_to_int_terms(p, pk) for p in polys]
     homogeneous = all(p.is_homogeneous() for p in polys)
-    return _reduce_basis(_pair_loop(inputs, pk, modulus, cap), pk, order, modulus, homogeneous)
+    return _reduce_basis(_pair_loop(inputs, pk, 0, _degree_cap()), pk, order, homogeneous)
 
 
 def _pair_loop(
@@ -751,19 +745,18 @@ def _terms(g: _IPoly) -> dict[int, int]:
 
 
 def _reduce_basis(
-    basis: list[_IPoly], pk: _Packing, order: MonomialOrder, modulus: int, homogeneous: bool
+    basis: list[_IPoly], pk: _Packing, order: MonomialOrder, homogeneous: bool
 ) -> GroebnerBasis:
+    """The reduced basis over Q: the minimal one with interreduced tails."""
     minimal = _minimalize(basis, pk)
-    # interreduce tails; over GF(p) the leading term stays 1, since no
-    # other leading monomial divides it
     return _basis_of(
         [
-            _reduce(_terms(g), minimal[:idx] + minimal[idx + 1 :], pk, modulus, {})
+            _reduce(_terms(g), minimal[:idx] + minimal[idx + 1 :], pk, 0, {})
             for idx, g in enumerate(minimal)
         ],
         pk,
         order,
-        modulus,
+        0,
         homogeneous,
     )
 
@@ -774,7 +767,6 @@ def _basis_of(
     order: MonomialOrder,
     modulus: int,
     homogeneous: bool,
-    reduced: bool = True,
 ) -> GroebnerBasis:
     """The GroebnerBasis of packed generators, by decreasing leading
     monomial.  ``homogeneous`` True says that the generators come from
@@ -786,7 +778,6 @@ def _basis_of(
         tuple(polys),
         tuple(pk.unpack(max(terms)) for terms in polys),
         homogeneous or _homogeneous_degrees(polys, pk) is not None,
-        reduced,
         modulus,
     )
 
@@ -930,39 +921,42 @@ def decide_emptiness(gens: Sequence[Polynomial]) -> tuple[GroebnerBasis, bool]:
 
 
 def modular_certificate(gens: Sequence[Polynomial]) -> GroebnerBasis | None:
-    """A grevlex basis of the gens over GF(MACAULAY_CHECK_PRIME) with a
-    pure power of every variable, or None: when the prime divides a
+    """A grevlex basis of homogeneous gens over GF(MACAULAY_CHECK_PRIME)
+    with a pure power of every variable, or None: when the prime divides a
     denominator, the degree cap is hit, or the basis proves nothing.  Such a
     basis means the gens' Macaulay matrix has full column rank mod p in
     some degree, hence over Q (Lazard 1983), so the zero set is empty over Q
     too; only a non-empty answer needs the basis over Q.
 
-    The basis is minimal, not reduced (``reduced`` is False): emptiness
-    reads only the leading monomials, which are those of the reduced basis,
-    so the tails are not interreduced.
+    This is the package's one GF(p) Groebner run.  The basis is minimal,
+    not reduced: emptiness reads only the leading monomials, which are those
+    of the reduced basis, so the tails are not interreduced.
 
-    None comes without a run, too, when the gens are homogeneous and some
-    variable has a pure power in none of them: then that coordinate point
-    is a common zero, and no basis can prove emptiness."""
+    Refused before any run: non-homogeneous gens raise NonHomogeneousIdeal,
+    and None comes back when max(cap, largest input degree) exceeds
+    MAX_EXPONENT, so that no product in the run can overflow a field, or
+    when some variable has a pure power in none of the gens: then that
+    coordinate point is a common zero, and no basis can prove emptiness."""
     p = MACAULAY_CHECK_PRIME
     polys = _sorted_inputs(gens)
     if not polys:
         return None
-    homogeneous = all(g.is_homogeneous() for g in polys)
-    if homogeneous and _coordinate_zero(polys):
+    if not all(g.is_homogeneous() for g in polys):
+        raise NonHomogeneousIdeal("the modular certificate needs homogeneous gens")
+    cap = _degree_cap()
+    if max(cap, polys[-1].degree()) > MAX_EXPONENT or _coordinate_zero(polys):
         return None
     converted = [residues(g, p) for g in polys]
     if any(r is None for r in converted):
         return None
-    cap = _degree_cap()
     pk = _packing(GREVLEX, polys[0].nvars)
+    inputs = [{pk.pack(m): r for m, r in res.items()} for res in converted]
     try:
-        inputs = [{pk.pack(m): r for m, r in res.items()} for res in converted]
         basis = _pair_loop(inputs, pk, p, cap)
     except DegreeCapExceeded:
         return None
     minimal = [_terms(g) for g in _minimalize(basis, pk)]
-    certificate = _basis_of(minimal, pk, GREVLEX, p, homogeneous, reduced=False)
+    certificate = _basis_of(minimal, pk, GREVLEX, p, True)
     return certificate if projective_empty(certificate) else None
 
 
@@ -1159,5 +1153,5 @@ def saturate_irrelevant(gens: Sequence[Polynomial], basis: GroebnerBasis) -> Gro
     for terms in generators:
         shift = last * min((m >> top) & _FIELD_MASK for m in terms)
         divided.append(_IPoly({m - shift: c for m, c in terms.items()}, pk))
-    sat = _reduce_basis(divided, pk, GREVLEX, 0, True)
+    sat = _reduce_basis(divided, pk, GREVLEX, True)
     return buchberger(_shear(sat.generators, coeffs)) if any(coeffs) else sat

@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Elimination is fraction-free (Bareiss-style one-step Gauss-Jordan on an
-integer-cleared copy, dividing by the previous pivot at every step), followed
-by a single normalization pass.  This bounds intermediate entries by minors
-of the input instead of letting gcd-heavy Fraction arithmetic dominate.
+One forward elimination, ``_echelon``, serves every exact question: it is
+fraction-free (Bareiss, on an integer-cleared copy, dividing by the previous
+pivot at every step), which bounds intermediate entries by minors of the
+input instead of letting gcd-heavy Fraction arithmetic dominate.  The rank
+is its pivot count, the determinant its signed last pivot, and the RREF the
+same pass plus an integer back-substitution and one normalization.
 """
 
 from __future__ import annotations
@@ -52,59 +54,74 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
-def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Each row times the lcm of its denominators, and the product of those
+    lcms."""
     out = []
+    scale = 1
     for row in rows:
-        scale = 1
+        den = 1
         for x in row:
-            scale = scale * x.denominator // math.gcd(scale, x.denominator)
-        out.append([int(x * scale) for x in row])
-    return out
+            den = den * x.denominator // math.gcd(den, x.denominator)
+        out.append([x.numerator * (den // x.denominator) for x in row])
+        scale *= den
+    return out, scale
+
+
+def _echelon(a: list[list[int]]) -> tuple[list[int], int]:
+    """Forward fraction-free (Bareiss) elimination of the integer rows in
+    place: the pivot columns, and the sign of the row swaps.  Each pivot
+    divides the next step exactly, so the entries stay minors of the input:
+    pivot row k leads with the (k+1)-st leading minor of the pivot rows and
+    columns, and every entry below a pivot is 0."""
+    nrows = len(a)
+    pivots: list[int] = []
+    sign = prev = 1
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if a[i][c]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            a[r], a[pivot_row] = a[pivot_row], a[r]
+            sign = -sign
+        p = a[r][c]
+        tail = a[r][c + 1 :]
+        for i in range(r + 1, nrows):
+            row = a[i]
+            f = row[c]
+            row[c] = 0
+            row[c + 1 :] = [_exact_div(p * x - f * y, prev) for x, y in zip(row[c + 1 :], tail)]
+        pivots.append(c)
+        prev = p
+    return pivots, sign
 
 
 def rref(M: MatrixQ) -> RrefResult:
-    """Exact RREF via fraction-free Gauss-Jordan with final normalization."""
-    nrows, ncols = M.rows, M.cols
-    a = _integer_rows(M.entries)
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        pivot_row = None
-        for i in range(r, nrows):
-            if a[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        p = a[r][c]
-        for i in range(nrows):
-            if i == r:
-                continue
-            row_i = a[i]
-            f = row_i[c]
+    """Exact RREF: the forward elimination, then back-substitution.  With D
+    the last pivot, D times the RREF is an integer matrix, so each pivot row
+    becomes D times its RREF row, bottom up, by one exact division."""
+    a, _ = _integer_rows(M.entries)
+    pivots, _ = _echelon(a)
+    rank = len(pivots)
+    last = a[rank - 1][pivots[-1]] if pivots else 1
+    for i in reversed(range(rank)):
+        row, c = a[i], pivots[i]
+        acc = [last * x for x in row[c:]]
+        for k in range(i + 1, rank):
+            f = row[pivots[k]]
             if f:
-                row_r = a[r]
-                for j in range(ncols):
-                    row_i[j] = _exact_div(p * row_i[j] - f * row_r[j], prev)
-            else:
-                for j in range(ncols):
-                    row_i[j] = _exact_div(p * row_i[j], prev)
-        pivots.append(c)
-        prev = p
-        r += 1
-    norm_rows = []
-    for i, c in enumerate(pivots):
-        p = a[i][c]
-        norm_rows.append(tuple(Fraction(x, p) for x in a[i]))
-    return RrefResult(tuple(norm_rows), tuple(pivots), len(pivots), ncols)
+                acc = [x - f * y for x, y in zip(acc, a[k][c:])]
+        a[i] = [0] * c + [_exact_div(x, row[c]) for x in acc]
+    norm_rows = tuple(tuple(Fraction(x, last) for x in a[i]) for i in range(rank))
+    return RrefResult(norm_rows, tuple(pivots), rank, M.cols)
 
 
 def rank(M: MatrixQ) -> int:
-    return rref(M).rank
+    a, _ = _integer_rows(M.entries)
+    return len(_echelon(a)[0])
 
 
 def kernel_basis(M: MatrixQ) -> list[tuple[Fraction, ...]]:
@@ -122,35 +139,15 @@ def kernel_basis(M: MatrixQ) -> list[tuple[Fraction, ...]]:
 
 
 def determinant(M: MatrixQ) -> Fraction:
-    """Exact determinant (forward Bareiss on an integer-cleared copy)."""
+    """Exact determinant: the signed last pivot of the forward elimination
+    over the row scales."""
     if M.rows != M.cols:
         raise ValueError("determinant requires a square matrix")
-    n = M.rows
-    if n == 0:
-        return Fraction(1)
-    a = []
-    scale = 1  # the product of the row denominators
-    for row in M.entries:
-        den = 1
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        scale *= den
-        a.append([int(x * den) for x in row])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return Fraction(0)
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = _exact_div(a[k][k] * a[i][j] - a[i][k] * a[k][j], prev)
-            a[i][k] = 0
-        prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1], scale)
+    a, scale = _integer_rows(M.entries)
+    pivots, sign = _echelon(a)
+    if len(pivots) < M.rows:
+        return Fraction(0)
+    return Fraction(sign * a[-1][-1], scale) if a else Fraction(1)
 
 
 def quotient_coords(v: Sequence, L: RrefResult) -> tuple[Fraction, ...]:

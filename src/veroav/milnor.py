@@ -69,7 +69,6 @@ class HypersurfaceInput:
 class ConditionIReport:
     dim_milnor_top_minus_one: int
     holds: bool
-    dim_jacobian_piece: int
 
 
 @lru_cache(maxsize=256)
@@ -136,7 +135,7 @@ def condition_I(f: Polynomial) -> ConditionIReport:
     hi = validate_input(f)
     m = hi.T - 1
     dim_m = hilbert_value(gb_jacobian(f), m)
-    return ConditionIReport(dim_m, dim_m == hi.n, dim_graded(hi.n, m) - dim_m)
+    return ConditionIReport(dim_m, dim_m == hi.n)
 
 
 def smooth_numerator(n: int, d: int) -> tuple[int, ...]:

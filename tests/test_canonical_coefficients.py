@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import coefficients, homogeneous_polynomials, is_canonical, polynomials
 from veroav.apolar import inverse_system
 from veroav.corpus import builtin_corpus
-from veroav.groebner import MACAULAY_CHECK_PRIME, buchberger
+from veroav.groebner import MACAULAY_CHECK_PRIME, buchberger, modular_certificate
 from veroav.milnor import condition_I, is_smooth
 from veroav.parsing import parse_poly, render_poly
 from veroav.polynomial import Polynomial, canonical, ratio
@@ -84,14 +84,15 @@ def test_linear_form_is_canonical(coeffs):
                                         max_terms=4), min_size=1, max_size=3))
 @settings(max_examples=40, deadline=None)
 def test_groebner_generators_are_canonical(gens):
-    for modulus in (0, MACAULAY_CHECK_PRIME):
-        try:
-            gb = buchberger(gens, modulus=modulus)
-        except ValueError:  # the prime divides a denominator
-            continue
-        assert all(_all_canonical(g) for g in gb.generators)
-        if modulus:
-            assert all(0 < c < modulus for g in gb.generators for c in g.terms.values())
+    assert all(_all_canonical(g) for g in buchberger(gens).generators)
+    # pure cubes make the zero set empty, so the GF(p) certificate exists
+    # unless the prime divides a denominator
+    cubes = [parse_poly(s, 3) for s in ("x^3", "y^3", "z^3")]
+    certificate = modular_certificate([*gens, *cubes])
+    if certificate is not None:
+        p = MACAULAY_CHECK_PRIME
+        assert all(_all_canonical(g) for g in certificate.generators)
+        assert all(0 < c < p for g in certificate.generators for c in g.terms.values())
 
 
 @given(dense_smooth_plane_forms())

@@ -277,7 +277,7 @@ def test_saturation_reuses_a_given_grevlex_basis(monkeypatch):
     with pytest.raises(ValueError, match="grevlex basis over Q"):
         saturate_irrelevant(gens, basis=buchberger(gens, LEX))
     with pytest.raises(ValueError, match="grevlex basis over Q"):
-        saturate_irrelevant(gens, basis=buchberger(gens, modulus=P31))
+        saturate_irrelevant(gens, basis=modular_certificate(X3("x^3+y^3+z^3").gradient()))
 
 
 def test_saturation_refuses_positive_dimensional_zero_sets():
@@ -453,36 +453,52 @@ def _residues(p, modulus):
     })
 
 
+def _sympy_modular_basis(gens):
+    """sympy's reduced grevlex basis over GF(P31) of the gens, as Polynomials
+    with residues in [0, P31)."""
+    import sympy
+
+    xs = sympy.symbols("x1 x2 x3")
+    names = dict(zip(["x1", "x2", "x3"], xs))
+    exprs = [sympy.sympify(_to_sympy_str(_residues(g, P31)), names) for g in gens]
+    reference = sympy.groebner(exprs, *xs, order="grevlex", modulus=P31)
+    return {
+        Polynomial(3, {tuple(int(e) for e in mono): int(c) % P31 for mono, c in poly.terms()})
+        for poly in reference.polys
+    }
+
+
 @given(homogeneous_polynomials(nvars=st.just(3), degrees=st.integers(1, 3),
                                max_terms=4))
 @settings(max_examples=25, deadline=None)
 def test_modular_groebner_matches_sympy(p):
-    import sympy
-
-    xs = sympy.symbols("x1 x2 x3")
-    q = parse_poly("x1^2*x2 - 3*x3^3", 3)
-    names = dict(zip(["x1", "x2", "x3"], xs))
-    exprs = [sympy.sympify(_to_sympy_str(_residues(g, P31)), names) for g in (p, q)]
-    reference = sympy.groebner(exprs, *xs, order="grevlex", modulus=P31)
-    mine = buchberger([p, q], modulus=P31)
-    converted = {
-        Polynomial(3, {tuple(int(e) for e in mono): int(c) % P31 for mono, c in poly.terms()})
-        for poly in reference.polys
-    }
-    assert mine.modulus == P31
-    assert set(mine.generators) == converted
+    """The GF(p) certificate generates the ideal of its gens mod p: sympy
+    reduces both to the same basis, whose leading monomials it shares."""
+    gens = [p, parse_poly("x1^2*x2 - 3*x3^3", 3), parse_poly("x1^3 + x2^2*x3 - x3^3", 3)]
+    certificate = modular_certificate(gens)
+    reference = _sympy_modular_basis(gens)
+    lms = {GREVLEX.leading(g.terms) for g in reference}
+    assert (certificate is not None) == all(any(m[i] == sum(m) for m in lms) for i in range(3))
+    if certificate is None:
+        return
+    assert certificate.modulus == P31
+    assert set(certificate.leading_monomials) == lms
+    assert _sympy_modular_basis(certificate.generators) == reference
 
 
 def test_modular_basis_is_the_rational_basis_mod_p():
     gens = [X3("x^2 - 3*y*z"), X3("5*x*y^2 + z^3").scale(Fraction(1, 5)), X3("y^3 - 7*x*z^2")]
     rational = buchberger(gens)
-    modular = buchberger(gens, modulus=P31)
+    modular = modular_certificate(gens)
     assert modular.leading_monomials == rational.leading_monomials
-    assert modular.generators == tuple(_residues(g, P31) for g in rational.generators)
+    # reduced mod p, the certificate is the rational basis mod p
+    assert _sympy_modular_basis(modular.generators) == {
+        _residues(g, P31) for g in rational.generators
+    }
 
 
 def test_modular_basis_refuses_normal_forms():
-    gb = buchberger([X3("x^2"), X3("y^2"), X3("z^2")], modulus=P31)
+    gb = modular_certificate([X3("x^2"), X3("y^2"), X3("z^2")])
     assert projective_empty(gb)
     with pytest.raises(ValueError):
         normal_form(X3("x*y"), gb)
@@ -490,9 +506,13 @@ def test_modular_basis_refuses_normal_forms():
         gb.contains(X3("x^2"))
 
 
-def test_modular_input_with_the_prime_in_a_denominator():
-    with pytest.raises(ValueError):
-        buchberger([X3(f"x + {P31}*y").scale(Fraction(1, P31))], modulus=P31)
+def test_modular_input_with_the_prime_in_a_denominator(monkeypatch):
+    runs = []
+    real_loop = groebner._pair_loop
+    monkeypatch.setattr(groebner, "_pair_loop", lambda *a: runs.append(1) or real_loop(*a))
+    gens = [X3(f"x + {P31}*y").scale(Fraction(1, P31)), X3("y"), X3("z")]
+    assert modular_certificate(gens) is None
+    assert not runs
 
 
 @given(polynomials(nvars=st.integers(1, 4), max_terms=5))
@@ -671,9 +691,8 @@ def test_exponent_beyond_the_packed_field_raises(monkeypatch):
         normal_form(x**200, gb)
     # inside Buchberger: the lex basis would be (x - y^200, y^40000)
     monkeypatch.setenv("VA_DEGREE_CAP", str(10**6))
-    for modulus in (0, 2**31 - 1):
-        with pytest.raises(DegreeCapExceeded, match="exceeds the packed exponent limit"):
-            buchberger([x - y**200, x**200], LEX, modulus=modulus)
+    with pytest.raises(DegreeCapExceeded, match="exceeds the packed exponent limit"):
+        buchberger([x - y**200, x**200], LEX)
     # the largest exponent that fits is exact
     top = (MAX_EXPONENT - 1) // 2
     assert normal_form(x**top, buchberger([x - y**2], LEX)) == y ** (2 * top)
@@ -683,28 +702,19 @@ def test_the_exponent_check_stays_where_a_field_can_overflow(monkeypatch):
     x, y, z = (Polynomial.variable(i, 3) for i in range(3))
     # an input degree beyond MAX_EXPONENT keeps the check under grevlex:
     # reducing x^20000 y^20000 by x - y reaches y^40000
-    for modulus in (0, 2**31 - 1):
-        with pytest.raises(DegreeCapExceeded, match="exceeds the packed exponent limit"):
-            buchberger([x - y, x**20000 * y**20000], modulus=modulus)
-    # (x - y, x^20000 y^20000, z) has no projective zero, but its GF(p) run
-    # stops at the check, and the certificate is None
-    raised = []
+    with pytest.raises(DegreeCapExceeded, match="exceeds the packed exponent limit"):
+        buchberger([x - y, x**20000 * y**20000])
+    # (x - y, x^20000 y^20000, z) has no projective zero, but a GF(p) run
+    # could overflow a field, so the certificate is None without one
+    runs = []
     real_loop = groebner._pair_loop
-
-    def watched(*args):
-        try:
-            return real_loop(*args)
-        except DegreeCapExceeded as exc:
-            raised.append(str(exc))
-            raise
-
-    monkeypatch.setattr(groebner, "_pair_loop", watched)
+    monkeypatch.setattr(groebner, "_pair_loop", lambda *a: runs.append(1) or real_loop(*a))
     assert modular_certificate([x - y, x**20000 * y**20000, z]) is None
-    assert len(raised) == 1 and "exceeds the packed exponent limit" in raised[0]
+    assert not runs
+    monkeypatch.undo()
     # a degree cap beyond MAX_EXPONENT keeps it too: every input has a degree
     # below the limit, but the S-polynomial of the pair, of degree
     # 2^15 <= cap, is -y^32768
     monkeypatch.setenv("VA_DEGREE_CAP", str(MAX_EXPONENT + 1))
-    for modulus in (0, 2**31 - 1):
-        with pytest.raises(DegreeCapExceeded, match="exceeds the packed exponent limit"):
-            buchberger([x**16384 - y**16384, x * y**16384], modulus=modulus)
+    with pytest.raises(DegreeCapExceeded, match="exceeds the packed exponent limit"):
+        buchberger([x**16384 - y**16384, x * y**16384])

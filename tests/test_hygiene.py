@@ -257,8 +257,6 @@ PERFBENCH = SRC.parent.parent / "perfbench"
 _KEPT_DEFAULTS = {
     "main(argv)": "the console entry point: the script wrapper calls it with no "
     "argument, so it reads sys.argv, and the CLI tests pass argv",
-    "buchberger(modulus)": "the tests' reference: the reduced GF(p) basis that "
-    "modular_certificate is checked against, and the lex GF(p) exponent guard",
 }
 
 
@@ -366,4 +364,61 @@ def test_the_default_check_flags_an_unused_option():
         "m.py:1 check_va(degree_cap)",
         "m.py:3 render(width)",
         "m.py:8 show(full)",
+    ]
+
+
+def _modular_pair_loops(fname: str, tree: ast.Module) -> list[str]:
+    """``_pair_loop`` calls outside ``modular_certificate`` whose modulus,
+    the third argument, is not a literal 0: a GF(p) run anywhere else."""
+    exempt = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "modular_certificate"
+        for node in ast.walk(fn)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in exempt:
+            continue
+        func = node.func
+        if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != "_pair_loop":
+            continue
+        keywords = {k.arg: k.value for k in node.keywords}
+        modulus = node.args[2] if len(node.args) > 2 else keywords.get("modulus")
+        if modulus is None or ast.unparse(modulus) != "0":
+            found.append(f"{fname}:{node.lineno} {ast.unparse(node)}")
+    return found
+
+
+def test_every_gf_p_run_is_the_modular_certificate():
+    """Over GF(p) the package runs one kind of Groebner computation, the
+    homogeneous grevlex certificate, which refuses up front what could
+    overflow a packed field: every other pair loop runs over Q."""
+    modules = _modules()
+    offenders = [c for fname, tree in modules.items() for c in _modular_pair_loops(fname, tree)]
+    assert not offenders, "GF(p) pair loops outside modular_certificate: " + ", ".join(offenders)
+    (certificate,) = [
+        fn
+        for fn in ast.walk(modules["groebner.py"])
+        if isinstance(fn, ast.FunctionDef) and fn.name == "modular_certificate"
+    ]
+    assert "_pair_loop" in _identifiers(certificate)  # the exemption is not stale
+
+
+def test_the_gf_p_run_check_flags_a_planted_modular_call():
+    source = (
+        "def buchberger(gens):\n"
+        "    return _pair_loop(inputs, pk, 0, cap)\n"
+        "def modular_certificate(gens):\n"
+        "    return _pair_loop(inputs, pk, p, cap)\n"
+        "def rogue(gens):\n"
+        "    return groebner._pair_loop(inputs, pk, p, cap)\n"
+        "def by_keyword(gens):\n"
+        "    return _pair_loop(inputs, pk, modulus=MACAULAY_CHECK_PRIME, cap=cap)\n"
+        "def over_q_by_keyword(gens):\n"
+        "    return _pair_loop(inputs, pk, modulus=0, cap=cap)\n"
+    )
+    assert _modular_pair_loops("m.py", ast.parse(source)) == [
+        "m.py:6 groebner._pair_loop(inputs, pk, p, cap)",
+        "m.py:8 _pair_loop(inputs, pk, modulus=MACAULAY_CHECK_PRIME, cap=cap)",
     ]

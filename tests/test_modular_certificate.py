@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from conftest import gradient_generic_forms
 from veroav import groebner
 from veroav.groebner import (
+    MAX_EXPONENT,
     DegreeCapExceeded,
+    NonHomogeneousIdeal,
     buchberger,
     decide_emptiness,
     modular_certificate,
@@ -42,7 +44,7 @@ def test_modular_verdict_matches_rational_basis(f):
     rational = buchberger(forms)
     report = condition_II(f)
     assert report.empty == projective_empty(rational)
-    if projective_empty(buchberger(forms, modulus=P)):
+    if modular_certificate(forms) is not None:
         assert projective_empty(rational)
     if report.empty:
         assert report.certificate.modulus in (0, P)
@@ -58,7 +60,7 @@ def _zeros(forms):
 def test_bad_prime_falls_back_to_rational_basis():
     # modulo p the third form is x, so the forms share the point (0:0:1)
     forms = [X3("x"), X3("y"), X3(f"{P}*z + x")]
-    assert not projective_empty(buchberger(forms, modulus=P))
+    assert modular_certificate(forms) is None
     certificate, empty, zeros = _zeros(forms)
     assert certificate.modulus == 0
     assert empty and zeros == []
@@ -168,7 +170,7 @@ def test_certificate_has_the_leading_monomials_of_sympys_basis(forms):
     if certificate is None:
         return
     assert sorted(certificate.leading_monomials) == reference
-    assert certificate.reduced is False and certificate.modulus == P
+    assert certificate.modulus == P
     for g, lm in zip(certificate.generators, certificate.leading_monomials):
         assert g.is_homogeneous()
         assert g.terms[lm] == 1
@@ -216,13 +218,21 @@ def test_a_non_empty_square_system_disarms_the_bound(monkeypatch):
         return verdicts[-1]
 
     monkeypatch.setattr(groebner._StandardCount, "advance", advance)
+    runs = []
+    real_loop = groebner._pair_loop
+
+    def recording(*args):
+        runs.append(real_loop(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(groebner, "_pair_loop", recording)
     assert modular_certificate(forms) is None
     assert verdicts[-1] is False
-    verdicts.clear()
-    basis = buchberger(forms, modulus=P)
-    assert verdicts[-1] is False
-    mine = [{m: int(c) for m, c in g.terms.items()} for g in basis.generators]
-    assert sorted(mine, key=sorted) == sorted(_sympy_basis(forms), key=sorted)
+    # the pairs after the disarming were reduced: the run's leading
+    # monomials are those of sympy's basis
+    pk = groebner._packing(GREVLEX, 3)
+    mine = [pk.unpack(g.lm) for g in groebner._minimalize(runs[0], pk)]
+    assert sorted(mine) == _sympy_leading_monomials(forms)
 
 
 def _cap_threshold(forms, monkeypatch):
@@ -297,15 +307,34 @@ def test_a_pure_power_of_every_variable_still_runs_and_certifies(monkeypatch):
 
 
 def test_the_coordinate_check_leaves_non_homogeneous_input_alone(monkeypatch):
-    # e_1 = (0:1:0) is a zero of every form, but x*y - x is not homogeneous
-    runs = _watch_pair_loop(monkeypatch, allowed=True)
-    assert modular_certificate([X3("x*y - x"), X3("x*y"), X3("z^2")]) is None
-    assert len(runs) == 1
+    # e_1 = (0:1:0) is a zero of every form, but x*y - x is not homogeneous:
+    # the certificate refuses it before the coordinate check, and before a run
+    _watch_pair_loop(monkeypatch, allowed=False)
+    with pytest.raises(NonHomogeneousIdeal):
+        modular_certificate([X3("x*y - x"), X3("x*y"), X3("z^2")])
+    # the same without a visible coordinate zero
+    with pytest.raises(NonHomogeneousIdeal):
+        modular_certificate([X3("x^2 - y"), X3("y^2 - z"), X3("z^3 - 1")])
+
+
+def test_degrees_beyond_the_packed_field_return_none_without_a_run(monkeypatch):
+    _watch_pair_loop(monkeypatch, allowed=False)
+    x, y, z = (Polynomial.variable(i, 3) for i in range(3))
+    # an input degree beyond MAX_EXPONENT, on a system with no projective zero
+    top = MAX_EXPONENT + 1
+    assert modular_certificate([x - y, x**top + y**top, z]) is None
+    # a degree cap beyond it, on a system the certificate proves empty
+    forms = [X3("x^2"), X3("y^2"), X3("z^2")]
+    monkeypatch.setenv("VA_DEGREE_CAP", str(MAX_EXPONENT + 1))
+    assert modular_certificate(forms) is None
+    monkeypatch.undo()
+    monkeypatch.setenv("VA_DEGREE_CAP", str(MAX_EXPONENT))  # the largest cap that fits
+    assert modular_certificate(forms) is not None
 
 
 def test_decide_emptiness_returns_the_basis_that_decides():
     certificate, empty = decide_emptiness([X3("x^2 + y*z"), X3("y^2"), X3("z^2 + x*y")])
-    assert empty and certificate.modulus == P and not certificate.reduced
+    assert empty and certificate.modulus == P
     # (1:1:1) is a common zero: the GF(p) run proves nothing, Q decides
     forms = [X3("x^2 - y*z"), X3("y^2 - x*z"), X3("z^2 - x*y")]
     basis, empty = decide_emptiness(forms)

@@ -34,9 +34,11 @@ from veroav.polyring import (
     substitute_linear,
 )
 from veroav.singlocus import ProjPoint, general_linear_position, singular_report
+from veroav import veronese
 from veroav.veronese import (
     MACAULAY_CHECK_PRIME,
     ConditionIIPreconditionError,
+    _macaulay_rank_agrees,
     _power_quotient_forms,
     _rational_zeros,
     _verify_witness,
@@ -145,6 +147,44 @@ def test_rank_cross_check_survives_a_bad_prime():
     assert all(ok for _, ok in cert.cross_checks), cert.cross_checks
     assert not cert.verdict
     assert cert.condition_ii.witness == (0, 0, 1)
+
+
+def _watch_ranks(monkeypatch):
+    """Record which rank the cross-check computes: "mod p" or "exact"."""
+    calls = []
+    monkeypatch.setattr(
+        veronese, "rank_residues", lambda *a: calls.append("mod p") or rank_residues(*a)
+    )
+    monkeypatch.setattr(veronese, "rank", lambda M: calls.append("exact") or rank(M))
+    return calls
+
+
+def test_rank_cross_check_goes_exact_on_a_denominator_the_prime_divides(monkeypatch):
+    f = X3(f"x^3 + y^3 + z^3 + 1/{MACAULAY_CHECK_PRIME}*x*y*z")
+    dim_m = condition_I(f).dim_milnor_top_minus_one
+    assert dim_m == 3
+    calls = _watch_ranks(monkeypatch)
+    assert _macaulay_rank_agrees(f, 2, dim_m)
+    assert not _macaulay_rank_agrees(f, 2, dim_m + 1)
+    assert calls == ["exact", "exact"]  # no residues exist, so no rank mod p
+
+
+def test_rank_cross_check_fallback_rejects_a_wrong_dimension(monkeypatch):
+    f = X3("x^3 + y^3 + z^3")
+    calls = _watch_ranks(monkeypatch)
+    assert _macaulay_rank_agrees(f, 2, 3)
+    assert calls == ["mod p"]
+    calls.clear()
+    for wrong in (2, 4):
+        assert not _macaulay_rank_agrees(f, 2, wrong)
+    assert calls == ["mod p", "exact"] * 2
+    # on the bad prime the rank mod p drops from 3 to 2, and the exact rank
+    # decides both a right and a too small dimension
+    bad = X3("(x+y)^3 + 2147483647*x^3 + z^3")
+    calls.clear()
+    assert _macaulay_rank_agrees(bad, 2, 3)
+    assert not _macaulay_rank_agrees(bad, 2, 2)
+    assert calls == ["mod p", "exact"] * 2
 
 
 def test_witness_soundness_exact():

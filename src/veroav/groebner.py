@@ -10,9 +10,11 @@ minimal basis that certifies projective emptiness.  It refuses
 non-homogeneous input and degrees beyond the packed field before it starts.
 
 Quotient coordinates come from one table per basis and degree: the normal
-form of every degree-D monomial on the standard monomials, built in a single
-sweep in increasing monomial order, each non-standard monomial's row from
-the rows of smaller ones (as in FGLM), and memoized on the basis object.
+form of every degree-D monomial on the standard monomials.  One enumeration
+packs each monomial and finds its reducer once, which also yields the
+standard monomials; one sweep in increasing monomial order builds each
+non-standard monomial's row from the rows of smaller ones (as in FGLM).
+The table is memoized on the basis object.
 The table is the only reader of coordinates in (R/I)_D: its callers read
 the rows of monomials and combine them themselves, and the heap normal
 form is left to membership tests.  The one conversion of rational
@@ -799,20 +801,6 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     return _from_terms(out, pk, den * scale)
 
 
-def standard_monomials(gb: GroebnerBasis, degree: int) -> tuple[Monomial, ...]:
-    """Degree-``degree`` monomials outside the leading-term ideal, in
-    ``iter_monomials`` order: a basis of (R/I)_degree for a homogeneous
-    ideal."""
-    if degree < 0:
-        return ()
-    if gb.is_zero_ideal():
-        raise ValueError("zero ideal has no ambient variable count; use dim_graded")
-    reducers, pk = gb._reducers, _packing(gb.order, gb.nvars)
-    return tuple(
-        pk.unpack(x) for x in pk.monomials(degree) if _find_reducer(x, reducers, pk) is None
-    )
-
-
 class CoordinateTable(NamedTuple):
     """Coordinates in (R/I)_D, D = degree, of every degree-D monomial on
     ``basis``, the standard monomials of degree D: x^a has coordinates
@@ -826,8 +814,10 @@ class CoordinateTable(NamedTuple):
 
 def coordinate_table(gb: GroebnerBasis, degree: int) -> CoordinateTable:
     """The normal forms of all degree-``degree`` monomials of a homogeneous
-    ideal over Q, read on ``standard_monomials(gb, degree)``; built once per
-    basis and degree (ValueError for a GF(p) or non-homogeneous basis).
+    ideal over Q, read on the standard monomials of that degree (the
+    monomials no leading monomial divides, in ``iter_monomials`` order);
+    built once per basis and degree (ValueError for a GF(p) or
+    non-homogeneous basis, or for the zero ideal).
 
     One sweep over the monomials in increasing order, as in FGLM
     (Faugere-Gianni-Lazard-Mora 1993): a standard monomial is a unit
@@ -844,20 +834,26 @@ def coordinate_table(gb: GroebnerBasis, degree: int) -> CoordinateTable:
 def _coordinate_sweep(gb: GroebnerBasis, degree: int) -> CoordinateTable:
     if gb.modulus:
         raise ValueError(f"quotient coordinates need a basis over Q, not over GF({gb.modulus})")
-    basis = standard_monomials(gb, degree)
+    if gb.is_zero_ideal() and degree >= 0:
+        raise ValueError("zero ideal has no ambient variable count; use dim_graded")
     _require_homogeneous(gb)
     pk = _packing(gb.order, gb.nvars)
     reducers = gb._reducers
-    index = {pk.pack(m): i for i, m in enumerate(basis)}
+    # one enumeration: each monomial packed and its reducer found once
+    monos = []
+    for m in iter_monomials(gb.nvars, degree) if degree >= 0 else ():
+        x = pk.pack(m)
+        monos.append((x, m, _find_reducer(x, reducers, pk)))
+    basis = tuple(m for _, m, g in monos if g is None)  # in iter_monomials order
+    index = {x: i for i, x in enumerate(x for x, _, g in monos if g is None)}
     width = len(basis)
+    monos.sort(key=operator.itemgetter(0))  # the sweep runs in increasing order
     # packed monomial -> (denominator, numerators), in lowest terms
     rows: dict[int, tuple[int, list[int]]] = {}
-    for x in sorted(pk.monomials(degree) if degree >= 0 else ()):
-        i = index.get(x)
-        if i is not None:
-            rows[x] = (1, [int(k == i) for k in range(width)])
+    for x, _, g in monos:
+        if g is None:
+            rows[x] = (1, [int(k == index[x]) for k in range(width)])
             continue
-        g = _find_reducer(x, reducers, pk)
         shift = x - g.lm
         tail = [(rows[mt + shift], ct) for mt, ct in g.tail]
         den = math.lcm(*(d for (d, _), _ in tail))
@@ -875,8 +871,9 @@ def _coordinate_sweep(gb: GroebnerBasis, degree: int) -> CoordinateTable:
         basis,
         common,
         {
-            pk.unpack(x): tuple(v * (common // d) for v in nums)
-            for x, (d, nums) in rows.items()
+            m: tuple(v * (common // d) for v in nums)
+            for x, m, _ in monos
+            for d, nums in (rows[x],)
         },
     )
 

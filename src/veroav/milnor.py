@@ -3,11 +3,11 @@ matrix, the gradient-generic condition, and the Hilbert-function invariants of
 the Milnor algebra (total Tjurina number, degree-one defect, coincidence
 threshold, Jacobian module dimensions).
 
-The per-polynomial Groebner bases are memoized, and every invariant is read
-off the Hilbert series each basis caches.  The Macaulay matrix is an
-independent route to (J_f)_m: the condition (I) cross-check takes its rank
-mod p, and its exact rank only on disagreement.  Its exact RREF
-(``jacobian_rref``) is not used by the pipeline.
+The per-polynomial Groebner bases, ``validate_input`` and ``condition_I``
+are memoized, and every invariant is read off each basis's Hilbert series.
+The Macaulay matrix is an independent route to (J_f)_m: the condition (I)
+cross-check takes its rank mod p, and its exact rank only on disagreement.
+Its exact RREF (``jacobian_rref``) is not used by the pipeline.
 """
 
 from __future__ import annotations
@@ -85,12 +85,13 @@ def is_smooth(f: Polynomial) -> bool:
     return projective_empty(gb_jacobian(f))
 
 
+@lru_cache(maxsize=256)
 def validate_input(f: Polynomial) -> HypersurfaceInput:
-    """Check homogeneity, degree >= 3 and isolated singularities.
+    """Check homogeneity, degree >= 3, n >= 2 and isolated singularities.
 
-    Within this scope a non-reduced polynomial is impossible (a repeated
-    factor forces a positive-dimensional singular locus), so reducedness
-    needs no separate test.
+    For n >= 3 a repeated factor forces a positive-dimensional singular
+    locus, so reducedness needs no test of its own; on P^1 a binary form is
+    reduced iff it is smooth, so a singular one is refused.  Memoized per f.
     """
     if f.is_zero():
         raise NotHomogeneousError("the zero polynomial does not define a hypersurface")
@@ -100,9 +101,13 @@ def validate_input(f: Polynomial) -> HypersurfaceInput:
     if d < 3:
         raise DegreeTooSmallError(f"degree {d} < 3")
     n = f.nvars
+    if n < 2:
+        raise ScopeError("a form in one variable defines no hypersurface; need n >= 2")
     affine_dim = krull_dim_quotient(gb_jacobian(f))
     if affine_dim > 1:
         raise NonIsolatedSingularitiesError(affine_dim - 1)
+    if n == 2 and not is_smooth(f):
+        raise ScopeError("a singular binary form has a repeated factor; it is not reduced")
     return HypersurfaceInput(f, n, d, n * (d - 2))
 
 
@@ -129,6 +134,7 @@ def jacobian_rref(f: Polynomial, m: int) -> RrefResult:
     return rref(jacobian_degree_matrix(f, m))
 
 
+@lru_cache(maxsize=256)
 def condition_I(f: Polynomial) -> ConditionIReport:
     """Gradient-generic condition: dim (M_f)_{T-1} must equal n, read off
     the standard monomials of the Jacobian Groebner basis."""

@@ -89,10 +89,10 @@ def power_linear_form_symbolic(nvars: int, degree: int) -> tuple[tuple[Monomial,
 
     Returns, aligned with graded_basis(nvars, degree), pairs (alpha, m!/alpha!)
     so that the x^alpha coefficient of the power is the given multinomial times
-    a^alpha.
+    a^alpha.  Degree 0 gives the empty product, (((0,) * nvars, 1),).
     """
-    if degree < 1:
-        raise ValueError("degree must be positive")
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
     fact = math.factorial(degree)
     out = []
     for alpha in graded_basis(nvars, degree):

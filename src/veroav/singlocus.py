@@ -7,15 +7,17 @@ A local colength dim A/(I + m^N) is the corank of the truncated Macaulay
 matrix of I, whose rows are the multiples x^a g cut below degree N (the
 dual-space view of Mourrain and of Dayton-Zeng).  The coranks are ranked
 mod p until they repeat, and one exact rank confirms the repeated value;
-a Groebner basis of I + m^N per order is only the fallback.  The local
-Tjurina numbers of a complete report must sum to the global total read off
-the saturated Jacobian ideal.
+a Groebner basis of I + m^N per order is only the fallback.  They are
+memoized per local equation, which the nodes of ``f0_form`` share.  The
+local Tjurina numbers of a complete report must sum to the global total
+read off the saturated Jacobian ideal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from veroav.groebner import MACAULAY_CHECK_PRIME, buchberger, quotient_degree, residues
@@ -175,32 +177,30 @@ def local_invariants(f: Polynomial, p: ProjPoint) -> LocalSingularity:
     """Local data at a singular point: Tjurina and Milnor numbers by
     truncation stabilization, quadratic rank, and the node flag (the two
     node characterizations are cross-checked)."""
-    n = f.nvars
     G, _ = _dehomogenize_at(f, p)
-    k = n - 1
-    if G.coeff((0,) * k) != 0:
+    tjurina, milnor, qrank = _local_numbers(G)
+    return LocalSingularity(p, tjurina, milnor, tjurina == 1, qrank)
+
+
+@lru_cache(maxsize=256)
+def _local_numbers(G: Polynomial) -> tuple[int, int, int]:
+    """(Tjurina number, Milnor number, quadratic rank) of the local equation
+    G at the origin.  They depend on G alone, so points with the same local
+    equation, such as the n nodes of ``f0_form``, share one computation."""
+    k = G.nvars
+    origin = (0,) * k
+    if G.coeff(origin) != 0:
         raise NotSingularAtPointError("point does not lie on the hypersurface")
-    for i in range(k):
-        e1 = tuple(1 if j == i else 0 for j in range(k))
-        if G.coeff(e1) != 0:
-            raise NotSingularAtPointError("point is not singular (linear part nonzero)")
-    quad = [[Fraction(0)] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            mono = tuple(
-                (2 if i == j else 1) if t in (i, j) else 0 for t in range(k)
-            )
-            quad[i][j] = G.coeff(mono) * (2 if i == j else 1)
-    qrank = rank(MatrixQ.from_rows(quad))
     grads = G.gradient()
+    if any(g.coeff(origin) for g in grads):
+        raise NotSingularAtPointError("point is not singular (linear part nonzero)")
+    hessian = [[g.partial(j).coeff(origin) for j in range(k)] for g in grads]
+    qrank = rank(MatrixQ.from_rows(hessian))
     tjurina = _local_colength([G] + grads, k)
     milnor = _local_colength(grads, k)
-    node = tjurina == 1
-    if node != (qrank == k):
-        raise InternalDefectError(
-            "node characterizations disagree (tjurina vs quadratic rank)"
-        )
-    return LocalSingularity(p, tjurina, milnor, node, qrank)
+    if (tjurina == 1) != (qrank == k):
+        raise InternalDefectError("node characterizations disagree (tjurina vs quadratic rank)")
+    return tjurina, milnor, qrank
 
 
 def singular_report(f: Polynomial) -> SingularReport:

@@ -13,9 +13,10 @@ Non-emptiness is decided over Q and witnessed, when a rational witness
 exists, by an exact membership check, which takes the heap normal form and
 so shares no code with the table.
 
-The criterion for r < n nodes is decided by the same routine: the base
-locus of l -> l^(T-1) on the linear forms through the nodes is the
-condition (II) zero set cut by the r linear conditions <a, p> = 0.
+The criterion for r < n nodes is decided by the same routine on the same
+forms, built once per (f, T-1): the base locus of l -> l^(T-1) on the
+linear forms through the nodes is the condition (II) zero set cut by the
+r linear conditions <a, p> = 0.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from veroav.groebner import (
@@ -78,21 +80,23 @@ class ConditionIIPreconditionError(ValueError):
     """Condition (II) is only defined once condition (I) holds."""
 
 
-def _power_quotient_forms(f: Polynomial, m: int) -> list[Polynomial]:
+@lru_cache(maxsize=256)
+def _power_quotient_forms(f: Polynomial, m: int) -> tuple[Polynomial, ...]:
     """Quotient coordinates of the symbolic power (a_1 x_1 + ... + a_n x_n)^m
     as polynomials in the coefficient parameters a_1..a_n: each product of
     powers is a monomial x^beta, whose row of the coordinate table is read
-    and weighted by its multinomial."""
+    and weighted by its multinomial.  Built once per (f, m), so that
+    ``phi_base_locus`` reuses the forms of ``condition_II``."""
     n = f.nvars
     table = coordinate_table(gb_jacobian(f), m)
     rows = [(beta, mult, table.rows[beta]) for beta, mult in power_linear_form_symbolic(n, m)]
     den = table.denominator
-    return [
+    return tuple(
         Polynomial._trusted(
             n, {beta: ratio(mult * row[i], den) for beta, mult, row in rows if row[i]}
         )
         for i in range(len(table.basis))
-    ]
+    )
 
 
 def _projective_candidates(n: int) -> list[tuple[int, ...]]:
@@ -276,7 +280,9 @@ def _macaulay_rank_agrees(f: Polynomial, m: int, dim_m: int) -> bool:
     rank of the degree-m multiplication-by-partials matrix modulo a fixed
     prime, built as residues straight from the partials' terms and
     recomputed exactly only on disagreement, since a rank mod p can only
-    drop and a bad prime must not read as a defect."""
+    drop and a bad prime must not read as a defect.  So agreement mod p shows
+    only dim (M_f)_m <= dim_m: a dim_m overstated by a bad prime's rank drop
+    passes."""
     p = MACAULAY_CHECK_PRIME
     index = {mono: j for j, mono in enumerate(graded_basis(f.nvars, m))}
     expected = len(index) - dim_m

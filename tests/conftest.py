@@ -30,6 +30,18 @@ def table_coordinates(polys, gb, degree) -> list[tuple[Fraction, ...]]:
     return out
 
 
+def standard_monomials(gb, degree) -> tuple[tuple[int, ...], ...]:
+    """Degree-``degree`` monomials that no leading monomial of ``gb``
+    divides, in ``iter_monomials`` order: a reference read off the leading
+    monomials by tuple divisibility, sharing no code with ``groebner``."""
+    lms = gb.leading_monomials
+    return tuple(
+        m
+        for m in iter_monomials(gb.nvars, degree)
+        if not any(all(a <= b for a, b in zip(lm, m)) for lm in lms)
+    )
+
+
 def is_canonical(c) -> bool:
     """A canonical polynomial coefficient: an int when integral, otherwise a
     Fraction with denominator above 1."""

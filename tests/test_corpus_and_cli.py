@@ -272,6 +272,33 @@ def test_cli_lefschetz_refuses_an_empty_search(option, value, message):
     assert proc.stdout == ""
 
 
+def test_cli_binary_cubic_is_decided(capsys):
+    # T - 2 = 0: the Lefschetz map is multiplication by l^0, the identity
+    assert cli.main(["check", "-n", "2", "-f", "x^3+y^3"]) == cli.EXIT_VA_TRUE
+    out = capsys.readouterr()
+    assert "verdict: Veronese-avoiding" in out.out
+    assert "lefschetz: multiplication by" in out.out
+    assert out.out.count("cross-check") == out.out.count(": pass") == 4
+    assert out.err == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "-n", "2", "-f", "x^2*y^2"],
+     "a singular binary form has a repeated factor; it is not reduced"),
+    (["check", "-n", "2", "-f", "x^2*y", "--skip-lefschetz"],
+     "a singular binary form has a repeated factor; it is not reduced"),
+    (["singular", "-n", "2", "-f", "x^2*y^2"],
+     "a singular binary form has a repeated factor; it is not reduced"),
+    (["check", "-n", "1", "-f", "x^3"],
+     "a form in one variable defines no hypersurface; need n >= 2"),
+])
+def test_cli_refuses_non_reduced_forms_on_a_line_or_a_point(argv, message, capsys):
+    assert cli.main(argv) == cli.EXIT_INPUT_ERROR
+    out = capsys.readouterr()
+    assert out.err == f"error: {message}\n"
+    assert out.out == ""
+
+
 def test_cli_f0_and_dims():
     proc = run_cli("f0", "-n", "3", "-d", "4")
     assert proc.stdout.strip() == "2*x^2*y^2 + 2*x^2*z^2 + 2*y^2*z^2"

@@ -204,6 +204,58 @@ def test_the_module_state_check_flags_a_memo_dict():
     ]
 
 
+_MUTABLE_TYPES = {"list", "dict", "set", "List", "Dict", "Set"}
+
+
+def _mutable_cached_returns(fname: str, tree: ast.Module) -> list[str]:
+    """``lru_cache``-decorated functions whose return annotation is missing
+    or whose outer type is a list, dict or set: a cached value is shared by
+    every caller, so one caller's mutation would reach the next."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if not any("lru_cache" in _identifiers(d) for d in fn.decorator_list):
+            continue
+        ret = fn.returns
+        outer = ret.value if isinstance(ret, ast.Subscript) else ret
+        name = outer.id if isinstance(outer, ast.Name) else getattr(outer, "attr", None)
+        if ret is None or name in _MUTABLE_TYPES:
+            found.append(f"{fname}:{fn.lineno} {fn.name}")
+    return found
+
+
+def test_no_cached_function_returns_a_mutable_container():
+    offenders = [
+        c for fname, tree in _modules().items() for c in _mutable_cached_returns(fname, tree)
+    ]
+    assert not offenders, "lru_cache over a mutable return value: " + ", ".join(offenders)
+
+
+def test_the_cached_return_check_flags_a_list():
+    source = (
+        "@lru_cache\n"
+        "def f() -> list[int]:\n"
+        "    return [1]\n"
+        "@functools.lru_cache(maxsize=8)\n"
+        "def g(n) -> dict:\n"
+        "    return {}\n"
+        "@lru_cache(maxsize=None)\n"
+        "def h(n):\n"
+        "    return n\n"
+        "@lru_cache(maxsize=None)\n"
+        "def k(n) -> tuple[int, ...]:\n"
+        "    return (n,)\n"
+        "def plain() -> list[int]:\n"
+        "    return []\n"
+    )
+    assert _mutable_cached_returns("m.py", ast.parse(source)) == [
+        "m.py:2 f",
+        "m.py:5 g",
+        "m.py:8 h",
+    ]
+
+
 def _is_fraction_call(node: ast.AST) -> bool:
     return (
         isinstance(node, ast.Call)

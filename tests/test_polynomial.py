@@ -157,6 +157,12 @@ def test_power_expansion_binomial():
     assert exp == (((2, 0), 1), ((1, 1), 2), ((0, 2), 1))
 
 
+def test_power_expansion_of_degree_zero_is_the_empty_product():
+    assert power_linear_form_symbolic(3, 0) == (((0, 0, 0), 1),)
+    with pytest.raises(ValueError, match="nonnegative"):
+        power_linear_form_symbolic(3, -1)
+
+
 def test_power_expansion_matches_direct_power():
     # plugging a = (0, 0, 1) into the expansion reproduces z^2
     exp = power_linear_form_symbolic(3, 2)

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import gradient_generic_forms, table_coordinates
+from conftest import gradient_generic_forms, standard_monomials, table_coordinates
+from test_certificate_identity import workload_instances
 from veroav.apolar import inverse_system
 from veroav.corpus import builtin_corpus
 from veroav.groebner import (
@@ -20,7 +21,6 @@ from veroav.groebner import (
     coordinate_table,
     modular_certificate,
     normal_form,
-    standard_monomials,
 )
 from veroav.linalg import MatrixQ, determinant, quotient_coords, rank
 from veroav.milnor import condition_I, gb_jacobian, is_smooth, jacobian_rref
@@ -74,8 +74,8 @@ def test_coordinates_match_macaulay_reference(f, data):
 def test_standard_monomials_span_the_milnor_algebra():
     f = parse_poly("x^3+y^3+z^3", 3)
     gb = gb_jacobian(f)
-    assert standard_monomials(gb, 3) == ((1, 1, 1),)
-    assert standard_monomials(gb, 4) == ()
+    assert coordinate_table(gb, 3).basis == standard_monomials(gb, 3) == ((1, 1, 1),)
+    assert coordinate_table(gb, 4).basis == standard_monomials(gb, 4) == ()
     (coords,) = table_coordinates([parse_poly("x*y*z", 3)], gb, 3)
     assert coords == (Fraction(1),)
 
@@ -150,6 +150,26 @@ def test_table_rows_are_heap_normal_forms_on_singular_jacobians(entry):
     f = parse_poly(entry.source, entry.n)
     T = f.nvars * (f.homogeneous_degree() - 2)
     for degree in (T - 1, T, T + 1):
+        _assert_table_matches_normal_forms(gb_jacobian(f), degree)
+
+
+BENCHMARK_INSTANCES = {
+    **{e.name: parse_poly(e.source, e.n) for e in builtin_corpus()},
+    **{name: parse_poly(text, n) for name, (text, n) in workload_instances().items()},
+}
+
+
+def test_the_benchmark_instances_are_the_corpus_and_the_workloads():
+    assert len(BENCHMARK_INSTANCES) == 20 + 19
+
+
+@pytest.mark.parametrize("name", list(BENCHMARK_INSTANCES))
+def test_table_rows_are_heap_normal_forms_on_benchmark_instances(name):
+    """Every table the pipeline reads, at T-1 and T, on all 20 corpus entries
+    and the 19 workload instances."""
+    f = BENCHMARK_INSTANCES[name]
+    T = f.nvars * (f.homogeneous_degree() - 2)
+    for degree in (T - 1, T):
         _assert_table_matches_normal_forms(gb_jacobian(f), degree)
 
 

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import table_coordinates, unimodular_matrices
+from conftest import standard_monomials, table_coordinates, unimodular_matrices
 from veroav.corpus import builtin_corpus
-from veroav.groebner import normal_form, projective_empty, standard_monomials
+from veroav.groebner import normal_form, projective_empty
 from veroav.linalg import (
     MatrixQ,
     determinant,
@@ -62,10 +62,10 @@ def test_power_quotient_forms_match_products_of_powers(src):
     expansion = power_linear_form_symbolic(3, m)
     products = [Polynomial.monomial(beta) for beta, _ in expansion]
     coords = table_coordinates(products, gb_jacobian(f), m)
-    expected = [
+    expected = tuple(
         Polynomial(3, {beta: mult * c[i] for (beta, mult), c in zip(expansion, coords)})
         for i in range(len(coords[0]))
-    ]
+    )
     assert _power_quotient_forms(f, m) == expected
 
 

@@ -247,8 +247,12 @@ def cmd_dims(args) -> int:
 
 def cmd_corpus(args) -> int:
     if args.file:
-        with open(args.file, encoding="utf-8") as handle:
-            entries = parse_corpus_file(handle.read())
+        try:
+            with open(args.file, encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:  # missing, unreadable or a directory: an input error
+            raise ValueError(f"cannot read corpus file: {exc}") from None
+        entries = parse_corpus_file(text)
         if args.with_builtin:
             entries = builtin_corpus() + entries
     else:

@@ -1,13 +1,14 @@
 """Buchberger's algorithm, with the ideal-theoretic helpers built on top of
-it: normal forms, quotient coordinates on standard monomials, projective
-emptiness, the Hilbert series, and saturation by the irrelevant ideal (one
+it: normal forms, quotient coordinates on standard monomials, eliminants,
+projective emptiness, the Hilbert series, and saturation by the irrelevant ideal (one
 grevlex basis, by the Bayer-Stillman criterion).
 
-There are two kinds of run, one pair loop.  ``buchberger`` computes the
-reduced basis over Q, under any order and on any input.  Over GF(p) there
-is one run, ``modular_certificate``: homogeneous input, grevlex, and a
-minimal basis that certifies projective emptiness.  It refuses
-non-homogeneous input and degrees beyond the packed field before it starts.
+Every basis is grevlex, the engine's one monomial order.  There are two
+kinds of run, one pair loop.  ``buchberger`` computes the reduced basis over
+Q, on any input.  Over GF(p) there is one run, ``modular_certificate``:
+homogeneous input, and a minimal basis that certifies projective emptiness.
+It refuses non-homogeneous input and degrees beyond the packed field before
+it starts.
 
 Quotient coordinates come from one table per basis and degree: the normal
 form of every degree-D monomial on the standard monomials.  One enumeration
@@ -17,7 +18,10 @@ non-standard monomial's row from the rows of smaller ones (as in FGLM).
 The table is memoized on the basis object.
 The table is the only reader of coordinates in (R/I)_D: its callers read
 the rows of monomials and combine them themselves, and the heap normal
-form is left to membership tests.  The one conversion of rational
+form is left to membership tests and to ``eliminant``, the minimal
+polynomial of x_0 on the quotient by a zero-dimensional ideal (FGLM
+again), which is how rational points are eliminated without a lex basis.
+The one conversion of rational
 coefficients to residues mod p, with its refusal of a denominator the
 prime divides, is ``residues``.
 
@@ -54,19 +58,16 @@ choice of linear form, on the sheared basis it builds anyway.
 Inside the engine a monomial is one packed int (Bachmann-Schoenemann 1998),
 X(m) = K(m) * 2^W + E(m).  E(m) holds the exponents in fields of _FIELD
 bits, W bits in all, whose top bits are guard bits and stay clear.  K(m) is
-the order key, whose components are linear in the exponents.  So
+the grevlex key, whose components are linear in the exponents.  So
 X(a * b) = X(a) + X(b), m / lm is X(m) - X(lm), and integer comparison of
 X is the monomial order, which lets the division heap hold -X (heap division
 with packed exponents as in Monagan-Pearce 2007).  lm divides m exactly
 when ((E(m) | GUARD) - E(lm)) keeps every guard bit: a field keeps its
 guard bit iff its exponent in m is at least that in lm, and no field
-borrows from the next.  Exponents are checked against the field size when
-a polynomial is packed and before every product, so a field never wraps;
-an exponent beyond it raises DegreeCapExceeded.  The product checks are
-skipped only in a homogeneous pair-loop run under a graded order whose cap
-and input degrees are at most MAX_EXPONENT, where none can fire.  Every
-GF(p) run is one, so only the work over Q checks products.
-Monomials become tuples again only on the way out: leading monomials,
+borrows from the next.  Under grevlex no monomial of a run or a normal
+form has a degree above the inputs' or a popped lcm's, so one comparison of
+those degrees with MAX_EXPONENT keeps every field from wrapping (a degree
+beyond it raises DegreeCapExceeded).  Monomials become tuples again only on the way out: leading monomials,
 generators when read, normal forms and standard monomials.
 """
 
@@ -79,10 +80,12 @@ import operator
 import os
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from veroav.orders import GREVLEX, MonomialOrder
+from veroav.linalg import MatrixQ, kernel_basis
+from veroav.orders import grevlex_key
 from veroav.polynomial import Monomial, Polynomial, iter_monomials, mono_mul, ratio
 
 DEFAULT_DEGREE_CAP = 60
@@ -124,25 +127,23 @@ _FIELD_MASK = (1 << _FIELD) - 1
 MAX_EXPONENT = (1 << (_FIELD - 1)) - 1
 
 
-def _exponent_error(exponent: int) -> DegreeCapExceeded:
-    return DegreeCapExceeded(
-        f"exponent {exponent} exceeds the packed exponent limit {MAX_EXPONENT}"
-    )
+def _limit_error(what: str, value: int) -> DegreeCapExceeded:
+    return DegreeCapExceeded(f"{what} {value} exceeds the packed exponent limit {MAX_EXPONENT}")
 
 
 class _Packing:
-    """Monomials of one (order, nvars) packed as X(m) = K(m) * 2^W + E(m).
+    """Monomials in nvars variables packed as X(m) = K(m) * 2^W + E(m).
 
     E(m) holds exponent i in bits [_FIELD*i, _FIELD*(i+1)) with the guard
-    bit clear; K(m) holds the order key, one signed field per component.
-    Every order's key is linear in the exponents, so X is the exponents'
-    combination of the packed unit vectors.  A key component is at most the
-    total degree in size, and its field leaves room for a sign, so integer
-    comparison of K is lexicographic comparison of keys."""
+    bit clear; K(m) holds the grevlex key, one signed field per component.
+    The key is linear in the exponents, so X is the exponents' combination
+    of the packed unit vectors.  A key component is at most the total degree
+    in size, and its field leaves room for a sign, so integer comparison of
+    K is lexicographic comparison of keys."""
 
-    __slots__ = ("nvars", "low", "guard", "units", "shifts", "graded")
+    __slots__ = ("nvars", "low", "guard", "units", "shifts")
 
-    def __init__(self, order: MonomialOrder, nvars: int):
+    def __init__(self, nvars: int):
         self.nvars = nvars
         width = _FIELD * nvars
         self.shifts = range(0, width, _FIELD)
@@ -150,17 +151,16 @@ class _Packing:
         self.guard = sum(1 << (_FIELD * i + _FIELD - 1) for i in range(nvars))
         # |key component| <= total degree < 2^(key_field - 1)
         key_field = _FIELD + nvars.bit_length()
-        self.graded = order.kind != "lex"  # the key starts with the total degree
         self.units = []
         for i in range(nvars):
             key = 0
-            for component in order.key(tuple(int(j == i) for j in range(nvars))):
+            for component in grevlex_key(tuple(int(j == i) for j in range(nvars))):
                 key = (key << key_field) + component
             self.units.append((key << width) + (1 << (_FIELD * i)))
 
     def pack(self, m: Monomial) -> int:
         if max(m, default=0) > MAX_EXPONENT:
-            raise _exponent_error(max(m))
+            raise _limit_error("exponent", max(m))
         return sum(map(operator.mul, m, self.units))
 
     def unpack(self, x: int) -> Monomial:
@@ -180,19 +180,10 @@ class _Packing:
         """Every monomial of the given degree, packed, in ``iter_monomials`` order."""
         return map(self.pack, iter_monomials(self.nvars, degree))
 
-    def check_product(self, shift: int, emax: int) -> None:
-        """Raise when shift times a monomial whose exponents are bounded by
-        ``emax`` has an exponent beyond MAX_EXPONENT.  Two exponents below
-        2^(_FIELD-1) sum below 2^_FIELD, so the sum leaves its range exactly
-        when it sets the guard bit, and never carries into the next field."""
-        if (shift + emax) & self.guard:
-            worst = max(map(sum, zip(self.unpack(shift), self.unpack(emax))))
-            raise _exponent_error(worst)
-
 
 @lru_cache(maxsize=None)
-def _packing(order: MonomialOrder, nvars: int) -> _Packing:
-    return _Packing(order, nvars)
+def _packing(nvars: int) -> _Packing:
+    return _Packing(nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +242,11 @@ def _from_terms(terms: dict[int, int], pk: _Packing, den: int) -> Polynomial:
 class _IPoly:
     """Integer polynomial prepared for division, on packed monomials:
     primitive with a positive leading coefficient over Q, monic residues
-    modulo ``modulus``.  ``e`` is the leading monomial's exponent part and
-    ``emax`` the largest exponent of each variable over all terms, or 0
-    without ``check``: a product with it is checked only when emax is not 0."""
+    modulo ``modulus``.  ``e`` is the leading monomial's exponent part."""
 
-    __slots__ = ("lm", "lc", "tail", "e", "emax")
+    __slots__ = ("lm", "lc", "tail", "e")
 
-    def __init__(self, terms: dict[int, int], pk: _Packing, modulus: int = 0, check: bool = True):
+    def __init__(self, terms: dict[int, int], pk: _Packing, modulus: int = 0):
         lm = max(terms)
         lc = terms[lm]
         if modulus:
@@ -271,15 +260,7 @@ class _IPoly:
         self.lm = lm
         self.lc = lc
         self.tail = [(m, c) for m, c in terms.items() if m != lm]
-        low, guard = pk.low, pk.guard
-        self.e = lm & low
-        emax = 0
-        for m in terms if check else ():
-            e = m & low
-            ge = ((emax | guard) - e) & guard  # guard bit kept where emax_i >= e_i
-            mask = ge - (ge >> (_FIELD - 1))
-            emax = (emax & mask) | (e & ~mask)
-        self.emax = emax
+        self.e = lm & pk.low
 
 
 def _find_reducer(
@@ -342,8 +323,6 @@ def _normal_form_int(
             out[m] = c
             continue
         shift = m - g.lm
-        if g.emax:
-            pk.check_product(shift, g.emax)
         q = math.gcd(c, g.lc)
         mult_all = g.lc // q
         mult_g = c // q
@@ -391,9 +370,7 @@ def _normal_form_mod(
     Lazy residues: a tail update accumulates prev - c * ct as a plain int,
     and a coefficient is reduced mod p only when its monomial is popped,
     the one time it is read.  A coefficient that cancels stays in ``coeffs``
-    until then, so every monomial enters the heap once.  No product is
-    checked: every GF(p) run is a ``modular_certificate`` run, whose
-    exponents all fit in a field."""
+    until then, so every monomial enters the heap once."""
     coeffs = dict(f)
     out: dict[int, int] = {}
     heap = [-m for m in coeffs]
@@ -433,14 +410,11 @@ def _reduce(
     return _strip_content(reduced)
 
 
-def _spoly_int(f: _IPoly, g: _IPoly, lcm: int, pk: _Packing) -> dict[int, int]:
+def _spoly_int(f: _IPoly, g: _IPoly, lcm: int) -> dict[int, int]:
     """S-polynomial of f and g with the packed lcm of their leading
     monomials; the leading terms cancel and are left out."""
     sf = lcm - f.lm
     sg = lcm - g.lm
-    if f.emax | g.emax:
-        pk.check_product(sf, f.emax)
-        pk.check_product(sg, g.emax)
     q = math.gcd(f.lc, g.lc)
     cf = g.lc // q
     cg = f.lc // q
@@ -467,8 +441,8 @@ class GroebnerBasis:
     monomial, no leading monomial dividing another's.  Over Q (``modulus``
     0, from ``buchberger``) it is reduced: no term of a generator is
     divisible by another generator's leading monomial.  Over GF(p) it is
-    the minimal emptiness certificate of ``modular_certificate``, grevlex
-    and homogeneous: the tails are not interreduced, so the generators
+    the minimal emptiness certificate of ``modular_certificate``, on
+    homogeneous input: the tails are not interreduced, so the generators
     depend on the run, while the leading monomials, and every count read
     off them, are those of the reduced basis.
 
@@ -479,7 +453,6 @@ class GroebnerBasis:
     bases.  ``homogeneous`` says whether every generator is."""
 
     nvars: int
-    order: MonomialOrder
     packed: tuple[dict[int, int], ...] = field(repr=False)
     leading_monomials: tuple[Monomial, ...]
     homogeneous: bool
@@ -487,7 +460,7 @@ class GroebnerBasis:
 
     @cached_property
     def generators(self) -> tuple[Polynomial, ...]:
-        pk = _packing(self.order, self.nvars)
+        pk = _packing(self.nvars)
         return tuple(_from_terms(t, pk, 1 if self.modulus else t[max(t)]) for t in self.packed)
 
     def is_zero_ideal(self) -> bool:
@@ -502,7 +475,7 @@ class GroebnerBasis:
     @cached_property
     def _reducers(self) -> list[_IPoly]:
         # built once per basis and shared by every normal form against it
-        pk = _packing(self.order, self.nvars)
+        pk = _packing(self.nvars)
         return [_IPoly(terms, pk) for terms in self.packed]
 
     @cached_property
@@ -579,16 +552,16 @@ def _sorted_inputs(gens: Iterable[Polynomial]) -> list[Polynomial]:
     return sorted(polys, key=lambda q: (q.degree(), len(q.terms)))
 
 
-def buchberger(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX) -> GroebnerBasis:
-    """Reduced Groebner basis over Q of the ideal generated by ``gens``.
+def buchberger(gens: Iterable[Polynomial]) -> GroebnerBasis:
+    """Reduced grevlex basis over Q of the ideal generated by ``gens``.
     The one run over GF(p) is ``modular_certificate``'s."""
     polys = _sorted_inputs(gens)
     if not polys:
-        return GroebnerBasis(0, order, (), (), True)
-    pk = _packing(order, polys[0].nvars)
+        return GroebnerBasis(0, (), (), True)
+    pk = _packing(polys[0].nvars)
     inputs = [_to_int_terms(p, pk) for p in polys]
     homogeneous = all(p.is_homogeneous() for p in polys)
-    return _reduce_basis(_pair_loop(inputs, pk, 0, _degree_cap()), pk, order, homogeneous)
+    return _reduce_basis(_pair_loop(inputs, pk, 0, _degree_cap()), pk, homogeneous)
 
 
 def _pair_loop(
@@ -606,10 +579,9 @@ def _pair_loop(
     GF(p) against the complete-intersection bound, over Q only when the
     caller passes ``numerator``, the exact Hilbert numerator of the ideal.
 
-    Under a graded order no monomial of a homogeneous run has a degree
-    above max(cap, input degrees): a pair past the cap raises first, and no
-    S-polynomial or reduction raises the degree.  When that fits in a
-    field, no product can overflow, and the run skips the product checks."""
+    No S-polynomial or reduction raises the degree under grevlex, so no
+    monomial of the run has a degree above the inputs' or a popped lcm's;
+    either beyond MAX_EXPONENT raises before a field can wrap."""
     basis: list[_IPoly] = []
     lms: list[int] = []  # E of every leading monomial, as _gm_update reads them
     pairs: dict[tuple[int, int], int] = {}
@@ -618,13 +590,15 @@ def _pair_loop(
     count: _StandardCount | None = None
     unarmed = bool(modulus) or numerator is not None  # armed at most once
     degrees = _homogeneous_degrees(inputs, pk)  # read once, also for arming
-    check = not (pk.graded and degrees and max(cap, *degrees) <= MAX_EXPONENT)
+    top = max((sum(pk.unpack(max(terms))) for terms in inputs), default=0)
+    if top > MAX_EXPONENT:
+        raise _limit_error("degree", top)
 
     def add(terms: dict[int, int]) -> bool:
         reduced = _reduce(terms, basis, pk, modulus, memo)
         if not reduced:
             return False
-        g = _IPoly(reduced, pk, modulus, check)
+        g = _IPoly(reduced, pk, modulus)
         basis.append(g)
         lms.append(g.e)
         if count is not None:
@@ -646,12 +620,14 @@ def _pair_loop(
                 f"S-polynomial degree {lcm_deg} exceeds cap {cap}; "
                 "set VA_DEGREE_CAP to raise the limit"
             )
+        if lcm_deg > MAX_EXPONENT:
+            raise _limit_error("S-polynomial degree", lcm_deg)
         if count is not None:
             if not count.advance(lcm_deg):
                 count = None  # a finished degree is off the bound
             elif count.saturated():
                 continue
-        zero = not add(_spoly_int(basis[pair[0]], basis[pair[1]], lcm, pk))
+        zero = not add(_spoly_int(basis[pair[0]], basis[pair[1]], lcm))
         if zero and unarmed:
             # armed by the first zero reduction; the next pair's advance
             # checks every finished degree
@@ -664,11 +640,11 @@ def _pair_loop(
 
 def _homogeneous_degrees(inputs: list[dict[int, int]], pk: _Packing) -> list[int] | None:
     """The degrees of the nonzero inputs, or None when one is not homogeneous.
-    Under a graded order the least and the greatest monomial have the
-    smallest and the largest degree, so only they are read."""
+    Under grevlex the least and the greatest monomial have the smallest and
+    the largest degree, so only they are read."""
     degrees = []
     for terms in inputs:
-        found = {sum(pk.unpack(m)) for m in ((min(terms), max(terms)) if pk.graded else terms)}
+        found = {sum(pk.unpack(m)) for m in (min(terms), max(terms))}
         if len(found) > 1:
             return None
         degrees.extend(found)
@@ -746,9 +722,7 @@ def _terms(g: _IPoly) -> dict[int, int]:
     return dict([(g.lm, g.lc), *g.tail])
 
 
-def _reduce_basis(
-    basis: list[_IPoly], pk: _Packing, order: MonomialOrder, homogeneous: bool
-) -> GroebnerBasis:
+def _reduce_basis(basis: list[_IPoly], pk: _Packing, homogeneous: bool) -> GroebnerBasis:
     """The reduced basis over Q: the minimal one with interreduced tails."""
     minimal = _minimalize(basis, pk)
     return _basis_of(
@@ -757,18 +731,13 @@ def _reduce_basis(
             for idx, g in enumerate(minimal)
         ],
         pk,
-        order,
         0,
         homogeneous,
     )
 
 
 def _basis_of(
-    polys: list[dict[int, int]],
-    pk: _Packing,
-    order: MonomialOrder,
-    modulus: int,
-    homogeneous: bool,
+    polys: list[dict[int, int]], pk: _Packing, modulus: int, homogeneous: bool
 ) -> GroebnerBasis:
     """The GroebnerBasis of packed generators, by decreasing leading
     monomial.  ``homogeneous`` True says that the generators come from
@@ -776,7 +745,6 @@ def _basis_of(
     polys = sorted(polys, key=max, reverse=True)
     return GroebnerBasis(
         pk.nvars,
-        order,
         tuple(polys),
         tuple(pk.unpack(max(terms)) for terms in polys),
         homogeneous or _homogeneous_degrees(polys, pk) is not None,
@@ -787,14 +755,17 @@ def _basis_of(
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Unique remainder of p modulo the basis; zero iff p is in the ideal.
     Needs a basis over Q: a GF(p) basis says nothing about rational
-    membership."""
+    membership.  No monomial of the remainder has a degree above p's, which
+    must fit in MAX_EXPONENT."""
     if gb.modulus:
         raise ValueError(f"normal forms need a basis over Q, not over GF({gb.modulus})")
     if gb.is_zero_ideal() or p.is_zero():
         return p
     if p.nvars != gb.nvars:
         raise ValueError("polynomial and basis live in different rings")
-    pk = _packing(gb.order, gb.nvars)
+    if p.degree() > MAX_EXPONENT:
+        raise _limit_error("degree", p.degree())
+    pk = _packing(gb.nvars)
     den = _common_denominator(p)
     terms = {pk.pack(m): int(c * den) for m, c in p.terms.items()}
     out, scale = _normal_form_int(terms, gb._reducers, pk, {})
@@ -837,7 +808,7 @@ def _coordinate_sweep(gb: GroebnerBasis, degree: int) -> CoordinateTable:
     if gb.is_zero_ideal() and degree >= 0:
         raise ValueError("zero ideal has no ambient variable count; use dim_graded")
     _require_homogeneous(gb)
-    pk = _packing(gb.order, gb.nvars)
+    pk = _packing(gb.nvars)
     reducers = gb._reducers
     # one enumeration: each monomial packed and its reducer found once
     monos = []
@@ -876,6 +847,35 @@ def _coordinate_sweep(gb: GroebnerBasis, degree: int) -> CoordinateTable:
             for d, nums in (rows[x],)
         },
     )
+
+
+def eliminant(gb: GroebnerBasis) -> list[Fraction]:
+    """Ascending coefficients of the monic generator of I ∩ Q[x_0] for a
+    zero-dimensional ideal I over Q with basis gb: the minimal polynomial of
+    x_0 on Q[x]/I, as in FGLM.  The normal forms of 1, x_0, ..., x_0^D,
+    D = dim Q[x]/I, are dependent; the kernel vector of the first free
+    column of their matrix is the first dependency, nonzero there and 0
+    after it.  Each normal form is kept as primitive integers, which keeps
+    the elimination's integers small, times a rational scale; the next
+    power is x_0 times those integers."""
+    pk = _packing(gb.nvars)
+    memo: dict = {}  # one reducer lookup for every power
+    columns: list[dict[int, int]] = []
+    scales = []  # columns[j] = scales[j] * NF(x_0^j)
+    power, scale = {0: 1}, Fraction(1)  # 0 is the packed monomial 1
+    for _ in range(quotient_degree(gb) + 1):
+        terms, den = _normal_form_int(power, gb._reducers, pk, memo)
+        g = _content(terms) or 1
+        columns.append({m: c // g for m, c in terms.items()})
+        scale *= Fraction(den, g)
+        scales.append(scale)
+        power = {m + pk.units[0]: c for m, c in columns[-1].items()}
+    monomials = {m for column in columns for m in column}
+    rows = [[column.get(m, 0) for column in columns] for m in monomials]
+    coeffs = [v * s for v, s in zip(kernel_basis(MatrixQ.from_rows(rows))[0], scales)]
+    while not coeffs[-1]:
+        coeffs.pop()
+    return [Fraction(c, coeffs[-1]) for c in coeffs]
 
 
 # ---------------------------------------------------------------------------
@@ -946,14 +946,14 @@ def modular_certificate(gens: Sequence[Polynomial]) -> GroebnerBasis | None:
     converted = [residues(g, p) for g in polys]
     if any(r is None for r in converted):
         return None
-    pk = _packing(GREVLEX, polys[0].nvars)
+    pk = _packing(polys[0].nvars)
     inputs = [{pk.pack(m): r for m, r in res.items()} for res in converted]
     try:
         basis = _pair_loop(inputs, pk, p, cap)
     except DegreeCapExceeded:
         return None
     minimal = [_terms(g) for g in _minimalize(basis, pk)]
-    certificate = _basis_of(minimal, pk, GREVLEX, p, True)
+    certificate = _basis_of(minimal, pk, p, True)
     return certificate if projective_empty(certificate) else None
 
 
@@ -1106,7 +1106,7 @@ def _sheared_basis(
     Each zero p rules out at most n - 1 values of k, the roots of the
     nonzero polynomial l_k(p) in k, so the search ends."""
     nvars = basis.nvars
-    pk = _packing(GREVLEX, nvars)
+    pk = _packing(nvars)
     for k in itertools.count():
         coeffs = [k ** (i + 1) for i in range(nvars - 1)]
         generators: Sequence[dict[int, int]] = basis.packed
@@ -1135,20 +1135,20 @@ def saturate_irrelevant(gens: Sequence[Polynomial], basis: GroebnerBasis) -> Gro
     """
     polys = [g for g in gens if not g.is_zero()]
     if not polys:
-        return GroebnerBasis(0, GREVLEX, (), (), True)
+        return GroebnerBasis(0, (), (), True)
     if any(not p.is_homogeneous() for p in polys):
         raise NonHomogeneousIdeal("saturation by the irrelevant ideal needs homogeneous input")
-    if basis.order != GREVLEX or basis.modulus:
+    if basis.modulus:
         raise ValueError("saturation reuses only a grevlex basis over Q")
     if krull_dim_quotient(basis) > 1:
         raise ValueError("saturation needs finitely many projective zeros")
     coeffs, generators = _sheared_basis(polys, basis)
-    pk = _packing(GREVLEX, basis.nvars)
+    pk = _packing(basis.nvars)
     # divide by the largest power x_{n-1}^e, that is, subtract e * X(x_{n-1})
     last, top = pk.units[-1], pk.shifts[-1]
     divided = []
     for terms in generators:
         shift = last * min((m >> top) & _FIELD_MASK for m in terms)
         divided.append(_IPoly({m - shift: c for m, c in terms.items()}, pk))
-    sat = _reduce_basis(divided, pk, GREVLEX, True)
+    sat = _reduce_basis(divided, pk, True)
     return buchberger(_shear(sat.generators, coeffs)) if any(coeffs) else sat

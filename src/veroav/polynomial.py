@@ -17,7 +17,7 @@ import operator
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from veroav.orders import GRLEX
+from veroav.orders import grlex_key
 
 Monomial = tuple[int, ...]
 
@@ -161,11 +161,11 @@ class Polynomial:
         """The grlex-largest monomial."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return GRLEX.leading(self.terms)
+        return max(self.terms, key=grlex_key)
 
     def sorted_terms(self):
         """The terms in descending grlex order."""
-        return sorted(self.terms.items(), key=lambda t: GRLEX.key(t[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
 
     # -- arithmetic --------------------------------------------------------
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from veroav.orders import GRLEX
+from veroav.orders import grlex_key
 from veroav.polynomial import Monomial, Polynomial, iter_monomials
 
 
@@ -24,7 +24,7 @@ class SingularMatrixError(ValueError):
 def graded_basis(nvars: int, degree: int) -> tuple[Monomial, ...]:
     """Monomials of R_degree in descending graded-lex order."""
     monos = list(iter_monomials(nvars, degree))
-    monos.sort(key=GRLEX.key, reverse=True)
+    monos.sort(key=grlex_key, reverse=True)
     return tuple(monos)
 
 

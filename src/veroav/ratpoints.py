@@ -1,10 +1,13 @@
 """Rational points of zero-dimensional projective varieties.
 
 Charts are scanned by last nonzero coordinate, each giving an affine system
-solved by lex elimination down to one variable, rational-root extraction on
-the eliminant, and back-substitution.  A search is *complete* when every
-eliminant encountered splits into rational linear factors counted with
-multiplicity; otherwise non-rational points exist and the flag says so.
+solved by elimination down to the first variable, rational-root extraction
+on the eliminant, and back-substitution.  The eliminant is read off the
+system's grevlex basis (``groebner.eliminant``).  A search is *complete*
+when every chart is zero-dimensional and every eliminant encountered
+splits into rational linear factors counted with multiplicity; otherwise
+non-rational points exist, or a chart is positive-dimensional and adds no
+points, and the flag says so.
 """
 
 from __future__ import annotations
@@ -12,9 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from veroav.groebner import buchberger
+from veroav.groebner import buchberger, eliminant, krull_dim_quotient
 from veroav.introots import rational_roots
-from veroav.orders import lex_eliminating_down_to_first
 from veroav.polynomial import Polynomial
 
 
@@ -30,17 +32,12 @@ def _solve_affine(gens: list[Polynomial], k: int) -> tuple[list[tuple[Fraction, 
         return [], False
     if any(g.degree() == 0 for g in gens):
         return [], True  # a nonzero constant: no solutions
-    gb = buchberger(gens, lex_eliminating_down_to_first(k))
+    gb = buchberger(gens)
     if gb.is_unit_ideal():
         return [], True
-    eliminants = [
-        g for g in gb.generators if all(all(e == 0 for e in m[1:]) for m in g.terms)
-    ]
-    if not eliminants:
-        return [], False  # positive-dimensional in the least variable
-    elim = min(eliminants, key=lambda g: g.degree())
-    coeffs = [elim.coeff((i,) + (0,) * (k - 1)) for i in range(elim.degree() + 1)]
-    roots, complete = rational_roots(coeffs)
+    if krull_dim_quotient(gb) > 0:
+        return [], False  # positive-dimensional: no points are listed
+    roots, complete = rational_roots(eliminant(gb))
     solutions: list[tuple[Fraction, ...]] = []
     for r, _mult in roots:
         substituted = [g.specialize({0: r}) for g in gens]
@@ -60,7 +57,10 @@ def rational_projective_points(
     gens: Sequence[Polynomial],
 ) -> tuple[list[tuple[Fraction, ...]], bool]:
     """Rational points of V(gens) in P^{n-1}, normalized so the last nonzero
-    coordinate is 1, ordered by chart (last coordinate's chart first)."""
+    coordinate is 1, ordered by chart (last coordinate's chart first), then
+    by ascending coordinates.  Only zero-dimensional charts are solved: a
+    chart whose affine zero set is positive-dimensional adds no points, not
+    even its isolated ones, and sets the flag to False."""
     polys = [g for g in gens if not g.is_zero()]
     if not polys:
         raise ValueError("the zero ideal has no finite point set")

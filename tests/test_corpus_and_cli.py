@@ -320,6 +320,15 @@ def test_cli_corpus_filter_and_failure(tmp_path):
     assert "verdict" in proc.stdout
 
 
+@pytest.mark.parametrize("target", ["missing.corpus", "."])
+def test_cli_unreadable_corpus_file_is_an_input_error(tmp_path, target):
+    # a missing file, and a directory where a file should be
+    proc = run_cli("corpus", "--file", str(tmp_path / target), "--jobs", "1")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot read corpus file: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 GOLDEN_JSON = Path(__file__).resolve().parent / "data" / "corpus_check_json_seed0.txt"
 
 

@@ -1,0 +1,151 @@
+"""Rational points read off the grevlex basis, against an independent
+reference.
+
+The eliminant of a zero-dimensional chart system, the minimal polynomial of
+x_0 on Q[x]/I, is compared with the univariate element of sympy's lex basis.
+The systems are seeded and have planted points: forms through the planted
+points, from the kernel of the point-evaluation matrix, with or without a
+conjugate pair of irrational points on x_0^2 - 2*x_1^2 = 0.  Square systems
+(one form fewer than variables) keep the other points of their complete
+intersection, and their first form is multiplied by x_0^2 - 2*x_1^2.
+"""
+
+from __future__ import annotations
+
+import random
+import time
+from fractions import Fraction
+
+import pytest
+
+from veroav.groebner import buchberger, eliminant
+from veroav.linalg import MatrixQ, kernel_basis
+from veroav.polynomial import Polynomial, iter_monomials
+from veroav.ratpoints import rational_projective_points
+
+
+def _value(point, m):
+    out = Fraction(1)
+    for c, e in zip(point, m):
+        out *= Fraction(c) ** e
+    return out
+
+
+def _pair_rows(monos):
+    """The conditions, rational, for a form to vanish at both of the
+    conjugate points (+-sqrt(2), 1, ..., 1): its even and its odd part in
+    x_0 vanish at x_0^2 = 2."""
+    even = [2 ** (m[0] // 2) if m[0] % 2 == 0 else 0 for m in monos]
+    odd = [2 ** (m[0] // 2) if m[0] % 2 else 0 for m in monos]
+    return [even, odd]
+
+
+def planted_system(n, d, count, rng, pair=False, square=False):
+    """(forms, planted points) in n variables: ``count`` distinct integer
+    points with last coordinate 1, and degree-d forms through them (and
+    through the conjugate pair when ``pair``): the kernel vectors of the
+    evaluation matrix, shuffled, or the first n - 1 of them when
+    ``square``, the first of those times x_0^2 - 2*x_1^2."""
+    points = set()
+    while len(points) < count:
+        points.add(tuple(rng.randint(-3, 3) for _ in range(n - 1)) + (1,))
+    points = sorted(points)
+    monos = list(iter_monomials(n, d))
+    rows = [[_value(p, m) for m in monos] for p in points]
+    if pair:
+        rows += _pair_rows(monos)
+    kernel = kernel_basis(MatrixQ.from_rows(rows))
+    rng.shuffle(kernel)
+    forms = [Polynomial(n, dict(zip(monos, v))) for v in kernel[: n - 1 if square else None]]
+    if square:
+        h = Polynomial(n, {(2,) + (0,) * (n - 1): 1, (0, 2) + (0,) * (n - 2): -2})
+        forms[0] = forms[0] * h
+    return forms, points
+
+
+def top_chart(forms):
+    """The affine system of the chart x_{n-1} = 1, in x_0, ..., x_{n-2}."""
+    n = forms[0].nvars
+    return [g.specialize({n - 1: 1}).drop_vars(range(n - 1)) for g in forms]
+
+
+def sympy_lex_eliminant(gens, modulus=0):
+    """Ascending coefficients of the element of sympy's reduced lex basis
+    that lies in Q[x_0], or in GF(modulus)[x_0], made monic, with
+    x_{k-1} > ... > x_0."""
+    import sympy
+
+    k = gens[0].nvars
+    ts = sympy.symbols(f"t0:{k}")
+    if modulus:
+        options = {"modulus": modulus}
+        convert = lambda c: c.numerator * pow(c.denominator, -1, modulus) % modulus  # noqa: E731
+    else:
+        options = {"domain": sympy.QQ}
+        convert = lambda c: sympy.Rational(c.numerator, c.denominator)  # noqa: E731
+    polys = [
+        sympy.Poly.from_dict({m: convert(Fraction(c)) for m, c in g.terms.items()}, *ts, **options)
+        for g in gens
+    ]
+    basis = sympy.groebner(polys, *reversed(ts), order="lex", **options)
+    # the basis's generators run t_{k-1}, ..., t_0: t_0 is the last exponent
+    (univariate,) = [g for g in basis.polys if not any(any(m[:-1]) for m in g.monoms())]
+    coeffs = [univariate.coeff_monomial(ts[0] ** i) for i in range(univariate.degree(ts[0]) + 1)]
+    if modulus:
+        inverse = pow(int(coeffs[-1]), -1, modulus)
+        return [int(c) * inverse % modulus for c in coeffs]
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in coeffs]
+    return [c / coeffs[-1] for c in coeffs]
+
+
+CASES = {
+    "plane-3-points": dict(n=3, d=2, count=3),
+    "plane-4-points-pair": dict(n=3, d=3, count=4, pair=True),
+    "plane-square-quartic": dict(n=3, d=4, count=5, square=True),
+    "plane-square-cubic": dict(n=3, d=3, count=4, square=True),
+    "space-4-points": dict(n=4, d=2, count=4),
+    "space-3-points-pair": dict(n=4, d=3, count=3, pair=True),
+    "space-square-quadric": dict(n=4, d=2, count=2, square=True),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_eliminant_is_the_univariate_element_of_the_lex_basis(name):
+    forms, _ = planted_system(**CASES[name], rng=random.Random(name))
+    affine = top_chart(forms)
+    assert eliminant(buchberger(affine)) == sympy_lex_eliminant(affine)
+
+
+@pytest.mark.parametrize("name", [name for name in CASES if "square" not in name])
+def test_the_planted_points_are_all_the_rational_points(name):
+    case = CASES[name]
+    forms, points = planted_system(**case, rng=random.Random(name))
+    found, complete = rational_projective_points(forms)
+    assert found == points
+    assert complete is not case.get("pair", False)
+
+
+@pytest.mark.parametrize("name", [name for name in CASES if "square" in name])
+def test_square_systems_keep_their_planted_points(name):
+    forms, points = planted_system(**CASES[name], rng=random.Random(name))
+    found, complete = rational_projective_points(forms)
+    assert set(points) <= set(found)
+    assert all(g.evaluate(p) == 0 for g in forms for p in found)
+    # the factor x_0^2 - 2*x_1^2 adds points with x_0 = +-sqrt(2) x_1
+    assert not complete
+
+
+def test_a_four_variable_cubic_system():
+    """A square cubic system in four variables, one form times
+    x_0^2 - 2*x_1^2, whose top chart's eliminant has degree 32.  A lex
+    Buchberger run over Q on that chart ran past 25 s, so sympy's lex basis
+    mod p is the reference here."""
+    forms, points = planted_system(4, 3, 5, random.Random(1), square=True)
+    affine = top_chart(forms)
+    start = time.perf_counter()
+    elim = eliminant(buchberger(affine))
+    assert time.perf_counter() - start < 5
+    assert all(sum(c * p[0] ** i for i, c in enumerate(elim)) == 0 for p in points)
+    P = 2**31 - 1
+    residues = [c.numerator * pow(c.denominator, -1, P) % P for c in elim]
+    assert residues == sympy_lex_eliminant(affine, P)

@@ -31,7 +31,7 @@ from veroav.groebner import (
 )
 from veroav.linalg import MatrixQ, kernel_basis, random_unimodular
 from veroav.milnor import gb_jacobian, is_smooth
-from veroav.orders import GREVLEX, GRLEX, LEX, MonomialOrder, lex_eliminating_down_to_first
+from veroav.orders import grevlex_key
 from veroav.parsing import parse_poly
 from veroav.polynomial import Polynomial, iter_monomials, mono_div, mono_mul
 from veroav.polyring import dim_graded, linear_form, substitute_linear
@@ -275,8 +275,6 @@ def test_saturation_reuses_a_given_grevlex_basis(monkeypatch):
     assert saturate_irrelevant(gens, basis=gb).generators == expected.generators
     assert inputs and gens not in inputs  # the basis of the gens is not rebuilt
     with pytest.raises(ValueError, match="grevlex basis over Q"):
-        saturate_irrelevant(gens, basis=buchberger(gens, LEX))
-    with pytest.raises(ValueError, match="grevlex basis over Q"):
         saturate_irrelevant(gens, basis=modular_certificate(X3("x^3+y^3+z^3").gradient()))
 
 
@@ -355,8 +353,8 @@ def test_buchberger_spoly_certificate(p, q):
     gb = buchberger([p, q])
     gens = gb.generators
     for f, g in itertools.combinations(gens, 2):
-        lmf = gb.order.leading(f.terms)
-        lmg = gb.order.leading(g.terms)
+        lmf = max(f.terms, key=grevlex_key)
+        lmg = max(g.terms, key=grevlex_key)
         L = tuple(map(max, lmf, lmg))
         s = Polynomial.monomial(mono_div(L, lmf)) * f - Polynomial.monomial(
             mono_div(L, lmg)
@@ -367,79 +365,51 @@ def test_buchberger_spoly_certificate(p, q):
     assert normal_form(q, gb).is_zero()
 
 
-# (our order, sympy's order name, sympy generator order as variable indices)
-SYMPY_ORDERS = {
-    "grevlex": (GREVLEX, "grevlex", (0, 1, 2)),
-    "grlex": (GRLEX, "grlex", (0, 1, 2)),
-    "lex": (LEX, "lex", (0, 1, 2)),
-    # the ratpoints order: x3 > x2 > x1
-    "lex-down-to-first": (lex_eliminating_down_to_first(3), "lex", (2, 1, 0)),
-}
-
-
-def _sympy_reference(gens, order_name, perm, p=None):
-    """sympy's reduced basis of gens over Q, as Polynomials, and the
+def _sympy_reference(gens, p=None):
+    """sympy's reduced grevlex basis of gens over Q, as Polynomials, and the
     remainder of p on division by it (None without p)."""
     import sympy
 
     xs = sympy.symbols("x1 x2 x3")
     names = dict(zip(["x1", "x2", "x3"], xs))
-    ordered = [xs[i] for i in perm]
     exprs = [sympy.sympify(_to_sympy_str(g), names) for g in gens]
-    reference = sympy.groebner(exprs, *ordered, order=order_name, domain=sympy.QQ)
+    reference = sympy.groebner(exprs, *xs, order="grevlex", domain=sympy.QQ)
 
     def convert(poly):
-        terms = {}
-        for mono, coeff in poly.terms():
-            exps = [0, 0, 0]
-            for i, e in zip(perm, mono):
-                exps[i] = int(e)
-            terms[tuple(exps)] = Fraction(*coeff.as_numer_denom())
+        terms = {
+            tuple(map(int, mono)): Fraction(*coeff.as_numer_denom())
+            for mono, coeff in poly.terms()
+        }
         return Polynomial(3, terms)
 
     basis = {convert(poly) for poly in reference.polys}
     if p is None:
         return basis, None
     expr = sympy.sympify(_to_sympy_str(p), names)
-    _, remainder = sympy.reduced(expr, reference.exprs, *ordered, order=order_name)
-    return basis, convert(sympy.Poly(remainder, *ordered, domain=sympy.QQ))
-
-
-def _check_against_sympy(p, order_name):
-    order, sympy_order, perm = SYMPY_ORDERS[order_name]
-    q = parse_poly("x1^2*x2 - x3^3", 3)
-    reference, _ = _sympy_reference([p, q], sympy_order, perm)
-    assert set(buchberger([p, q], order).generators) == reference
+    _, remainder = sympy.reduced(expr, reference.exprs, *xs, order="grevlex")
+    return basis, convert(sympy.Poly(remainder, *xs, domain=sympy.QQ))
 
 
 @given(homogeneous_polynomials(nvars=st.just(3), degrees=st.integers(1, 3),
                                max_terms=4))
 @settings(max_examples=25, deadline=None)
 def test_groebner_matches_sympy(p):
-    _check_against_sympy(p, "grevlex")
+    q = parse_poly("x1^2*x2 - x3^3", 3)
+    reference, _ = _sympy_reference([p, q])
+    assert set(buchberger([p, q]).generators) == reference
 
 
-@pytest.mark.parametrize("order_name", ["grlex", "lex", "lex-down-to-first"])
-@given(homogeneous_polynomials(nvars=st.just(3), degrees=st.integers(1, 3),
-                               max_terms=4))
-@settings(max_examples=25, deadline=None)
-def test_groebner_matches_sympy_in_other_orders(order_name, p):
-    _check_against_sympy(p, order_name)
-
-
-@pytest.mark.parametrize("order_name", SYMPY_ORDERS)
 @given(polynomials(nvars=st.just(3), max_degree=2, max_terms=3),
        polynomials(nvars=st.just(3), max_degree=3, max_terms=4))
 @settings(max_examples=15, deadline=None)
-def test_non_homogeneous_groebner_and_normal_form_match_sympy(order_name, p, r):
-    """Non-homogeneous generators, as in the affine charts of ratpoints (lex)
-    and the local truncations of singlocus (grevlex), and normal forms
-    against the basis compared with sympy's remainder."""
-    order, sympy_order, perm = SYMPY_ORDERS[order_name]
+def test_non_homogeneous_groebner_and_normal_form_match_sympy(p, r):
+    """Non-homogeneous generators, as in the affine charts of ratpoints and
+    the local truncations of singlocus, and normal forms against the basis
+    compared with sympy's remainder."""
     q = parse_poly("x1*x2 - x3^2 + 2*x1 - 1", 3)
     gens = [g for g in (p, q) if not g.is_zero()]
-    reference, remainder = _sympy_reference(gens, sympy_order, perm, r)
-    gb = buchberger(gens, order)
+    reference, remainder = _sympy_reference(gens, r)
+    gb = buchberger(gens)
     assert set(gb.generators) == reference
     assert normal_form(r, gb) == remainder
 
@@ -477,7 +447,7 @@ def test_modular_groebner_matches_sympy(p):
     gens = [p, parse_poly("x1^2*x2 - 3*x3^3", 3), parse_poly("x1^3 + x2^2*x3 - x3^3", 3)]
     certificate = modular_certificate(gens)
     reference = _sympy_modular_basis(gens)
-    lms = {GREVLEX.leading(g.terms) for g in reference}
+    lms = {max(g.terms, key=grevlex_key) for g in reference}
     assert (certificate is not None) == all(any(m[i] == sum(m) for m in lms) for i in range(3))
     if certificate is None:
         return
@@ -604,21 +574,6 @@ def test_symmetric_sextic_critical_ideal():
     assert krull_dim_quotient(gb) == 0
 
 
-def test_orders_available():
-    f = X3("x*y*z + x^3 + y^3")
-    for order in (GREVLEX, GRLEX, LEX):
-        gb = buchberger(f.gradient(), order)
-        assert normal_form(f, gb).is_zero()
-
-
-PACKED_ORDERS = {
-    "grevlex": lambda n: GREVLEX,
-    "grlex": lambda n: GRLEX,
-    "lex": lambda n: LEX,
-    "lex-down-to-first": lex_eliminating_down_to_first,
-}
-
-
 @st.composite
 def monomial_pairs(draw):
     n = draw(st.integers(1, 5))
@@ -626,45 +581,33 @@ def monomial_pairs(draw):
     return tuple(tuple(draw(exponent) for _ in range(n)) for _ in range(2))
 
 
-@pytest.mark.parametrize("order_name", PACKED_ORDERS)
 @given(monomial_pairs())
 @settings(max_examples=100, deadline=None)
-def test_packing_agrees_with_tuple_monomials(order_name, pair):
+def test_packing_agrees_with_tuple_monomials(pair):
     a, b = pair
-    order = PACKED_ORDERS[order_name](len(a))
-    pk = _packing(order, len(a))
+    pk = _packing(len(a))
     xa, xb = pk.pack(a), pk.pack(b)
     assert pk.unpack(xa) == a and pk.unpack(xb) == b
     assert xa + xb == pk.pack(mono_mul(a, b))
-    assert (xa < xb) == (order.key(a) < order.key(b))
+    assert (xa < xb) == (grevlex_key(a) < grevlex_key(b))
     assert (xa == xb) == (a == b)
     for lm, m in ((a, b), (b, a), (a, mono_mul(a, b))):
         divides = mono_div(m, lm) is not None
         reducer = _IPoly({pk.pack(lm): 1}, pk)
         assert (_find_reducer(pk.pack(m), [reducer], pk) is reducer) == divides
-    # emax, the largest exponent of each variable, is E of the lcm
-    assert _IPoly({xa: 1, xb: 1}, pk).emax == pk.pack(tuple(map(max, a, b))) & pk.low
 
 
-LIFT_ORDERS = {
-    **PACKED_ORDERS,
-    "grevlex-reversed": lambda n: MonomialOrder("grevlex", tuple(reversed(range(n)))),
-}
-
-
-@pytest.mark.parametrize("order_name", LIFT_ORDERS)
 @given(monomial_pairs())
 @settings(max_examples=100, deadline=None)
-def test_pair_heap_key_and_graded_shortcuts(order_name, pair):
+def test_pair_heap_key_and_graded_shortcuts(pair):
     a, b = pair
-    order = LIFT_ORDERS[order_name](len(a))
-    pk = _packing(order, len(a))
+    pk = _packing(len(a))
     lcm = pk.pack(tuple(map(max, a, b))) & pk.low  # E(lcm), as _gm_update makes it
     assert pk.lift(lcm) == (sum(pk.unpack(lcm)), pk.pack(pk.unpack(lcm)))
     xa, xb = pk.pack(a), pk.pack(b)
-    if pk.graded:  # a graded order compares total degrees first
-        assert sum(a) == sum(b) or (xa < xb) == (sum(a) < sum(b))
-    # under a graded order, the first and last term decide homogeneity
+    # grevlex compares total degrees first
+    assert sum(a) == sum(b) or (xa < xb) == (sum(a) < sum(b))
+    # so the first and last term decide homogeneity
     terms = {xa: 1, xb: 2, pk.pack(mono_mul(a, b)): 3}
     degrees = {sum(pk.unpack(m)) for m in terms}
     expected = list(degrees) if len(degrees) == 1 else None
@@ -673,7 +616,7 @@ def test_pair_heap_key_and_graded_shortcuts(order_name, pair):
 
 def test_packed_monomials_enumerate_in_iter_monomials_order():
     for n in range(0, 5):
-        pk = _packing(GREVLEX, n)
+        pk = _packing(n)
         for d in range(4):
             assert [pk.unpack(x) for x in pk.monomials(d)] == list(iter_monomials(n, d))
 
@@ -685,17 +628,19 @@ def test_exponent_beyond_the_packed_field_raises(monkeypatch):
         buchberger([x ** (MAX_EXPONENT + 1) - y])
     with pytest.raises(DegreeCapExceeded, match="packed exponent limit"):
         normal_form(x ** (MAX_EXPONENT + 1), buchberger([y]))
-    # inside a normal form: under lex, x^200 reduces to y^40000 modulo x - y^200
-    gb = buchberger([x - y**200], LEX)
-    with pytest.raises(DegreeCapExceeded, match="exceeds the packed exponent limit"):
-        normal_form(x**200, gb)
-    # inside Buchberger: the lex basis would be (x - y^200, y^40000)
-    monkeypatch.setenv("VA_DEGREE_CAP", str(10**6))
-    with pytest.raises(DegreeCapExceeded, match="exceeds the packed exponent limit"):
-        buchberger([x - y**200, x**200], LEX)
-    # the largest exponent that fits is exact
-    top = (MAX_EXPONENT - 1) // 2
-    assert normal_form(x**top, buchberger([x - y**2], LEX)) == y ** (2 * top)
+    # a normal form: x^20000 y^20000 packs, but its degree is beyond the
+    # limit, so it raises before reducing towards y^40000 modulo x - y
+    gb = buchberger([x - y])
+    reductions = []
+    real_normal_form = groebner._normal_form_int
+    monkeypatch.setattr(
+        groebner, "_normal_form_int", lambda *a: reductions.append(1) or real_normal_form(*a)
+    )
+    with pytest.raises(DegreeCapExceeded, match="packed exponent limit"):
+        normal_form(x**20000 * y**20000, gb)
+    assert not reductions
+    # the largest degree that fits is exact
+    assert normal_form(x**MAX_EXPONENT, gb) == y**MAX_EXPONENT
 
 
 def test_the_exponent_check_stays_where_a_field_can_overflow(monkeypatch):

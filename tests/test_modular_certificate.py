@@ -20,7 +20,7 @@ from veroav.groebner import (
     modular_certificate,
     projective_empty,
 )
-from veroav.orders import GREVLEX
+from veroav.orders import grevlex_key
 from veroav.parsing import parse_poly
 from veroav.polynomial import Polynomial, iter_monomials
 from veroav.veronese import (
@@ -154,7 +154,7 @@ def _sympy_basis(forms):
 
 
 def _sympy_leading_monomials(forms):
-    return sorted(max(g, key=GREVLEX.key) for g in _sympy_basis(forms))
+    return sorted(max(g, key=grevlex_key) for g in _sympy_basis(forms))
 
 
 @given(square_systems())
@@ -230,7 +230,7 @@ def test_a_non_empty_square_system_disarms_the_bound(monkeypatch):
     assert verdicts[-1] is False
     # the pairs after the disarming were reduced: the run's leading
     # monomials are those of sympy's basis
-    pk = groebner._packing(GREVLEX, 3)
+    pk = groebner._packing(3)
     mine = [pk.unpack(g.lm) for g in groebner._minimalize(runs[0], pk)]
     assert sorted(mine) == _sympy_leading_monomials(forms)
 

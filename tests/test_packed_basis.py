@@ -23,7 +23,6 @@ from veroav.groebner import (
     modular_certificate,
     saturate_irrelevant,
 )
-from veroav.orders import GREVLEX, LEX
 from veroav.parsing import parse_poly
 from veroav.polynomial import Polynomial, iter_monomials
 from veroav.veronese import check_va, f0_form
@@ -80,7 +79,7 @@ def monomial_sequences(draw):
 @settings(max_examples=150, deadline=None)
 def test_gm_update_matches_the_reference(case):
     n, monomials = case
-    pk = _packing(GREVLEX, n)
+    pk = _packing(n)
     lms, mine, reference = [], {}, {}
     for t, m in enumerate(monomials):
         lms.append(pk.pack(m) & pk.low)
@@ -99,12 +98,11 @@ def growing_reducers(draw):
     return n, steps
 
 
-@pytest.mark.parametrize("order", [GREVLEX, LEX])
 @given(growing_reducers())
 @settings(max_examples=100, deadline=None)
-def test_memoized_lookup_finds_the_first_reducer(order, case):
+def test_memoized_lookup_finds_the_first_reducer(case):
     n, steps = case
-    pk = _packing(order, n)
+    pk = _packing(n)
     reducers, memo = [], {}
     for add, m in steps:
         x = pk.pack(m)
@@ -116,7 +114,7 @@ def test_memoized_lookup_finds_the_first_reducer(order, case):
 def _eager(gb):
     """The generators built straight from the packed terms by the checking
     constructor: monic, over Q by the leading coefficient."""
-    pk = _packing(gb.order, gb.nvars)
+    pk = _packing(gb.nvars)
     out = []
     for terms in gb.packed:
         den = 1 if gb.modulus else terms[max(terms)]
@@ -127,15 +125,14 @@ def _eager(gb):
 X3 = lambda s: parse_poly(s, 3)  # noqa: E731
 
 
-@pytest.mark.parametrize("order", [GREVLEX, LEX])
-def test_lazy_generators_equal_the_eager_ones(order):
+def test_lazy_generators_equal_the_eager_ones():
     fifth, third = Fraction(1, 5), Fraction(1, 3)
     forms = [
         X3("2*x^2 - 3*y*z") + X3("z^2").scale(fifth),
         X3("y^2 - 7*x*z"),
         X3("x*y - x^2") + X3("z^2").scale(third),
     ]
-    gb = buchberger(forms, order)
+    gb = buchberger(forms)
     assert "generators" not in vars(gb)
     assert gb.generators == _eager(gb)
     assert gb.homogeneous
@@ -146,7 +143,7 @@ def test_lazy_generators_equal_the_eager_ones(order):
 
 
 def test_non_homogeneous_inputs_are_checked_on_the_basis():
-    assert not buchberger([X3("x^2 - y"), X3("y*z - 1")], LEX).homogeneous
+    assert not buchberger([X3("x^2 - y"), X3("y*z - 1")]).homogeneous
     # (x, x + y^2) is the homogeneous ideal (x, y^2)
     assert buchberger([X3("x"), X3("x + y^2")]).homogeneous
 

@@ -103,3 +103,9 @@ def test_projective_points_mixed():
 def test_projective_points_empty():
     pts, complete = rational_projective_points([X3("x"), X3("y"), X3("z")])
     assert complete and pts == []
+
+
+def test_positive_dimensional_charts_add_no_points():
+    # the chart z = 1 holds the line x = 0 and the point (1, 0): neither is listed
+    assert rational_projective_points([X3("x*(x-z)"), X3("x*y")]) == ([(0, 1, 0)], False)
+    assert rational_projective_points([X3("x*y")]) == ([(0, 1, 0), (1, 0, 0)], False)

@@ -21,7 +21,7 @@ from veroav.apolar import inverse_system
 from veroav.corpus import builtin_corpus, parse_corpus_file, run_corpus
 from veroav.groebner import DegreeCapExceeded
 from veroav.milnor import InternalDefectError
-from veroav.parsing import parse_poly, render_poly, render_witness
+from veroav.parsing import default_names, parse_poly, render_poly, render_witness
 from veroav.singlocus import classify, general_linear_position, singular_report
 from veroav.veronese import (
     check_va,
@@ -57,6 +57,9 @@ def _certificate_json(cert, lef, timings_enabled: bool, seed: int) -> dict:
             "certificate_prime": (
                 (cond2.certificate.modulus or None) if cond2.certificate else None
             ),
+            "certificate_variables": (
+                _variable_names(cond2.certificate) if cond2.certificate else None
+            ),
         },
         "verdict": cert.verdict,
         "lefschetz": (
@@ -76,6 +79,12 @@ def _certificate_json(cert, lef, timings_enabled: bool, seed: int) -> dict:
             else None
         ),
     }
+
+
+def _variable_names(basis) -> list[str]:
+    """The parameter names in the order of the basis's variables."""
+    names = default_names(basis.nvars)
+    return [names[i] for i in basis.variables]
 
 
 def _print_json(payload: dict) -> None:
@@ -124,10 +133,13 @@ def _print_human(cert, lef) -> None:
     elif c2.empty:
         cert2 = c2.certificate
         field_name = f"GF({cert2.modulus})" if cert2.modulus else "Q"
+        order = ""
+        if cert2.variables != tuple(range(cert2.nvars)):
+            order = f", variables in the order {', '.join(_variable_names(cert2))}"
         print(
             "condition (II): holds -- no power of a linear form lies in the "
             f"top gradient piece (certificate basis size {len(cert2.leading_monomials)} "
-            f"over {field_name})"
+            f"over {field_name}{order})"
         )
     else:
         w = render_witness(c2.witness)

@@ -9,7 +9,6 @@ an independent route, "trivial" for definitional identities.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from veroav.apolar import inverse_system, smoothness
@@ -280,6 +279,9 @@ def run_corpus(
     if name_filter:
         entries = [e for e in entries if name_filter in e.name]
     if jobs > 1 and len(entries) > 1:
+        # imported here: it would add about 10 ms to every CLI start
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run_entry, entries))
     else:

@@ -53,7 +53,13 @@ Projective emptiness is decided in one place, ``decide_emptiness``: over
 GF(p) first (``modular_certificate``, a minimal basis or None), over Q only
 when that proves nothing.  Every pure-power test, on leading monomials or
 on input terms, reads ``_pure_power_variables``; so does the saturation's
-choice of linear form, on the sheared basis it builds anyway.
+choice of linear form, on the sheared basis it builds anyway, and so does
+the certificate's choice of variable order.  Emptiness does not depend on
+that order, but the run's cost does: the certificate renames the variables
+of its one-term gens x_j^e to the end, since with x_j last in(I) + (x_j) =
+in(I + (x_j)) under grevlex (Bayer-Stillman 1987), so the run in effect
+works on x_j = 0, in one variable fewer.  A basis records the order in
+``GroebnerBasis.variables``; it is the identity for every basis over Q.
 
 Inside the engine a monomial is one packed int (Bachmann-Schoenemann 1998),
 X(m) = K(m) * 2^W + E(m).  E(m) holds the exponents in fields of _FIELD
@@ -450,12 +456,20 @@ class GroebnerBasis:
     the generator being terms / (leading coefficient); over GF(p) monic
     residues.  ``generators``, the Polynomials (residues in [0, p) as ints
     over GF(p)), are built on first read; compare those for equality of
-    bases.  ``homogeneous`` says whether every generator is."""
+    bases.  ``homogeneous`` says whether every generator is.
+
+    The basis lives in its own variables: basis variable k is input
+    variable ``variables[k]``, and the leading monomials, packed terms and
+    generators are all in the basis variables.  Over Q that is the
+    identity; a GF(p) certificate may rename its inputs' variables (see
+    ``modular_certificate``), and a re-check computes the basis in that
+    order."""
 
     nvars: int
     packed: tuple[dict[int, int], ...] = field(repr=False)
     leading_monomials: tuple[Monomial, ...]
     homogeneous: bool
+    variables: tuple[int, ...]  # basis variable k is input variable variables[k]
     modulus: int = 0  # 0 over Q, else the prime p of GF(p)
 
     @cached_property
@@ -557,7 +571,7 @@ def buchberger(gens: Iterable[Polynomial]) -> GroebnerBasis:
     The one run over GF(p) is ``modular_certificate``'s."""
     polys = _sorted_inputs(gens)
     if not polys:
-        return GroebnerBasis(0, (), (), True)
+        return GroebnerBasis(0, (), (), True, ())
     pk = _packing(polys[0].nvars)
     inputs = [_to_int_terms(p, pk) for p in polys]
     homogeneous = all(p.is_homogeneous() for p in polys)
@@ -733,21 +747,28 @@ def _reduce_basis(basis: list[_IPoly], pk: _Packing, homogeneous: bool) -> Groeb
         pk,
         0,
         homogeneous,
+        tuple(range(pk.nvars)),
     )
 
 
 def _basis_of(
-    polys: list[dict[int, int]], pk: _Packing, modulus: int, homogeneous: bool
+    polys: list[dict[int, int]],
+    pk: _Packing,
+    modulus: int,
+    homogeneous: bool,
+    variables: tuple[int, ...],
 ) -> GroebnerBasis:
     """The GroebnerBasis of packed generators, by decreasing leading
     monomial.  ``homogeneous`` True says that the generators come from
-    homogeneous inputs, and so are homogeneous; False has them checked."""
+    homogeneous inputs, and so are homogeneous; False has them checked.
+    ``variables`` is the basis's ``GroebnerBasis.variables``."""
     polys = sorted(polys, key=max, reverse=True)
     return GroebnerBasis(
         pk.nvars,
         tuple(polys),
         tuple(pk.unpack(max(terms)) for terms in polys),
         homogeneous or _homogeneous_degrees(polys, pk) is not None,
+        variables,
         modulus,
     )
 
@@ -929,6 +950,17 @@ def modular_certificate(gens: Sequence[Polynomial]) -> GroebnerBasis | None:
     not reduced: emptiness reads only the leading monomials, which are those
     of the reduced basis, so the tails are not interreduced.
 
+    The run renames the variables first: those with a pure power among the
+    one-term gens go last, each group in its input order, and the basis is
+    that of the renamed gens (``GroebnerBasis.variables`` records the
+    order; when it comes out as the identity nothing is renamed).  With a
+    one-term gen x_j^e and x_j last, in(I) + (x_j) = in(I + (x_j)) under
+    grevlex (Bayer-Stillman 1987), so the run in effect decides the system
+    on x_j = 0, in one variable fewer: for x*z*y^3 + x^5 + z^5 + x^4*y the
+    certificate has 47 generators in the input order and 8 renamed.  The
+    basis is not mapped back: in the input order its generators' grevlex
+    leading monomials need not include the pure powers.
+
     Refused before any run: non-homogeneous gens raise NonHomogeneousIdeal,
     and None comes back when max(cap, largest input degree) exceeds
     MAX_EXPONENT, so that no product in the run can overflow a field, or
@@ -946,14 +978,22 @@ def modular_certificate(gens: Sequence[Polynomial]) -> GroebnerBasis | None:
     converted = [residues(g, p) for g in polys]
     if any(r is None for r in converted):
         return None
-    pk = _packing(polys[0].nvars)
+    nvars = polys[0].nvars
+    pk = _packing(nvars)
+    # the variables of one-term gens last, each group in its input order
+    last = _pure_power_variables((next(iter(g.terms)) for g in polys if len(g.terms) == 1), nvars)
+    variables = tuple(sorted(range(nvars), key=last.__contains__))
+    if variables != tuple(range(nvars)):
+        converted = [
+            {tuple([m[i] for i in variables]): r for m, r in res.items()} for res in converted
+        ]
     inputs = [{pk.pack(m): r for m, r in res.items()} for res in converted]
     try:
         basis = _pair_loop(inputs, pk, p, cap)
     except DegreeCapExceeded:
         return None
     minimal = [_terms(g) for g in _minimalize(basis, pk)]
-    certificate = _basis_of(minimal, pk, p, True)
+    certificate = _basis_of(minimal, pk, p, True, variables)
     return certificate if projective_empty(certificate) else None
 
 
@@ -1135,7 +1175,7 @@ def saturate_irrelevant(gens: Sequence[Polynomial], basis: GroebnerBasis) -> Gro
     """
     polys = [g for g in gens if not g.is_zero()]
     if not polys:
-        return GroebnerBasis(0, (), (), True)
+        return GroebnerBasis(0, (), (), True, ())
     if any(not p.is_homogeneous() for p in polys):
         raise NonHomogeneousIdeal("saturation by the irrelevant ideal needs homogeneous input")
     if basis.modulus:

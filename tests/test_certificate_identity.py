@@ -2,11 +2,11 @@
 instances, term for term.
 
 ``tests/data/corpus_condition_II_certificates.json`` holds, per corpus
-entry, the certificate's prime (0 over Q) and packed terms: one list of
+entry, the certificate's prime (0 over Q), its variables (basis variable k
+is input variable ``variables[k]``) and packed terms: one list of
 [packed monomial, coefficient] pairs per generator.  It pins the
-certificates beyond the JSON output, which prints only their size.  Its
-entries also name the monomial order, from when the engine had several;
-every basis is grevlex now, and the comparison drops that key.
+certificates beyond the JSON output, which prints only their size and
+variable order.
 ``tests/data/workload_condition_II_certificates.json`` does the same for the
 12 ``cond2-heavy`` instances at seed 0 and the 7 ``singular-high-degree``
 instances of ``perfbench``, whose text is rebuilt here by the same seeded
@@ -36,6 +36,7 @@ def _certificate(f) -> dict | None:
     gb = check_va(f).condition_ii.certificate
     return None if gb is None else {
         "modulus": gb.modulus,
+        "variables": list(gb.variables),
         "packed": [[[m, c] for m, c in sorted(terms.items())] for terms in gb.packed],
     }
 
@@ -102,22 +103,13 @@ def workload_record() -> dict:
     }
 
 
-def _pinned(path: Path) -> dict:
-    """The record at path without the entries' ``order`` key."""
-    record = json.loads(path.read_text())
-    for entry in record.values():
-        if entry is not None:
-            entry.pop("order", None)
-    return record
-
-
 def test_condition_II_certificates_match_the_record():
-    assert certificate_record() == _pinned(RECORD)
+    assert certificate_record() == json.loads(RECORD.read_text())
 
 
 @pytest.fixture(scope="module")
 def recorded_workload():
-    return _pinned(WORKLOAD_RECORD)
+    return json.loads(WORKLOAD_RECORD.read_text())
 
 
 def test_the_workload_record_covers_nineteen_instances(recorded_workload):

@@ -130,6 +130,7 @@ def test_cli_json_schema():
     assert set(payload["condition_I"]) == {"dim", "holds"}
     assert set(payload["condition_II"]) == {
         "evaluated", "empty", "witness", "certificate_size", "certificate_prime",
+        "certificate_variables",
     }
     assert set(payload["lefschetz"]) == {"seed", "trials", "success", "witness"}
     assert all(set(c) == {"name", "pass"} for c in payload["cross_checks"])

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import homogeneous_polynomials, is_canonical, polynomials, table_coordinates
@@ -423,15 +423,17 @@ def _residues(p, modulus):
     })
 
 
-def _sympy_modular_basis(gens):
+def _sympy_modular_basis(gens, variables=(0, 1, 2)):
     """sympy's reduced grevlex basis over GF(P31) of the gens, as Polynomials
-    with residues in [0, P31)."""
+    with residues in [0, P31), in the variables x_variables[0], x_variables[1],
+    x_variables[2]."""
     import sympy
 
     xs = sympy.symbols("x1 x2 x3")
     names = dict(zip(["x1", "x2", "x3"], xs))
     exprs = [sympy.sympify(_to_sympy_str(_residues(g, P31)), names) for g in gens]
-    reference = sympy.groebner(exprs, *xs, order="grevlex", modulus=P31)
+    order = [xs[i] for i in variables]
+    reference = sympy.groebner(exprs, *order, order="grevlex", modulus=P31)
     return {
         Polynomial(3, {tuple(int(e) for e in mono): int(c) % P31 for mono, c in poly.terms()})
         for poly in reference.polys
@@ -440,13 +442,17 @@ def _sympy_modular_basis(gens):
 
 @given(homogeneous_polynomials(nvars=st.just(3), degrees=st.integers(1, 3),
                                max_terms=4))
+@example(parse_poly("x2^2", 3))  # a pure power of x2: the certificate puts x2 last
 @settings(max_examples=25, deadline=None)
 def test_modular_groebner_matches_sympy(p):
-    """The GF(p) certificate generates the ideal of its gens mod p: sympy
-    reduces both to the same basis, whose leading monomials it shares."""
+    """The GF(p) certificate generates the ideal of its gens mod p, in its
+    own variable order: sympy reduces both to the same basis, whose leading
+    monomials it shares.  Emptiness does not depend on the order, so a
+    missing certificate is checked in the input order."""
     gens = [p, parse_poly("x1^2*x2 - 3*x3^3", 3), parse_poly("x1^3 + x2^2*x3 - x3^3", 3)]
     certificate = modular_certificate(gens)
-    reference = _sympy_modular_basis(gens)
+    variables = (0, 1, 2) if certificate is None else certificate.variables
+    reference = _sympy_modular_basis(gens, variables)
     lms = {max(g.terms, key=grevlex_key) for g in reference}
     assert (certificate is not None) == all(any(m[i] == sum(m) for m in lms) for i in range(3))
     if certificate is None:

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from veroav.apolar import inverse_system
 from veroav.corpus import builtin_corpus, parse_corpus_file, run_corpus
 from veroav.groebner import DegreeCapExceeded
 from veroav.milnor import InternalDefectError
-from veroav.parsing import default_names, parse_poly, render_poly, render_witness
+from veroav.parsing import parse_poly, render_poly, render_witness
 from veroav.singlocus import classify, general_linear_position, singular_report
 from veroav.veronese import (
     check_va,
@@ -57,9 +56,6 @@ def _certificate_json(cert, lef, timings_enabled: bool, seed: int) -> dict:
             "certificate_prime": (
                 (cond2.certificate.modulus or None) if cond2.certificate else None
             ),
-            "certificate_variables": (
-                _variable_names(cond2.certificate) if cond2.certificate else None
-            ),
         },
         "verdict": cert.verdict,
         "lefschetz": (
@@ -79,12 +75,6 @@ def _certificate_json(cert, lef, timings_enabled: bool, seed: int) -> dict:
             else None
         ),
     }
-
-
-def _variable_names(basis) -> list[str]:
-    """The parameter names in the order of the basis's variables."""
-    names = default_names(basis.nvars)
-    return [names[i] for i in basis.variables]
 
 
 def _print_json(payload: dict) -> None:
@@ -133,13 +123,10 @@ def _print_human(cert, lef) -> None:
     elif c2.empty:
         cert2 = c2.certificate
         field_name = f"GF({cert2.modulus})" if cert2.modulus else "Q"
-        order = ""
-        if cert2.variables != tuple(range(cert2.nvars)):
-            order = f", variables in the order {', '.join(_variable_names(cert2))}"
         print(
             "condition (II): holds -- no power of a linear form lies in the "
             f"top gradient piece (certificate basis size {len(cert2.leading_monomials)} "
-            f"over {field_name}{order})"
+            f"over {field_name})"
         )
     else:
         w = render_witness(c2.witness)
@@ -333,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     corpus.add_argument("--file", type=str, default=None, help="corpus file to run")
     corpus.add_argument("--with-builtin", action="store_true",
                         help="run the built-in corpus in addition to --file")
-    corpus.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    corpus.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     corpus.set_defaults(func=cmd_corpus)
 
     return parser

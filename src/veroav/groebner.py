@@ -51,15 +51,12 @@ exact Hilbert series, as the sheared bases of the saturation are.
 
 Projective emptiness is decided in one place, ``decide_emptiness``: over
 GF(p) first (``modular_certificate``, a minimal basis or None), over Q only
-when that proves nothing.  Every pure-power test, on leading monomials or
-on input terms, reads ``_pure_power_variables``; so does the saturation's
-choice of linear form, on the sheared basis it builds anyway, and so does
-the certificate's choice of variable order.  Emptiness does not depend on
-that order, but the run's cost does: the certificate renames the variables
-of its one-term gens x_j^e to the end, since with x_j last in(I) + (x_j) =
-in(I + (x_j)) under grevlex (Bayer-Stillman 1987), so the run in effect
-works on x_j = 0, in one variable fewer.  A basis records the order in
-``GroebnerBasis.variables``; it is the identity for every basis over Q.
+when that proves nothing.  Every test for a pure power of each variable,
+on leading monomials or on input terms, reads ``_pure_power_variables``;
+so does the saturation's choice of linear form, on the sheared basis it
+builds anyway.  The certificate runs on x_j in place of every one-term gen
+c*x_j^e: x_j^e in I gives V(I + (x_j)) = V(I), and the first reductions
+strip every x_j-term, so the run works on the system restricted to x_j = 0.
 
 Inside the engine a monomial is one packed int (Bachmann-Schoenemann 1998),
 X(m) = K(m) * 2^W + E(m).  E(m) holds the exponents in fields of _FIELD
@@ -456,20 +453,12 @@ class GroebnerBasis:
     the generator being terms / (leading coefficient); over GF(p) monic
     residues.  ``generators``, the Polynomials (residues in [0, p) as ints
     over GF(p)), are built on first read; compare those for equality of
-    bases.  ``homogeneous`` says whether every generator is.
-
-    The basis lives in its own variables: basis variable k is input
-    variable ``variables[k]``, and the leading monomials, packed terms and
-    generators are all in the basis variables.  Over Q that is the
-    identity; a GF(p) certificate may rename its inputs' variables (see
-    ``modular_certificate``), and a re-check computes the basis in that
-    order."""
+    bases.  ``homogeneous`` says whether every generator is."""
 
     nvars: int
     packed: tuple[dict[int, int], ...] = field(repr=False)
     leading_monomials: tuple[Monomial, ...]
     homogeneous: bool
-    variables: tuple[int, ...]  # basis variable k is input variable variables[k]
     modulus: int = 0  # 0 over Q, else the prime p of GF(p)
 
     @cached_property
@@ -571,7 +560,7 @@ def buchberger(gens: Iterable[Polynomial]) -> GroebnerBasis:
     The one run over GF(p) is ``modular_certificate``'s."""
     polys = _sorted_inputs(gens)
     if not polys:
-        return GroebnerBasis(0, (), (), True, ())
+        return GroebnerBasis(0, (), (), True)
     pk = _packing(polys[0].nvars)
     inputs = [_to_int_terms(p, pk) for p in polys]
     homogeneous = all(p.is_homogeneous() for p in polys)
@@ -747,7 +736,6 @@ def _reduce_basis(basis: list[_IPoly], pk: _Packing, homogeneous: bool) -> Groeb
         pk,
         0,
         homogeneous,
-        tuple(range(pk.nvars)),
     )
 
 
@@ -756,19 +744,16 @@ def _basis_of(
     pk: _Packing,
     modulus: int,
     homogeneous: bool,
-    variables: tuple[int, ...],
 ) -> GroebnerBasis:
     """The GroebnerBasis of packed generators, by decreasing leading
     monomial.  ``homogeneous`` True says that the generators come from
-    homogeneous inputs, and so are homogeneous; False has them checked.
-    ``variables`` is the basis's ``GroebnerBasis.variables``."""
+    homogeneous inputs, and so are homogeneous; False has them checked."""
     polys = sorted(polys, key=max, reverse=True)
     return GroebnerBasis(
         pk.nvars,
         tuple(polys),
         tuple(pk.unpack(max(terms)) for terms in polys),
         homogeneous or _homogeneous_degrees(polys, pk) is not None,
-        variables,
         modulus,
     )
 
@@ -939,33 +924,33 @@ def decide_emptiness(gens: Sequence[Polynomial]) -> tuple[GroebnerBasis, bool]:
 
 
 def modular_certificate(gens: Sequence[Polynomial]) -> GroebnerBasis | None:
-    """A grevlex basis of homogeneous gens over GF(MACAULAY_CHECK_PRIME)
-    with a pure power of every variable, or None: when the prime divides a
-    denominator, the degree cap is hit, or the basis proves nothing.  Such a
-    basis means the gens' Macaulay matrix has full column rank mod p in
-    some degree, hence over Q (Lazard 1983), so the zero set is empty over Q
-    too; only a non-empty answer needs the basis over Q.
+    """A grevlex basis over GF(MACAULAY_CHECK_PRIME) with a pure power of
+    every variable that proves homogeneous gens have no common projective
+    zero, or None: when the prime divides a denominator, the degree cap is
+    hit, or the basis proves nothing.
+
+    The basis is that of I + (x_j : j in S), I the ideal of the gens' residues
+    and S the variables of which some residue is a one-term pure power
+    c*x_j^e (e >= 1; a constant does not count): the run has x_j in place
+    of each such gen, in the input variable order.  Since x_j^e is in I,
+    V(I + (x_S)) = V(I), so a pure power of every variable among its leading
+    monomials means that I has no zero over the algebraic closure of GF(p):
+    the Macaulay matrix of the residues has full column rank mod p in some
+    degree, hence over Q (Lazard 1983), and the gens have no common zero
+    over Q either.  Only a non-empty answer needs the basis over Q.  A
+    re-check computes the basis of the gens plus [x_j : j in S] mod p.
 
     This is the package's one GF(p) Groebner run.  The basis is minimal,
     not reduced: emptiness reads only the leading monomials, which are those
     of the reduced basis, so the tails are not interreduced.
 
-    The run renames the variables first: those with a pure power among the
-    one-term gens go last, each group in its input order, and the basis is
-    that of the renamed gens (``GroebnerBasis.variables`` records the
-    order; when it comes out as the identity nothing is renamed).  With a
-    one-term gen x_j^e and x_j last, in(I) + (x_j) = in(I + (x_j)) under
-    grevlex (Bayer-Stillman 1987), so the run in effect decides the system
-    on x_j = 0, in one variable fewer: for x*z*y^3 + x^5 + z^5 + x^4*y the
-    certificate has 47 generators in the input order and 8 renamed.  The
-    basis is not mapped back: in the input order its generators' grevlex
-    leading monomials need not include the pure powers.
-
     Refused before any run: non-homogeneous gens raise NonHomogeneousIdeal,
     and None comes back when max(cap, largest input degree) exceeds
     MAX_EXPONENT, so that no product in the run can overflow a field, or
-    when some variable has a pure power in none of the gens: then that
-    coordinate point is a common zero, and no basis can prove emptiness."""
+    when some variable has a pure power in none of the residues: then that
+    coordinate point is a common zero mod p, and no basis can prove
+    emptiness.  A gen whose residues all vanish is a zero row of the
+    Macaulay matrix and is dropped."""
     p = MACAULAY_CHECK_PRIME
     polys = _sorted_inputs(gens)
     if not polys:
@@ -973,35 +958,35 @@ def modular_certificate(gens: Sequence[Polynomial]) -> GroebnerBasis | None:
     if not all(g.is_homogeneous() for g in polys):
         raise NonHomogeneousIdeal("the modular certificate needs homogeneous gens")
     cap = _degree_cap()
-    if max(cap, polys[-1].degree()) > MAX_EXPONENT or _coordinate_zero(polys):
+    if max(cap, polys[-1].degree()) > MAX_EXPONENT:
         return None
     converted = [residues(g, p) for g in polys]
     if any(r is None for r in converted):
         return None
     nvars = polys[0].nvars
+    converted = [r for r in converted if r]
+    if _coordinate_zero(converted, nvars):
+        return None
+    for k, res in enumerate(converted):
+        m = next(iter(res))
+        if len(res) == 1 and sum(m) == max(m) > 0:  # c*x_j^e becomes x_j
+            converted[k] = {tuple(int(e > 0) for e in m): 1}
+    converted.sort(key=lambda res: (sum(next(iter(res))), len(res)))
     pk = _packing(nvars)
-    # the variables of one-term gens last, each group in its input order
-    last = _pure_power_variables((next(iter(g.terms)) for g in polys if len(g.terms) == 1), nvars)
-    variables = tuple(sorted(range(nvars), key=last.__contains__))
-    if variables != tuple(range(nvars)):
-        converted = [
-            {tuple([m[i] for i in variables]): r for m, r in res.items()} for res in converted
-        ]
     inputs = [{pk.pack(m): r for m, r in res.items()} for res in converted]
     try:
         basis = _pair_loop(inputs, pk, p, cap)
     except DegreeCapExceeded:
         return None
     minimal = [_terms(g) for g in _minimalize(basis, pk)]
-    certificate = _basis_of(minimal, pk, p, True, variables)
+    certificate = _basis_of(minimal, pk, p, True)
     return certificate if projective_empty(certificate) else None
 
 
-def _coordinate_zero(polys: Sequence[Polynomial]) -> bool:
-    """Whether, for homogeneous polys, some coordinate point e_i is a
-    common zero: no poly has a term in x_i alone."""
-    nvars = polys[0].nvars
-    return len(_pure_power_variables((m for g in polys for m in g.terms), nvars)) < nvars
+def _coordinate_zero(polys: Sequence[dict[Monomial, int]], nvars: int) -> bool:
+    """Whether, for homogeneous polys given by their terms, some coordinate
+    point e_i is a common zero: no poly has a term in x_i alone."""
+    return len(_pure_power_variables((m for g in polys for m in g), nvars)) < nvars
 
 
 # ---------------------------------------------------------------------------
@@ -1175,7 +1160,7 @@ def saturate_irrelevant(gens: Sequence[Polynomial], basis: GroebnerBasis) -> Gro
     """
     polys = [g for g in gens if not g.is_zero()]
     if not polys:
-        return GroebnerBasis(0, (), (), True, ())
+        return GroebnerBasis(0, (), (), True)
     if any(not p.is_homogeneous() for p in polys):
         raise NonHomogeneousIdeal("saturation by the irrelevant ideal needs homogeneous input")
     if basis.modulus:

@@ -42,6 +42,19 @@ def standard_monomials(gb, degree) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def with_pure_power_variables(forms) -> list[Polynomial]:
+    """The forms plus x_j for every form that is one term c*x_j^e, e >= 1:
+    the ideal whose GF(p) basis is the emptiness certificate.  A reference
+    read off the forms' terms, sharing no code with ``groebner``."""
+    extra = []
+    for g in forms:
+        if len(g.terms) == 1:
+            (m,) = g.terms
+            if sum(m) == max(m) > 0:
+                extra.append(Polynomial.variable(m.index(max(m)), g.nvars))
+    return list(forms) + extra
+
+
 def is_canonical(c) -> bool:
     """A canonical polynomial coefficient: an int when integral, otherwise a
     Fraction with denominator above 1."""

@@ -2,11 +2,9 @@
 instances, term for term.
 
 ``tests/data/corpus_condition_II_certificates.json`` holds, per corpus
-entry, the certificate's prime (0 over Q), its variables (basis variable k
-is input variable ``variables[k]``) and packed terms: one list of
+entry, the certificate's prime (0 over Q) and packed terms: one list of
 [packed monomial, coefficient] pairs per generator.  It pins the
-certificates beyond the JSON output, which prints only their size and
-variable order.
+certificates beyond the JSON output, which prints only their size.
 ``tests/data/workload_condition_II_certificates.json`` does the same for the
 12 ``cond2-heavy`` instances at seed 0 and the 7 ``singular-high-degree``
 instances of ``perfbench``, whose text is rebuilt here by the same seeded
@@ -36,7 +34,6 @@ def _certificate(f) -> dict | None:
     gb = check_va(f).condition_ii.certificate
     return None if gb is None else {
         "modulus": gb.modulus,
-        "variables": list(gb.variables),
         "packed": [[[m, c] for m, c in sorted(terms.items())] for terms in gb.packed],
     }
 

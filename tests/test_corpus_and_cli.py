@@ -130,7 +130,6 @@ def test_cli_json_schema():
     assert set(payload["condition_I"]) == {"dim", "holds"}
     assert set(payload["condition_II"]) == {
         "evaluated", "empty", "witness", "certificate_size", "certificate_prime",
-        "certificate_variables",
     }
     assert set(payload["lefschetz"]) == {"seed", "trials", "success", "witness"}
     assert all(set(c) == {"name", "pass"} for c in payload["cross_checks"])
@@ -319,6 +318,12 @@ def test_cli_corpus_filter_and_failure(tmp_path):
     proc = run_cli("corpus", "--file", str(bad), "--jobs", "1")
     assert proc.returncode == 1
     assert "verdict" in proc.stdout
+
+
+def test_corpus_runs_in_one_process_by_default():
+    # parallel runs are opt-in: a process pool costs its start-up on every run
+    assert cli.build_parser().parse_args(["corpus"]).jobs == 1
+    assert cli.build_parser().parse_args(["corpus", "--jobs", "2"]).jobs == 2
 
 
 @pytest.mark.parametrize("target", ["missing.corpus", "."])

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import homogeneous_polynomials, is_canonical, polynomials, table_coordinates
+from conftest import (
+    homogeneous_polynomials,
+    is_canonical,
+    polynomials,
+    table_coordinates,
+    with_pure_power_variables,
+)
 from veroav import groebner
 from veroav.corpus import builtin_corpus
 from veroav.groebner import (
@@ -249,8 +255,8 @@ def test_saturating_a_coordinate_node_form_builds_at_most_the_unshearing_basis(
 def test_a_constant_counts_as_a_pure_power_of_every_variable(monkeypatch):
     gens = [X3("x*y"), X3("x*z^2"), Polynomial.constant(3, 5)]
     assert projective_empty(buchberger(gens))
-    assert _coordinate_zero([X3("x*y"), X3("z^2")])
-    assert not _coordinate_zero([X3("x*y"), X3("z^2"), Polynomial.constant(3, 5)])
+    assert _coordinate_zero([X3("x*y").terms, X3("z^2").terms], 3)
+    assert not _coordinate_zero([X3("x*y").terms, X3("z^2").terms, {(0, 0, 0): 5}], 3)
 
     def no_shear(*args):
         raise AssertionError("the saturation went past k = 0")
@@ -423,17 +429,15 @@ def _residues(p, modulus):
     })
 
 
-def _sympy_modular_basis(gens, variables=(0, 1, 2)):
+def _sympy_modular_basis(gens):
     """sympy's reduced grevlex basis over GF(P31) of the gens, as Polynomials
-    with residues in [0, P31), in the variables x_variables[0], x_variables[1],
-    x_variables[2]."""
+    with residues in [0, P31)."""
     import sympy
 
     xs = sympy.symbols("x1 x2 x3")
     names = dict(zip(["x1", "x2", "x3"], xs))
     exprs = [sympy.sympify(_to_sympy_str(_residues(g, P31)), names) for g in gens]
-    order = [xs[i] for i in variables]
-    reference = sympy.groebner(exprs, *order, order="grevlex", modulus=P31)
+    reference = sympy.groebner(exprs, *xs, order="grevlex", modulus=P31)
     return {
         Polynomial(3, {tuple(int(e) for e in mono): int(c) % P31 for mono, c in poly.terms()})
         for poly in reference.polys
@@ -442,23 +446,22 @@ def _sympy_modular_basis(gens, variables=(0, 1, 2)):
 
 @given(homogeneous_polynomials(nvars=st.just(3), degrees=st.integers(1, 3),
                                max_terms=4))
-@example(parse_poly("x2^2", 3))  # a pure power of x2: the certificate puts x2 last
+@example(parse_poly("x2^2", 3))  # a pure power of x2: the certificate has x2
 @settings(max_examples=25, deadline=None)
 def test_modular_groebner_matches_sympy(p):
-    """The GF(p) certificate generates the ideal of its gens mod p, in its
-    own variable order: sympy reduces both to the same basis, whose leading
-    monomials it shares.  Emptiness does not depend on the order, so a
-    missing certificate is checked in the input order."""
+    """A certificate exists iff sympy's basis of the gens mod p has a pure
+    power of every variable.  It generates the ideal of the gens plus x_j
+    for each one-term gen c*x_j^e, mod p: sympy reduces both to the same
+    basis, whose leading monomials it shares."""
     gens = [p, parse_poly("x1^2*x2 - 3*x3^3", 3), parse_poly("x1^3 + x2^2*x3 - x3^3", 3)]
     certificate = modular_certificate(gens)
-    variables = (0, 1, 2) if certificate is None else certificate.variables
-    reference = _sympy_modular_basis(gens, variables)
-    lms = {max(g.terms, key=grevlex_key) for g in reference}
+    lms = {max(g.terms, key=grevlex_key) for g in _sympy_modular_basis(gens)}
     assert (certificate is not None) == all(any(m[i] == sum(m) for m in lms) for i in range(3))
     if certificate is None:
         return
+    reference = _sympy_modular_basis(with_pure_power_variables(gens))
     assert certificate.modulus == P31
-    assert set(certificate.leading_monomials) == lms
+    assert set(certificate.leading_monomials) == {max(g.terms, key=grevlex_key) for g in reference}
     assert _sympy_modular_basis(certificate.generators) == reference
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import gradient_generic_forms
+from conftest import gradient_generic_forms, with_pure_power_variables
 from veroav import groebner
 from veroav.groebner import (
     MAX_EXPONENT,
@@ -39,8 +39,12 @@ X3 = lambda s: parse_poly(s, 3)  # noqa: E731
 @given(gradient_generic_forms())
 @example(X3("x^3 + y^3 + z^3"))
 @example(X3("x*y*z^2 + x^4 + y^4"))
+@example(X3("x*y*z + z^3"))  # a form is a pure power of z
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_modular_verdict_matches_rational_basis(f):
+    """A GF(p) certificate has the leading monomials of the rational basis
+    of the forms plus x_j for each one-term form c*x_j^e; a certificate over
+    Q is the rational basis of the forms."""
     forms = _power_quotient_forms(f, f.nvars * (f.homogeneous_degree() - 2) - 1)
     rational = buchberger(forms)
     report = condition_II(f)
@@ -49,6 +53,8 @@ def test_modular_verdict_matches_rational_basis(f):
         assert projective_empty(rational)
     if report.empty:
         assert report.certificate.modulus in (0, P)
+        if report.certificate.modulus:
+            rational = buchberger(with_pure_power_variables(forms))
         assert report.certificate.leading_monomials == rational.leading_monomials
     else:
         assert report.certificate.modulus == 0  # non-empty answers come from Q
@@ -139,44 +145,44 @@ def square_systems(draw):
     return [_dense(rng, n, d, point) for d in degrees]
 
 
-def _sympy_basis(forms, variables=None):
-    """sympy's reduced grevlex basis of the forms mod P, as residue dicts, in
-    the variables x_variables[0], x_variables[1], ... (the input order by
-    default)."""
+def _sympy_basis(forms):
+    """sympy's reduced grevlex basis of the forms mod P, as residue dicts."""
     import sympy
 
     xs = sympy.symbols(f"x0:{forms[0].nvars}")
     polys = [
         sympy.Poly.from_dict(groebner.residues(g, P), *xs, modulus=P).as_expr() for g in forms
     ]
-    order = xs if variables is None else [xs[i] for i in variables]
-    basis = sympy.groebner(polys, *order, order="grevlex", modulus=P)
+    basis = sympy.groebner(polys, *xs, order="grevlex", modulus=P)
     return [
         {tuple(map(int, m)): int(c) % P for m, c in g.terms(order="grevlex")}
         for g in basis.polys
     ]
 
 
-def _sympy_leading_monomials(forms, variables=None):
-    return sorted(max(g, key=grevlex_key) for g in _sympy_basis(forms, variables))
+def _sympy_leading_monomials(forms):
+    return sorted(max(g, key=grevlex_key) for g in _sympy_basis(forms))
 
 
 @given(square_systems())
 @example([X3("x^2 - y*z"), X3("y^2 - x*z"), X3("z^2 - x*y")])  # (1:1:1) and two more points
 @example([X3("x^2"), X3("y^2"), X3("z^2"), X3("x*y*z")])
-@example([X3("y^3"), X3("x^3 - y*z^2"), X3("z^3 + x^2*y")])  # the certificate puts y last
+@example([X3("y^3"), X3("x^3 - y*z^2"), X3("z^3 + x^2*y")])  # the certificate has y
+@example([X3("x^2"), X3("y^3"), X3("5*z^2")])  # every form a pure power: x, y, z
+@example([X3("x*y"), X3("3"), X3("z^2")])  # a constant: the unit ideal, not linearized
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_certificate_has_the_leading_monomials_of_sympys_basis(forms):
-    """The certificate's leading monomials are those of sympy's basis in the
-    certificate's variable order; emptiness does not depend on the order, so
-    a missing certificate is checked in the input order."""
+    """A certificate exists iff sympy's basis of the forms has a pure power
+    of every variable (a constant counts for each), and its leading
+    monomials are those of sympy's basis of the forms plus x_j for each
+    one-term form c*x_j^e."""
     certificate = modular_certificate(forms)
-    reference = _sympy_leading_monomials(forms, certificate and certificate.variables)
     n = forms[0].nvars
-    pure = all(any(m[i] == sum(m) > 0 for m in reference) for i in range(n))
-    assert (certificate is not None) == pure
+    lms = _sympy_leading_monomials(forms)
+    assert (certificate is not None) == all(any(m[i] == sum(m) for m in lms) for i in range(n))
     if certificate is None:
         return
+    reference = _sympy_leading_monomials(with_pure_power_variables(forms))
     assert sorted(certificate.leading_monomials) == reference
     assert certificate.modulus == P
     for g, lm in zip(certificate.generators, certificate.leading_monomials):
@@ -185,7 +191,7 @@ def test_certificate_has_the_leading_monomials_of_sympys_basis(forms):
 
 
 # ---------------------------------------------------------------------------
-# the variables of one-term forms go last
+# one-term forms become linear
 
 
 def _twin_orders() -> list[str]:
@@ -203,8 +209,8 @@ def _twin_orders() -> list[str]:
 @pytest.mark.parametrize("text", _twin_orders())
 def test_every_twin_order_gets_a_small_certificate(text):
     # a condition-(II) form of every twin is a pure power a_j^e; with a_j
-    # last, the septic twin's certificates have 12 to 15 generators, where
-    # the input order gave up to 161
+    # in its place, the septic twin's certificates have 12 to 15 generators,
+    # where the forms alone gave up to 161
     f = X3(text)
     cert = check_va(f)
     assert cert.verdict is True
@@ -213,7 +219,7 @@ def test_every_twin_order_gets_a_small_certificate(text):
     assert certificate.modulus == P
     assert len(certificate.leading_monomials) <= 15
     forms = _power_quotient_forms(f, f.nvars * (f.homogeneous_degree() - 2) - 1)
-    reference = _sympy_leading_monomials(forms, certificate.variables)
+    reference = _sympy_leading_monomials(with_pure_power_variables(forms))
     assert sorted(certificate.leading_monomials) == reference
 
 
@@ -345,6 +351,20 @@ def test_a_pure_power_of_every_variable_still_runs_and_certifies(monkeypatch):
     # a nonzero constant is a pure power of every variable: the unit ideal
     assert modular_certificate([X3("x*y"), X3("3")]).is_unit_ideal()
     assert len(runs) == 3
+
+
+def test_a_gen_that_vanishes_mod_p_is_dropped(monkeypatch):
+    # modulo p the first form is zero, so (1:0:0) is a common zero of the
+    # residues: no run can prove the emptiness, which Q proves
+    forms = [X3(f"{P}*x^2"), X3("y^2"), X3("z^2")]
+    _watch_pair_loop(monkeypatch, allowed=False)
+    assert modular_certificate(forms) is None
+    monkeypatch.undo()
+    basis, empty = decide_emptiness(forms)
+    assert empty and basis.modulus == 0
+    # the other residues still certify without it
+    certificate = modular_certificate([X3(f"{P}*x*y"), X3("x^2"), X3("y^2"), X3("z^2")])
+    assert certificate.leading_monomials == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def test_the_coordinate_check_leaves_non_homogeneous_input_alone(monkeypatch):

@@ -12,8 +12,8 @@ table of the Jacobian Groebner basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from veroav.groebner import coordinate_table, decide_emptiness
 from veroav.milnor import InternalDefectError, gb_jacobian, is_smooth, validate_input
@@ -46,8 +46,7 @@ def apolar_action(h: Polynomial, F: Polynomial) -> Polynomial:
     return Polynomial(h.nvars, out)
 
 
-@dataclass(frozen=True)
-class InverseSystem:
+class InverseSystem(NamedTuple):
     """Degree-T dual generator F with Ann(F) = J_f, normalized to primitive
     integer coefficients with positive leading coefficient."""
 

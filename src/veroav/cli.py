@@ -13,7 +13,6 @@ unless --timings is given, since wall-clock values are not reproducible).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from veroav.apolar import inverse_system
@@ -78,6 +77,9 @@ def _certificate_json(cert, lef, timings_enabled: bool, seed: int) -> dict:
 
 
 def _print_json(payload: dict) -> None:
+    # imported here: it would add about 2 ms to every CLI start
+    import json
+
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 

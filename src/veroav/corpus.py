@@ -9,7 +9,7 @@ an independent route, "trivial" for definitional identities.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from veroav.apolar import inverse_system, smoothness
 from veroav.milnor import ScopeError
@@ -18,8 +18,7 @@ from veroav.singlocus import classify, general_linear_position, singular_report
 from veroav.veronese import check_va, lefschetz_degree_one
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     name: str
     n: int
     source: str
@@ -178,13 +177,12 @@ def builtin_corpus() -> list[CorpusEntry]:
     return entries
 
 
-@dataclass
-class EntryResult:
+class EntryResult(NamedTuple):
     name: str
     passed: bool
-    failures: list[str] = field(default_factory=list)
-    verdict: bool | None = None
-    elapsed_ms: float = 0.0
+    failures: list[str]
+    verdict: bool | None
+    elapsed_ms: float
 
 
 def run_entry(entry: CorpusEntry, lefschetz_seed: int = 0) -> EntryResult:

@@ -82,7 +82,6 @@ import math
 import operator
 import os
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -438,7 +437,6 @@ def _spoly_int(f: _IPoly, g: _IPoly, lcm: int) -> dict[int, int]:
 # Buchberger proper
 
 
-@dataclass(frozen=True, eq=False)
 class GroebnerBasis:
     """Groebner basis with monic generators, sorted by decreasing leading
     monomial, no leading monomial dividing another's.  Over Q (``modulus``
@@ -452,14 +450,23 @@ class GroebnerBasis:
     The basis keeps the engine's packed terms: over Q primitive integers,
     the generator being terms / (leading coefficient); over GF(p) monic
     residues.  ``generators``, the Polynomials (residues in [0, p) as ints
-    over GF(p)), are built on first read; compare those for equality of
-    bases.  ``homogeneous`` says whether every generator is."""
+    over GF(p)), are built on first read.  ``homogeneous`` says whether
+    every generator is.  A basis is equal only to itself: compare
+    ``generators`` for equality of bases."""
 
-    nvars: int
-    packed: tuple[dict[int, int], ...] = field(repr=False)
-    leading_monomials: tuple[Monomial, ...]
-    homogeneous: bool
-    modulus: int = 0  # 0 over Q, else the prime p of GF(p)
+    def __init__(
+        self,
+        nvars: int,
+        packed: tuple[dict[int, int], ...],
+        leading_monomials: tuple[Monomial, ...],
+        homogeneous: bool,
+        modulus: int = 0,  # 0 over Q, else the prime p of GF(p)
+    ):
+        self.nvars = nvars
+        self.packed = packed
+        self.leading_monomials = leading_monomials
+        self.homogeneous = homogeneous
+        self.modulus = modulus
 
     @cached_property
     def generators(self) -> tuple[Polynomial, ...]:

@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class MatrixQ:
+class MatrixQ(NamedTuple):
     rows: int
     cols: int
     entries: tuple[tuple[Fraction, ...], ...]
@@ -32,8 +30,7 @@ class MatrixQ:
         return cls(len(ent), ncols, ent)
 
 
-@dataclass(frozen=True)
-class RrefResult:
+class RrefResult(NamedTuple):
     """Reduced row echelon form with pivot bookkeeping."""
 
     matrix: tuple[tuple[Fraction, ...], ...]

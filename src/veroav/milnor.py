@@ -13,8 +13,8 @@ Its exact RREF (``jacobian_rref``) is not used by the pipeline.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from veroav.groebner import (
     GroebnerBasis,
@@ -57,16 +57,14 @@ class InternalDefectError(RuntimeError):
     """An internal consistency check failed (CLI exit code 3)."""
 
 
-@dataclass(frozen=True)
-class HypersurfaceInput:
+class HypersurfaceInput(NamedTuple):
     f: Polynomial
     n: int
     d: int
     T: int
 
 
-@dataclass(frozen=True)
-class ConditionIReport:
+class ConditionIReport(NamedTuple):
     dim_milnor_top_minus_one: int
     holds: bool
 

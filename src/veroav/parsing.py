@@ -20,10 +20,13 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
-from veroav.polynomial import Polynomial
+from veroav.polynomial import Monomial, Polynomial, mono_mul, ratio
 from veroav.polyring import linear_form
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*^()/]))")
+# One match per token, leading whitespace skipped; the last group catches
+# any other character, so the matches cover the text up to trailing space.
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*^()/])|(\S))")
+_KINDS = (None, "INT", "NAME", "OP")
 
 
 class ParseError(ValueError):
@@ -52,24 +55,17 @@ def _variable_table(nvars: int, names: Sequence[str] | None) -> dict[str, int]:
 
 
 class _Lexer:
+    """The (kind, value, offset) tokens of the whole text, ending in END
+    with value ""; a bad character is reported before any grammar error.
+    An operator's value alone tells it from every other token."""
+
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
         self.tokens: list[tuple[str, str, int]] = []
-        while self.pos < len(text):
-            if text[self.pos].isspace():
-                self.pos += 1
-                continue
-            m = _TOKEN.match(text, self.pos)
-            if not m:
-                raise ParseError(f"unexpected character {text[self.pos]!r}", self.pos)
-            if m.group(1):
-                self.tokens.append(("INT", m.group(1), m.start(1)))
-            elif m.group(2):
-                self.tokens.append(("NAME", m.group(2), m.start(2)))
-            else:
-                self.tokens.append(("OP", m.group(3), m.start(3)))
-            self.pos = m.end()
+        for m in _TOKEN.finditer(text):
+            group = m.lastindex
+            if group == 4:
+                raise ParseError(f"unexpected character {m.group(4)!r}", m.start(4))
+            self.tokens.append((_KINDS[group], m.group(group), m.start(group)))
         self.tokens.append(("END", "", len(text)))
         self.index = 0
 
@@ -82,7 +78,21 @@ class _Lexer:
         return tok
 
 
+def _add_term(terms: dict[Monomial, int | Fraction], m: Monomial, c) -> None:
+    """terms[m] += c, keeping the values nonzero and canonical."""
+    s = terms.get(m, 0) + c
+    if not s:
+        del terms[m]
+    else:
+        terms[m] = s if type(s) is int or s.denominator != 1 else s.numerator
+
+
 class _Parser:
+    """Recursive descent that collects each term as a coefficient and an
+    exponent vector and sums the terms of an expression in one dict, in the
+    order polynomial addition would; only parenthesized groups and their
+    powers use ``Polynomial`` arithmetic."""
+
     def __init__(self, text: str, nvars: int, names: Sequence[str] | None):
         self.lex = _Lexer(text)
         self.nvars = nvars
@@ -96,66 +106,76 @@ class _Parser:
         return p
 
     def expr(self) -> Polynomial:
-        kind, value, _ = self.lex.peek()
-        sign = 1
-        if kind == "OP" and value in "+-":
+        terms: dict[Monomial, int | Fraction] = {}
+        value = self.lex.peek()[1]
+        negate = value == "-"
+        if value in ("+", "-"):
             self.lex.next()
-            sign = -1 if value == "-" else 1
-        total = self.term() * sign
         while True:
-            kind, value, _ = self.lex.peek()
-            if kind == "OP" and value in "+-":
-                self.lex.next()
-                t = self.term()
-                total = total + (t if value == "+" else -t)
-            else:
-                return total
-
-    def term(self) -> Polynomial:
-        total = self.factor()
-        while True:
-            kind, value, _ = self.lex.peek()
-            if kind == "OP" and value == "*":
-                self.lex.next()
-                total = total * self.factor()
-            else:
-                return total
-
-    def factor(self) -> Polynomial:
-        base = self.atom()
-        kind, value, _ = self.lex.peek()
-        if kind == "OP" and value == "^":
+            self.term(terms, negate)
+            value = self.lex.peek()[1]
+            if value not in ("+", "-"):
+                return Polynomial._trusted(self.nvars, terms)
             self.lex.next()
+            negate = value == "-"
+
+    def term(self, terms: dict[Monomial, int | Fraction], negate: bool) -> None:
+        """Parse a product of factors and add it, negated if ``negate``,
+        into ``terms``: nonzero canonical coefficients by exponent tuple."""
+        coeff = -1 if negate else 1
+        exps = [0] * self.nvars
+        group = None  # the product of the parenthesized factors
+        while True:
             kind, value, pos = self.lex.next()
-            if kind != "INT":
-                raise ParseError("exponent is not a nonnegative integer", pos)
-            return base ** int(value)
-        return base
+            if kind == "INT":
+                coeff *= self.number(value) ** self.exponent()
+            elif kind == "NAME":
+                if value not in self.vars:
+                    raise ParseError(f"unknown variable {value!r}", pos)
+                exps[self.vars[value]] += self.exponent()
+            elif value == "(":
+                inner = self.expr()
+                _, value, pos = self.lex.next()
+                if value != ")":
+                    raise ParseError("expected ')'", pos)
+                inner **= self.exponent()
+                group = inner if group is None else group * inner
+            else:
+                raise ParseError(
+                    f"unexpected {value!r}" if value else "unexpected end of input", pos
+                )
+            if self.lex.peek()[1] != "*":
+                break
+            self.lex.next()
+        if not coeff:
+            return
+        if group is None:
+            _add_term(terms, tuple(exps), coeff)
+        else:
+            for m, c in group.terms.items():
+                _add_term(terms, mono_mul(m, exps), c * coeff)
 
-    def atom(self) -> Polynomial:
+    def number(self, value: str) -> int | Fraction:
+        """An integer literal, or the rational literal it starts."""
+        if self.lex.peek()[1] != "/":
+            return int(value)
+        self.lex.next()
+        dkind, dvalue, dpos = self.lex.next()
+        if dkind != "INT":
+            raise ParseError("denominator must be an integer literal", dpos)
+        if int(dvalue) == 0:
+            raise ParseError("zero denominator", dpos)
+        return ratio(int(value), int(dvalue))
+
+    def exponent(self) -> int:
+        """The exponent of a `^`, or 1 when none follows."""
+        if self.lex.peek()[1] != "^":
+            return 1
+        self.lex.next()
         kind, value, pos = self.lex.next()
-        if kind == "INT":
-            peek_kind, peek_value, _ = self.lex.peek()
-            if peek_kind == "OP" and peek_value == "/":
-                self.lex.next()
-                dkind, dvalue, dpos = self.lex.next()
-                if dkind != "INT":
-                    raise ParseError("denominator must be an integer literal", dpos)
-                if int(dvalue) == 0:
-                    raise ParseError("zero denominator", dpos)
-                return Polynomial.constant(self.nvars, Fraction(int(value), int(dvalue)))
-            return Polynomial.constant(self.nvars, int(value))
-        if kind == "NAME":
-            if value not in self.vars:
-                raise ParseError(f"unknown variable {value!r}", pos)
-            return Polynomial.variable(self.vars[value], self.nvars)
-        if kind == "OP" and value == "(":
-            inner = self.expr()
-            kind, value, pos = self.lex.next()
-            if not (kind == "OP" and value == ")"):
-                raise ParseError("expected ')'", pos)
-            return inner
-        raise ParseError(f"unexpected {value!r}" if value else "unexpected end of input", pos)
+        if kind != "INT":
+            raise ParseError("exponent is not a nonnegative integer", pos)
+        return int(value)
 
 
 def parse_poly(text: str, nvars: int, names: Sequence[str] | None = None) -> Polynomial:

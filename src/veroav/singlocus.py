@@ -15,10 +15,9 @@ read off the saturated Jacobian ideal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from veroav.groebner import MACAULAY_CHECK_PRIME, buchberger, quotient_degree, residues
 from veroav.linalg import MatrixQ, rank, rank_residues
@@ -36,8 +35,7 @@ from veroav.ratpoints import rational_projective_points
 _LOCAL_TRUNCATION_CAP = 40
 
 
-@dataclass(frozen=True)
-class ProjPoint:
+class ProjPoint(NamedTuple):
     """Point of P^{n-1}, normalized so the last nonzero coordinate is 1."""
 
     coords: tuple[Fraction, ...]
@@ -58,8 +56,7 @@ class ProjPoint:
         return "[" + ":".join(str(c) for c in self.coords) + "]"
 
 
-@dataclass(frozen=True)
-class LocalSingularity:
+class LocalSingularity(NamedTuple):
     point: ProjPoint
     tjurina: int
     milnor: int
@@ -67,8 +64,7 @@ class LocalSingularity:
     quadratic_rank: int
 
 
-@dataclass(frozen=True)
-class SingularReport:
+class SingularReport(NamedTuple):
     points: tuple[LocalSingularity, ...]
     complete: bool
     total_tjurina_local: int
@@ -229,8 +225,7 @@ def general_linear_position(points: Sequence[ProjPoint]) -> tuple[bool, int]:
     return r == count, count - n + (n - r)
 
 
-@dataclass(frozen=True)
-class ClassifyRecord:
+class ClassifyRecord(NamedTuple):
     applicable: tuple[str, ...]
     predicted_va: bool | None
     reason: str

@@ -26,10 +26,9 @@ import math
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from veroav.groebner import (
     MACAULAY_CHECK_PRIME,
@@ -67,8 +66,7 @@ from veroav.singlocus import ProjPoint
 # condition (II)
 
 
-@dataclass(frozen=True)
-class ConditionIIReport:
+class ConditionIIReport(NamedTuple):
     evaluated: bool
     empty: bool | None
     witness: tuple[Fraction, ...] | None
@@ -189,8 +187,7 @@ def condition_II(f: Polynomial) -> ConditionIIReport:
 # the verdict
 
 
-@dataclass(frozen=True)
-class VACertificate:
+class VACertificate(NamedTuple):
     n: int
     d: int
     T: int
@@ -199,7 +196,7 @@ class VACertificate:
     condition_ii: ConditionIIReport
     verdict: bool
     cross_checks: tuple[tuple[str, bool], ...]
-    timings_ms: dict[str, float] = field(default_factory=dict)
+    timings_ms: dict[str, float]
 
 
 @contextmanager
@@ -306,8 +303,7 @@ class DependentConditionsError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PhiBaseLocusReport:
+class PhiBaseLocusReport(NamedTuple):
     vanishing_linear_forms: tuple[tuple[Fraction, ...], ...]  # basis of I(Gamma)_1
     dim_linear_system: int
     dim_jacobian_module_top: int
@@ -359,8 +355,7 @@ def phi_base_locus(f: Polynomial, points: Sequence[Sequence[Fraction]]) -> PhiBa
 # the Lefschetz rank check
 
 
-@dataclass(frozen=True)
-class LefschetzReport:
+class LefschetzReport(NamedTuple):
     seed: int
     trials: int
     coeff_bound: int

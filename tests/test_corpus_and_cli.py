@@ -24,6 +24,24 @@ def run_cli(*args, **kwargs):
     )
 
 
+def test_cli_start_loads_no_record_or_json_machinery():
+    """A fresh ``import veroav.cli`` loads neither ``dataclasses`` nor
+    ``inspect``, and ``json`` only once a command prints JSON.  Modules are
+    compared before and after the import, since ``site`` may preload some."""
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import veroav.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    loaded = set(out.stdout.split())
+    assert "veroav.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "json"}
+
+
 def test_builtin_corpus_passes():
     results = run_corpus(jobs=1)
     failures = {r.name: r.failures for r in results if not r.passed}

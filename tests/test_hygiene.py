@@ -474,3 +474,35 @@ def test_the_gf_p_run_check_flags_a_planted_modular_call():
         "m.py:6 groebner._pair_loop(inputs, pk, p, cap)",
         "m.py:8 _pair_loop(inputs, pk, modulus=MACAULAY_CHECK_PRIME, cap=cap)",
     ]
+
+
+def _dataclass_imports(fname: str, tree: ast.Module) -> list[str]:
+    """Imports of ``dataclasses``, by ``import`` or ``from ... import``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "dataclasses" for name in names):
+            found.append(f"{fname}:{node.lineno}")
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    """Record types are NamedTuples: building dataclasses took 12-16 ms of
+    every start, and loading ``dataclasses`` pulls in ``inspect``."""
+    offenders = [c for fname, tree in _modules().items() for c in _dataclass_imports(fname, tree)]
+    assert not offenders, "dataclasses imported: " + ", ".join(offenders)
+
+
+def test_the_dataclass_import_check_flags_both_forms():
+    source = (
+        "import dataclasses as dc\n"
+        "from dataclasses import dataclass\n"
+        "from typing import NamedTuple\n"
+        "import os, dataclasses\n"
+    )
+    assert _dataclass_imports("m.py", ast.parse(source)) == ["m.py:1", "m.py:2", "m.py:4"]

@@ -19,6 +19,7 @@ from veroav.linalg import (
     rank_residues,
 )
 from veroav.milnor import (
+    ScopeError,
     condition_I,
     gb_jacobian,
     jacobian_degree_matrix,
@@ -26,7 +27,7 @@ from veroav.milnor import (
     validate_input,
 )
 from veroav.parsing import parse_poly, render_poly
-from veroav.polynomial import Polynomial
+from veroav.polynomial import Polynomial, iter_monomials
 from veroav.polyring import (
     coefficient_vector,
     linear_form,
@@ -436,3 +437,33 @@ def test_pgl_invariance(src, n, A):
     matrix = A.draw(unimodular_matrices(n))
     g = substitute_linear(f, matrix)
     assert check_va(g).verdict == check_va(f).verdict
+
+
+@st.composite
+def small_forms(draw):
+    """n = 3 with d = 3-4, or n = 4 with d = 3, on a random support of small
+    integer coefficients: smooth, singular and non-isolated forms all occur."""
+    n, d = draw(st.sampled_from([(3, 3), (3, 4), (4, 3)]))
+    basis = list(iter_monomials(n, d))
+    support = draw(st.lists(st.sampled_from(basis), min_size=1, max_size=10, unique=True))
+    coeffs = draw(
+        st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=len(support),
+                 max_size=len(support))
+    )
+    return Polynomial(n, dict(zip(support, coeffs)))
+
+
+def _outcome(f):
+    """The verdict, or the kind of scope error, which a coordinate change
+    keeps too."""
+    try:
+        return check_va(f).verdict
+    except ScopeError as exc:
+        return type(exc).__name__
+
+
+@given(small_forms(), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_verdict_is_invariant_under_random_coordinate_change(f, seed):
+    g = substitute_linear(f, random_unimodular(f.nvars, random.Random(seed)))
+    assert _outcome(g) == _outcome(f)

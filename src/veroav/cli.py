@@ -192,7 +192,8 @@ def cmd_singular(args) -> int:
         _print_json(payload)
     else:
         if not points:
-            print("smooth: no singular points")
+            print("smooth: no singular points" if rep.complete
+                  else "singular: no singular point is rational")
         for p in points:
             kind = "node" if p["is_node"] else f"non-node (quadratic rank {p['quadratic_rank']})"
             print(f"{p['point']}: {kind}, tjurina = {p['tjurina']}, milnor = {p['milnor']}")

@@ -19,8 +19,8 @@ The table is memoized on the basis object.
 The table is the only reader of coordinates in (R/I)_D: its callers read
 the rows of monomials and combine them themselves, and the heap normal
 form is left to membership tests and to ``eliminant``, the minimal
-polynomial of x_0 on the quotient by a zero-dimensional ideal (FGLM
-again), which is how rational points are eliminated without a lex basis.
+polynomial of a variable x_i on the quotient by a zero-dimensional ideal
+(FGLM again), which is how rational points are found without a lex basis.
 The one conversion of rational
 coefficients to residues mod p, with its refusal of a denominator the
 prime divides, is ``residues``.
@@ -862,10 +862,10 @@ def _coordinate_sweep(gb: GroebnerBasis, degree: int) -> CoordinateTable:
     )
 
 
-def eliminant(gb: GroebnerBasis) -> list[Fraction]:
-    """Ascending coefficients of the monic generator of I ∩ Q[x_0] for a
+def eliminant(gb: GroebnerBasis, i: int) -> list[Fraction]:
+    """Ascending coefficients of the monic generator of I ∩ Q[x_i] for a
     zero-dimensional ideal I over Q with basis gb: the minimal polynomial of
-    x_0 on Q[x]/I, as in FGLM.  The normal forms of 1, x_0, ..., x_0^D,
+    x_i on Q[x]/I, as in FGLM.  The normal forms of 1, x_i, ..., x_i^D,
     D = dim Q[x]/I, are dependent; the kernel vector of the first free
     column of their matrix is the first dependency, nonzero there and 0
     after it.  Each normal form is kept as primitive integers, which keeps
@@ -874,7 +874,7 @@ def eliminant(gb: GroebnerBasis) -> list[Fraction]:
     pk = _packing(gb.nvars)
     memo: dict = {}  # one reducer lookup for every power
     columns: list[dict[int, int]] = []
-    scales = []  # columns[j] = scales[j] * NF(x_0^j)
+    scales = []  # columns[j] = scales[j] * NF(x_i^j)
     power, scale = {0: 1}, Fraction(1)  # 0 is the packed monomial 1
     for _ in range(quotient_degree(gb) + 1):
         terms, den = _normal_form_int(power, gb._reducers, pk, memo)
@@ -882,7 +882,7 @@ def eliminant(gb: GroebnerBasis) -> list[Fraction]:
         columns.append({m: c // g for m, c in terms.items()})
         scale *= Fraction(den, g)
         scales.append(scale)
-        power = {m + pk.units[0]: c for m, c in columns[-1].items()}
+        power = {m + pk.units[i]: c for m, c in columns[-1].items()}
     monomials = {m for column in columns for m in column}
     rows = [[column.get(m, 0) for column in columns] for m in monomials]
     coeffs = [v * s for v, s in zip(kernel_basis(MatrixQ.from_rows(rows))[0], scales)]

@@ -1,93 +1,19 @@
-"""Rational roots of integer univariate polynomials.
+"""Rational roots of univariate polynomials over Q, by p-adic lifting.
 
-Root candidates come from the rational root theorem, so we need divisor
-enumeration of (possibly large) leading and trailing coefficients: trial
-division for small factors, Miller-Rabin plus Pollard's rho for the rest.
+A rational root a/b of the squarefree part s of the input has |a|, |b| <=
+B = max(|lead s|, |trail s|).  The roots of s mod a small prime are lifted
+by Newton's iteration until p^k > 2B^2, and each is turned into the one a/b
+with |a|, |b| <= B it can stand for (rational reconstruction) and kept when
+s(a/b) = 0 exactly.  Multiplicities come from deflating the input.  See
+Loos, SIAM J. Comput. 12 (1983), and von zur Gathen and Gerhard, *Modern
+Computer Algebra*, section 5.10 and chapter 15.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import random
 from fractions import Fraction
-
-_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-
-
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    # deterministic witness set for n < 3.3 * 10^24
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int, rng: random.Random) -> int:
-    if n % 2 == 0:
-        return 2
-    while True:
-        x = rng.randrange(2, n)
-        y = x
-        c = rng.randrange(1, n)
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| (n must be nonzero)."""
-    if n == 0:
-        raise ValueError("cannot factor zero")
-    n = abs(n)
-    factors: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    if n == 1:
-        return factors
-    rng = random.Random(0xC0FFEE)
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m, rng)
-        stack.append(d)
-        stack.append(m // d)
-    return factors
-
-
-def divisors(n: int) -> list[int]:
-    """Positive divisors of |n|, ascending."""
-    divs = [1]
-    for p, e in factorize(n).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
 
 
 def rational_roots(coeffs: list[Fraction]) -> tuple[list[tuple[Fraction, int]], bool]:
@@ -98,21 +24,13 @@ def rational_roots(coeffs: list[Fraction]) -> tuple[list[tuple[Fraction, int]], 
     i.e. multiplicities sum to the degree.
     """
     # clear denominators and content
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ic = [int(c * den) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ic = [c.numerator * (den // c.denominator) for c in coeffs]
     while ic and ic[-1] == 0:
         ic.pop()
     if not ic:
         raise ValueError("zero polynomial has every rational number as a root")
-    g = 0
-    for v in ic:
-        g = math.gcd(g, v)
-    ic = [v // g for v in ic]
     deg = len(ic) - 1
-    if deg == 0:
-        return [], True
 
     # strip x^k factor: root 0 with multiplicity k
     k = 0
@@ -124,41 +42,99 @@ def rational_roots(coeffs: list[Fraction]) -> tuple[list[tuple[Fraction, int]], 
         ic = ic[k:]
 
     if len(ic) > 1:
-        lead, trail = ic[-1], ic[0]
-        candidates = set()
-        for p in divisors(trail):
-            for q in divisors(lead):
-                if math.gcd(p, q) == 1:
-                    candidates.add(Fraction(p, q))
-                    candidates.add(Fraction(-p, q))
-        for r in sorted(candidates):
-            mult = 0
-            cur = ic
-            while len(cur) > 1 and _eval_int_poly(cur, r) == 0:
-                cur = _deflate(cur, r)
-                mult += 1
+        s = _squarefree_part(_primitive(ic))
+        ds = _derivative(s)
+        p, residues = _simple_roots_mod_p(s, ds)
+        bound = max(abs(s[0]), abs(s[-1]))
+        for u in residues:
+            r = _reconstruct(*_lift(s, ds, u, p, 2 * bound * bound), bound)
+            if r is None:
+                continue
+            # r = a/b is a root exactly when b*x - a divides, with no remainder
+            linear, mult = [-r.numerator, r.denominator], 0
+            q, rest = _pseudo_divide(ic, linear)
+            while not rest:
+                ic, mult = _primitive(q), mult + 1
+                q, rest = _pseudo_divide(ic, linear)
             if mult:
                 roots.append((r, mult))
-                ic = cur
     total = sum(m for _, m in roots)
     return sorted(roots), total == deg
 
 
-def _eval_int_poly(coeffs: list[int], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
+def _primitive(f: list[int]) -> list[int]:
+    """f over its content, with a positive leading coefficient."""
+    g = math.gcd(*f)
+    return [c // g for c in f] if f[-1] > 0 else [-c // g for c in f]
+
+
+def _derivative(f: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(f)][1:]
+
+
+def _pseudo_divide(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(q, r) with lead(b)^k * a = q*b + r and deg r < deg b."""
+    q, r = [0] * max(len(a) - len(b) + 1, 0), a
+    while len(r) >= len(b):
+        lead, shift = r[-1], len(r) - len(b)
+        q = [b[-1] * c for c in q]
+        q[shift] += lead
+        r = [b[-1] * c for c in r]
+        for j, c in enumerate(b):
+            r[shift + j] -= lead * c
+        while r and not r[-1]:
+            r.pop()
+    return q, r
+
+
+def _squarefree_part(f: list[int]) -> list[int]:
+    """f / gcd(f, f') for a primitive f of positive degree with a positive
+    leading coefficient.  The gcd is the last entry of the primitive
+    remainder sequence of f and f'."""
+    a, b = f, _primitive(_derivative(f))
+    while True:
+        r = _pseudo_divide(a, b)[1]
+        if not r:
+            return _primitive(_pseudo_divide(f, b)[0])
+        a, b = b, _primitive(r)
+
+
+def _value(f: list[int], x: int, m: int) -> int:
+    """f(x) mod m."""
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % m
     return acc
 
 
-def _deflate(coeffs: list[int], root: Fraction) -> list[int]:
-    """Synthetic division by (x - root); the caller guarantees exactness."""
-    q: list[Fraction] = [Fraction(0)] * (len(coeffs) - 1)
-    carry = Fraction(0)
-    for i in range(len(coeffs) - 1, 0, -1):
-        carry = Fraction(coeffs[i]) + carry * root
-        q[i - 1] = carry
-    den = 1
-    for c in q:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return [int(c * den) for c in q]
+def _simple_roots_mod_p(s: list[int], ds: list[int]) -> tuple[int, list[int]]:
+    """(p, the roots of s mod p, by evaluation at every residue) for the
+    first prime p >= 101 that divides neither lead(s) nor s' at any of those
+    roots; only the divisors of lead(s) times the discriminant fail."""
+    for p in itertools.count(101, 2):
+        if s[-1] % p == 0 or any(p % q == 0 for q in range(3, math.isqrt(p) + 1, 2)):
+            continue
+        residues = [u for u in range(p) if _value(s, u, p) == 0]
+        if all(_value(ds, u, p) for u in residues):
+            return p, residues
+
+
+def _lift(s: list[int], ds: list[int], u: int, p: int, bound: int) -> tuple[int, int]:
+    """(root, modulus): the simple root u of s mod p lifted by Newton's
+    iteration, squaring the modulus until it exceeds ``bound``."""
+    m = p
+    while m <= bound:
+        m *= m
+        u = (u - _value(s, u, m) * pow(_value(ds, u, m), -1, m)) % m
+    return u, m
+
+
+def _reconstruct(u: int, m: int, bound: int) -> Fraction | None:
+    """The a/b with |a|, |b| <= bound and a = b*u mod m, unique when m >
+    2*bound^2, or None: the extended Euclidean algorithm on (m, u), stopped
+    at the first remainder at most ``bound``."""
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return Fraction(r1, t1) if abs(t1) <= bound else None

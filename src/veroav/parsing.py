@@ -10,8 +10,9 @@ Grammar (the wire format used by the CLI and corpus files):
     VAR    := x1..xN, or aliases x,y,z when N <= 3 and x,y,z,w when N = 4
 
 Multiplication must be explicit (`x*y`, never `xy`); exponents are
-nonnegative integers; floating literals are rejected.  Errors carry the byte
-offset into the source text.
+nonnegative integers; floating literals are rejected.  An integer literal
+longer than the interpreter converts (4300 digits by default) is an error
+too.  Errors carry the byte offset into the source text.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ class _Parser:
         while True:
             kind, value, pos = self.lex.next()
             if kind == "INT":
-                coeff *= self.number(value) ** self.exponent()
+                coeff *= self.number(value, pos) ** self.exponent()
             elif kind == "NAME":
                 if value not in self.vars:
                     raise ParseError(f"unknown variable {value!r}", pos)
@@ -155,17 +156,19 @@ class _Parser:
             for m, c in group.terms.items():
                 _add_term(terms, mono_mul(m, exps), c * coeff)
 
-    def number(self, value: str) -> int | Fraction:
+    def number(self, value: str, pos: int) -> int | Fraction:
         """An integer literal, or the rational literal it starts."""
+        numerator = _integer(value, pos)
         if self.lex.peek()[1] != "/":
-            return int(value)
+            return numerator
         self.lex.next()
         dkind, dvalue, dpos = self.lex.next()
         if dkind != "INT":
             raise ParseError("denominator must be an integer literal", dpos)
-        if int(dvalue) == 0:
+        denominator = _integer(dvalue, dpos)
+        if denominator == 0:
             raise ParseError("zero denominator", dpos)
-        return ratio(int(value), int(dvalue))
+        return ratio(numerator, denominator)
 
     def exponent(self) -> int:
         """The exponent of a `^`, or 1 when none follows."""
@@ -175,7 +178,16 @@ class _Parser:
         kind, value, pos = self.lex.next()
         if kind != "INT":
             raise ParseError("exponent is not a nonnegative integer", pos)
-        return int(value)
+        return _integer(value, pos)
+
+
+def _integer(digits: str, pos: int) -> int:
+    """The value of an INT token; CPython refuses to convert one longer than
+    its int-string limit, which stays as the interpreter has it."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(digits)} digits is too long", pos) from None
 
 
 def parse_poly(text: str, nvars: int, names: Sequence[str] | None = None) -> Polynomial:

@@ -1,17 +1,20 @@
 """Rational points of zero-dimensional projective varieties.
 
 Charts are scanned by last nonzero coordinate, each giving an affine system
-solved by elimination down to the first variable, rational-root extraction
-on the eliminant, and back-substitution.  The eliminant is read off the
-system's grevlex basis (``groebner.eliminant``).  A search is *complete*
-when every chart is zero-dimensional and every eliminant encountered
-splits into rational linear factors counted with multiplicity; otherwise
-non-rational points exist, or a chart is positive-dimensional and adds no
-points, and the flag says so.
+with one grevlex basis.  Every coordinate x_i has its eliminant read off
+that basis (``groebner.eliminant``): the minimal polynomial of x_i on
+Q[x]/I, whose roots are exactly the x_i-coordinates of the points of V(I)
+over the algebraic closure.  The chart's rational points are the tuples of
+rational roots, one per coordinate, at which every generator vanishes.  A
+search is *complete* when every chart is zero-dimensional and every
+eliminant splits into rational linear factors, that is, when every point is
+rational; otherwise non-rational points exist, or a chart is
+positive-dimensional and adds no points, and the flag says so.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Sequence
 
@@ -20,36 +23,21 @@ from veroav.introots import rational_roots
 from veroav.polynomial import Polynomial
 
 
-def _solve_affine(gens: list[Polynomial], k: int) -> tuple[list[tuple[Fraction, ...]], bool]:
-    """Rational solutions of an affine system in k variables."""
-    gens = [g for g in gens if not g.is_zero()]
-    if k == 0:
-        if any(not g.is_zero() for g in gens):
-            return [], True
-        return [()], True
-    if not gens:
-        # the whole affine space: not zero-dimensional
-        return [], False
-    if any(g.degree() == 0 for g in gens):
-        return [], True  # a nonzero constant: no solutions
+def _solve_affine(gens: list[Polynomial]) -> tuple[list[tuple[Fraction, ...]], bool]:
+    """Rational solutions, ascending, of a nonempty affine system."""
     gb = buchberger(gens)
     if gb.is_unit_ideal():
         return [], True
     if krull_dim_quotient(gb) > 0:
         return [], False  # positive-dimensional: no points are listed
-    roots, complete = rational_roots(eliminant(gb))
-    solutions: list[tuple[Fraction, ...]] = []
-    for r, _mult in roots:
-        substituted = [g.specialize({0: r}) for g in gens]
-        if k == 1:
-            if all(g.is_zero() for g in substituted):
-                solutions.append((r,))
-            continue
-        reduced = [g.drop_vars(range(1, k)) for g in substituted if not g.is_zero()]
-        sub_solutions, sub_complete = _solve_affine(reduced, k - 1)
-        complete = complete and sub_complete
-        for sol in sub_solutions:
-            solutions.append((r,) + sol)
+    coordinates, complete = [], True
+    for i in range(gb.nvars):
+        roots, split = rational_roots(eliminant(gb, i))
+        coordinates.append([r for r, _ in roots])
+        complete = complete and split
+    solutions = [
+        pt for pt in itertools.product(*coordinates) if all(g.evaluate(pt) == 0 for g in gens)
+    ]
     return solutions, complete
 
 
@@ -80,10 +68,8 @@ def rational_projective_points(
             # chart entirely contained in the variety: positive-dimensional
             complete = False
             continue
-        solutions, chart_complete = _solve_affine(affine, chart)
+        solutions, chart_complete = _solve_affine(affine)
         complete = complete and chart_complete
-        for sol in solutions:
-            pt = sol + (Fraction(1),) + (Fraction(0),) * (n - chart - 1)
-            if pt not in points:
-                points.append(pt)
+        tail = (Fraction(1),) + (Fraction(0),) * (n - chart - 1)
+        points += [sol + tail for sol in solutions]  # charts share no point
     return points, complete

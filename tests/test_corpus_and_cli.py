@@ -138,6 +138,12 @@ def test_cli_check_parse_error():
     assert proc.returncode == 2
 
 
+def test_cli_check_over_long_literal_is_a_parse_error():
+    proc = run_cli("check", "-n", "3", "-f", "x^3 + y^3 + " + "1" * 5000 + "*z^3")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: integer literal of 5000 digits is too long (at offset 12)\n"
+
+
 def test_cli_json_schema():
     proc = run_cli("check", "-n", "3", "-f", "x*y*z", "--json", "--seed", "0")
     payload = json.loads(proc.stdout)
@@ -269,6 +275,18 @@ def test_cli_singular():
     assert payload["general_position"] is True
     assert len(payload["points"]) == 3
     assert all(p["is_node"] for p in payload["points"])
+
+
+def test_cli_singular_text_says_smooth_only_for_a_complete_empty_report():
+    smooth = run_cli("singular", "-n", "3", "-f", "x^3+y^3+z^3")
+    assert smooth.stdout.splitlines()[0] == "smooth: no singular points"
+    # three collinear nodes, none of them rational: the report is incomplete
+    conjugate = run_cli("singular", "-n", "3", "-f", "x*(x^3+y^3-2*z^3)")
+    assert conjugate.returncode == 0
+    assert conjugate.stdout.splitlines() == [
+        "singular: no singular point is rational",
+        "classification: no prediction: irrational singular points",
+    ]
 
 
 def test_cli_lefschetz():

@@ -2,7 +2,8 @@
 reference.
 
 The eliminant of a zero-dimensional chart system, the minimal polynomial of
-x_0 on Q[x]/I, is compared with the univariate element of sympy's lex basis.
+each x_i on Q[x]/I, is compared with the univariate element of sympy's lex
+basis with x_i last.
 The systems are seeded and have planted points: forms through the planted
 points, from the kernel of the point-evaluation matrix, with or without a
 conjugate pair of irrational points on x_0^2 - 2*x_1^2 = 0.  Square systems
@@ -69,10 +70,10 @@ def top_chart(forms):
     return [g.specialize({n - 1: 1}).drop_vars(range(n - 1)) for g in forms]
 
 
-def sympy_lex_eliminant(gens, modulus=0):
+def sympy_lex_eliminant(gens, i, modulus=0):
     """Ascending coefficients of the element of sympy's reduced lex basis
-    that lies in Q[x_0], or in GF(modulus)[x_0], made monic, with
-    x_{k-1} > ... > x_0."""
+    that lies in Q[x_i], or in GF(modulus)[x_i], made monic, with x_i the
+    smallest variable and x_{k-1} > ... > x_0 among the others."""
     import sympy
 
     k = gens[0].nvars
@@ -87,10 +88,12 @@ def sympy_lex_eliminant(gens, modulus=0):
         sympy.Poly.from_dict({m: convert(Fraction(c)) for m, c in g.terms.items()}, *ts, **options)
         for g in gens
     ]
-    basis = sympy.groebner(polys, *reversed(ts), order="lex", **options)
-    # the basis's generators run t_{k-1}, ..., t_0: t_0 is the last exponent
+    order = [t for t in reversed(ts) if t != ts[i]] + [ts[i]]
+    basis = sympy.groebner(polys, *order, order="lex", **options)
+    # the basis's generators run in that order: t_i is the last exponent
     (univariate,) = [g for g in basis.polys if not any(any(m[:-1]) for m in g.monoms())]
-    coeffs = [univariate.coeff_monomial(ts[0] ** i) for i in range(univariate.degree(ts[0]) + 1)]
+    t = ts[i]
+    coeffs = [univariate.coeff_monomial(t**j) for j in range(univariate.degree(t) + 1)]
     if modulus:
         inverse = pow(int(coeffs[-1]), -1, modulus)
         return [int(c) * inverse % modulus for c in coeffs]
@@ -109,11 +112,19 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", CASES)
-def test_eliminant_is_the_univariate_element_of_the_lex_basis(name):
+@pytest.mark.parametrize(
+    "name, i",
+    [
+        # x_0 keeps the case's bare name as its id
+        pytest.param(name, i, id=name if i == 0 else f"{name}-x{i}")
+        for name, case in CASES.items()
+        for i in range(case["n"] - 1)
+    ],
+)
+def test_eliminant_is_the_univariate_element_of_the_lex_basis(name, i):
     forms, _ = planted_system(**CASES[name], rng=random.Random(name))
     affine = top_chart(forms)
-    assert eliminant(buchberger(affine)) == sympy_lex_eliminant(affine)
+    assert eliminant(buchberger(affine), i) == sympy_lex_eliminant(affine, i)
 
 
 @pytest.mark.parametrize("name", [name for name in CASES if "square" not in name])
@@ -139,13 +150,20 @@ def test_a_four_variable_cubic_system():
     """A square cubic system in four variables, one form times
     x_0^2 - 2*x_1^2, whose top chart's eliminant has degree 32.  A lex
     Buchberger run over Q on that chart ran past 25 s, so sympy's lex basis
-    mod p is the reference here."""
+    mod p is the reference here.  Its rational points need the rational
+    roots of degree-32 eliminants with 88-bit coefficients."""
     forms, points = planted_system(4, 3, 5, random.Random(1), square=True)
     affine = top_chart(forms)
     start = time.perf_counter()
-    elim = eliminant(buchberger(affine))
+    elim = eliminant(buchberger(affine), 0)
     assert time.perf_counter() - start < 5
     assert all(sum(c * p[0] ** i for i, c in enumerate(elim)) == 0 for p in points)
     P = 2**31 - 1
     residues = [c.numerator * pow(c.denominator, -1, P) % P for c in elim]
-    assert residues == sympy_lex_eliminant(affine, P)
+    assert residues == sympy_lex_eliminant(affine, 0, P)
+    start = time.perf_counter()
+    found, complete = rational_projective_points(forms)
+    assert time.perf_counter() - start < 5
+    assert set(points) <= set(found)
+    assert all(g.evaluate(p) == 0 for g in forms for p in found)
+    assert not complete  # the factor x_0^2 - 2*x_1^2 adds irrational points

@@ -506,3 +506,71 @@ def test_the_dataclass_import_check_flags_both_forms():
         "import os, dataclasses\n"
     )
     assert _dataclass_imports("m.py", ast.parse(source)) == ["m.py:1", "m.py:2", "m.py:4"]
+
+
+def _module_random_calls(fname: str, tree: ast.Module) -> list[str]:
+    """Calls that draw from the ``random`` module's shared generator, which
+    no seed passed to the package reaches: a function of the module, as
+    ``random.choice(...)`` or by a name imported from it, or an unseeded
+    ``Random()``.  Methods of a ``random.Random(seed)`` or of an ``rng``
+    argument are what seeded code calls."""
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "random"
+    }
+    imported = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "random"
+        for alias in node.names
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) in modules:
+            name = func.attr
+        elif isinstance(func, ast.Name) and func.id in imported:
+            name = imported[func.id]
+        else:
+            continue
+        if name != "Random" or not (node.args or node.keywords):
+            found.append(f"{fname}:{node.lineno} {ast.unparse(node)}")
+    return found
+
+
+def test_no_module_level_random_call():
+    """Seeded output is deterministic only while every draw comes from a
+    generator the seed built."""
+    offenders = [c for fname, tree in _modules().items() for c in _module_random_calls(fname, tree)]
+    assert not offenders, "module-level random calls: " + ", ".join(offenders)
+
+
+def test_the_random_check_flags_module_functions():
+    source = (
+        "import random\n"
+        "import random as rnd\n"
+        "from random import Random, choice\n"
+        "from random import shuffle as mix\n"
+        "def f(xs, rng, seed):\n"
+        "    a = random.Random(seed).random()\n"
+        "    b = rng.randint(0, 9)\n"
+        "    c = random.randint(0, 9)\n"
+        "    d = rnd.choice(xs)\n"
+        "    e = choice(xs)\n"
+        "    mix(xs)\n"
+        "    g = Random()\n"
+        "    h = Random(seed).choice(xs)\n"
+        "    return rng.choice(xs)\n"
+    )
+    assert _module_random_calls("m.py", ast.parse(source)) == [
+        "m.py:8 random.randint(0, 9)",
+        "m.py:9 rnd.choice(xs)",
+        "m.py:10 choice(xs)",
+        "m.py:11 mix(xs)",
+        "m.py:12 Random()",
+    ]

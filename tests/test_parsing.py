@@ -105,6 +105,23 @@ def test_slash_outside_literal_rejected():
         parse_poly("x/2", 2)
 
 
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("x^2 + " + "1" * 5000, 6),  # a coefficient
+        ("3*x + 1/" + "7" * 5000, 8),  # a denominator
+        ("x^" + "1" * 5000, 2),  # an exponent
+    ],
+)
+def test_over_long_literals_are_parse_errors(text, offset):
+    # CPython converts at most 4300 digits by default; the limit is left alone
+    with pytest.raises(ParseError) as info:
+        parse_poly(text, 2)
+    assert info.value.position == offset
+    assert str(info.value) == f"integer literal of 5000 digits is too long (at offset {offset})"
+    assert parse_poly("1" * 4300 + "*x", 2).coeff((1, 0)) == int("1" * 4300)
+
+
 @given(polynomials())
 def test_render_parse_round_trip(p):
     assert parse_poly(render_poly(p), p.nvars) == p

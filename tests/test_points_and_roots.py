@@ -3,24 +3,12 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from veroav.introots import divisors, factorize, rational_roots
+from veroav.introots import _simple_roots_mod_p, rational_roots
 from veroav.parsing import parse_poly
+from veroav.polynomial import Polynomial
 from veroav.ratpoints import rational_projective_points
 
 X3 = lambda s: parse_poly(s, 3)  # noqa: E731
-
-
-def test_factorize_basics():
-    assert factorize(12) == {2: 2, 3: 1}
-    assert factorize(-97) == {97: 1}
-    assert factorize(1) == {}
-    assert factorize(2**31 - 1) == {2147483647: 1}
-    assert factorize(1000003 * 1000033) == {1000003: 1, 1000033: 1}
-
-
-def test_divisors():
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert divisors(-7) == [1, 7]
 
 
 def _coeffs(s):
@@ -63,6 +51,52 @@ def test_rational_roots_find_planted(int_roots, lead):
     assert sorted(sum([[r] * m for r, m in roots], [])) == sorted(
         Fraction(r) for r in int_roots
     )
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.builds(Fraction, st.integers(-(2**64), 2**64), st.integers(1, 2**40)),
+            st.integers(1, 3),
+        ),
+        max_size=4,
+    ),
+    st.integers(0, 2),
+    st.none() | st.tuples(st.integers(-(2**20), 2**20), st.integers(1, 2**20)),
+    st.fractions(min_value=Fraction(1, 2**16), max_value=2**16, max_denominator=2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_rational_roots_agree_with_sympy_ground_roots(planted, zero, quadratic, lead):
+    """Planted rational roots with multiplicities, sometimes the root 0, and
+    sometimes an irreducible quadratic factor t^2 + b*t + c, b^2 < 4c."""
+    import sympy
+
+    t = Polynomial.variable(0, 1)
+    f = Polynomial.constant(1, lead)
+    for r, m in planted + [(Fraction(0), zero)]:
+        f = f * (t - Polynomial.constant(1, r)) ** m
+    if quadratic is not None:
+        b, c = quadratic
+        f = f * (t * t + Polynomial.constant(1, b) * t + Polynomial.constant(1, b * b // 4 + c))
+    coeffs = [f.coeff((i,)) for i in range(f.degree() + 1)]
+    roots, complete = rational_roots(coeffs)
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
+                      sympy.Symbol("t"), domain=sympy.QQ)
+    expected = sorted((Fraction(int(r.p), int(r.q)), m) for r, m in poly.ground_roots().items())
+    assert roots == expected
+    assert complete is (quadratic is None)
+
+
+def test_a_prime_dividing_the_leading_coefficient_is_passed_over():
+    assert _simple_roots_mod_p([-1, 101], [101]) == (103, [pow(101, -1, 103)])
+    assert rational_roots(_coeffs("101*t - 1")) == ([(Fraction(1, 101), 1)], True)
+
+
+def test_a_prime_with_a_double_root_is_passed_over():
+    # (t - 1)*(t - 102) = (t - 1)^2 mod 101, a root where s' vanishes too
+    assert _simple_roots_mod_p([102, -103, 1], [-103, 2]) == (103, [1, 102])
+    roots = rational_roots(_coeffs("(t - 1)*(t - 102)"))
+    assert roots == ([(Fraction(1), 1), (Fraction(102), 1)], True)
 
 
 def test_projective_points_of_monomial_ideal():

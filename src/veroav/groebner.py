@@ -1,7 +1,7 @@
 """Buchberger's algorithm, with the ideal-theoretic helpers built on top of
 it: normal forms, quotient coordinates on standard monomials, eliminants,
-projective emptiness, the Hilbert series, and saturation by the irrelevant ideal (one
-grevlex basis, by the Bayer-Stillman criterion).
+projective emptiness, the Hilbert series, and saturation by the irrelevant
+ideal (by the Bayer-Stillman criterion, in the sparsest coordinates found).
 
 Every basis is grevlex, the engine's one monomial order.  There are two
 kinds of run, one pair loop.  ``buchberger`` computes the reduced basis over
@@ -47,16 +47,19 @@ are read.
 A homogeneous run skips the S-pairs that must reduce to zero (Traverso's
 Hilbert-driven Buchberger, see ``_StandardCount``): the GF(p) run against
 Froeberg's complete-intersection bound, a run over Q only when given the
-exact Hilbert series, as the sheared bases of the saturation are.
+exact Hilbert series, as the moved bases of the saturation are.
 
 Projective emptiness is decided in one place, ``decide_emptiness``: over
 GF(p) first (``modular_certificate``, a minimal basis or None), over Q only
 when that proves nothing.  Every test for a pure power of each variable,
 on leading monomials or on input terms, reads ``_pure_power_variables``;
-so does the saturation's choice of linear form, on the sheared basis it
-builds anyway.  The certificate runs on x_j in place of every one-term gen
-c*x_j^e: x_j^e in I gives V(I + (x_j)) = V(I), and the first reductions
-strip every x_j-term, so the run works on the system restricted to x_j = 0.
+so does the saturation's choice of linear form: x_{n-1}, then each x_j by
+the swap x_j <-> x_{n-1} (its own inverse) unless a common zero is a
+coordinate point on x_j = 0, then dense shears, each read off the moved
+basis it builds anyway.  The certificate runs on x_j in place of every
+one-term gen c*x_j^e: x_j^e in I gives V(I + (x_j)) = V(I), and the first
+reductions strip every x_j-term, so the run works on the system restricted
+to x_j = 0.
 
 Inside the engine a monomial is one packed int (Bachmann-Schoenemann 1998),
 X(m) = K(m) * 2^W + E(m).  E(m) holds the exponents in fields of _FIELD
@@ -1123,33 +1126,53 @@ def _shear(gens: Sequence[Polynomial], coeffs: Sequence[int]) -> list[Polynomial
     return out
 
 
+def _moved(gens: Sequence[Polynomial], form: Sequence[int], sign: int) -> list[Polynomial]:
+    """The gens in coordinates where the linear form is x_{n-1} (sign -1), or
+    back (sign 1): the swap x_j <-> x_{n-1}, its own inverse, when the form
+    is x_j, j < n-1, else the shear by the form's other coefficients."""
+    if form[-1]:
+        return _shear(gens, [sign * c for c in form[:-1]])
+    j = form.index(1)
+    swap = lambda m: (*m[:j], m[-1], *m[j + 1 : -1], m[j])  # noqa: E731
+    return [Polynomial._trusted(g.nvars, {swap(m): c for m, c in g.terms.items()}) for g in gens]
+
+
+def _candidate_forms(polys: Sequence[Polynomial], nvars: int) -> Iterator[list[int]]:
+    """Coefficient vectors of the linear forms to try, in order of sparsity:
+    x_{n-1}; x_j for j = n-2 .. 0, unless a coordinate point e_i, i != j, is
+    a common zero of the polys, where x_j vanishes; then the shears
+    l_k = x_{n-1} + sum_{i<n-1} k^(i+1) x_i, k = 1, 2, ...  Each zero p rules
+    out at most n - 1 values of k, the roots of l_k(p) in k."""
+    last = nvars - 1
+    zeros = set(range(nvars)) - _pure_power_variables((m for p in polys for m in p.terms), nvars)
+    yield [0] * last + [1]
+    swaps = [j for j in range(last - 1, -1, -1) if zeros <= {j}]
+    yield from ([int(i == j) for i in range(nvars)] for j in swaps)
+    yield from ([k ** (i + 1) for i in range(last)] + [1] for k in itertools.count(1))
+
+
 def _sheared_basis(
     polys: Sequence[Polynomial], basis: GroebnerBasis
 ) -> tuple[list[int], Sequence[dict[int, int]]]:
-    """The coefficients c of the first l_k = x_{n-1} + sum_{i<n-1} k^(i+1) x_i,
-    k = 0, 1, 2, ..., that misses the finitely many projective zeros of the
-    polys, and a minimal grevlex basis, packed, of the polys sheared by
-    x_{n-1} -> x_{n-1} - sum c_i x_i, which takes l_k to x_{n-1} (for k = 0,
-    ``basis``).  l_k misses the zeros iff I + (l_k) has none, iff the
-    sheared basis has a pure power of every variable but x_{n-1} among its
-    leading monomials, since in(I + (x_{n-1})) = in(I) + (x_{n-1}) under
-    grevlex (Bayer-Stillman 1987).  A shear keeps the Hilbert series, so
-    each sheared basis skips the pairs the exact series of I proves zero.
-    Each zero p rules out at most n - 1 values of k, the roots of the
-    nonzero polynomial l_k(p) in k, so the search ends."""
+    """The coefficient vector of the first candidate linear form l
+    (``_candidate_forms``) that misses the finitely many projective zeros of
+    the polys, and a minimal grevlex basis, packed, of the polys moved so
+    that l is x_{n-1} (``_moved``; for l = x_{n-1}, ``basis``).  l misses
+    the zeros iff the moved basis has a pure power of every variable but
+    x_{n-1} among its leading monomials, as in(I + (x_{n-1})) = in(I) +
+    (x_{n-1}) under grevlex (Bayer-Stillman 1987).  Moved bases keep the
+    Hilbert series of I, whose exact numerator skips their zero pairs."""
     nvars = basis.nvars
     pk = _packing(nvars)
-    for k in itertools.count():
-        coeffs = [k ** (i + 1) for i in range(nvars - 1)]
+    for form in _candidate_forms(polys, nvars):
         generators: Sequence[dict[int, int]] = basis.packed
-        if k:
-            sheared = _sorted_inputs(_shear(polys, [-c for c in coeffs]))
-            inputs = [_to_int_terms(p, pk) for p in sheared]
+        if any(form[:-1]):
+            inputs = [_to_int_terms(p, pk) for p in _sorted_inputs(_moved(polys, form, -1))]
             loop = _pair_loop(inputs, pk, 0, _degree_cap(), basis.hilbert_series.numerator)
             generators = [_terms(g) for g in _minimalize(loop, pk)]
         lms = [pk.unpack(max(terms)) for terms in generators]
         if _pure_power_variables(lms, nvars) >= set(range(nvars - 1)):
-            return coeffs, generators
+            return form, generators
 
 
 def saturate_irrelevant(gens: Sequence[Polynomial], basis: GroebnerBasis) -> GroebnerBasis:
@@ -1159,11 +1182,12 @@ def saturate_irrelevant(gens: Sequence[Polynomial], basis: GroebnerBasis) -> Gro
     reuses rather than computing it again.
 
     Bayer-Stillman: I : m^infinity = I : l^infinity for any linear form l
-    that misses the zeros.  Shearing coordinates so that l becomes the last
-    variable, the saturation there is any grevlex basis with every generator
-    divided by its largest power of that variable; one basis in the original
-    coordinates follows the inverse shear.  The form l is read off the
-    sheared basis itself (``_sheared_basis``).
+    that misses the zeros.  Moving coordinates, by a swap or a shear, so
+    that l becomes the last variable, the saturation there is any grevlex
+    basis with every generator divided by its largest power of that
+    variable; one basis in the original coordinates follows the inverse
+    move (a swap is its own inverse).  The form l is the sparsest candidate
+    that the moved basis itself shows to miss the zeros (``_sheared_basis``).
     """
     polys = [g for g in gens if not g.is_zero()]
     if not polys:
@@ -1174,7 +1198,7 @@ def saturate_irrelevant(gens: Sequence[Polynomial], basis: GroebnerBasis) -> Gro
         raise ValueError("saturation reuses only a grevlex basis over Q")
     if krull_dim_quotient(basis) > 1:
         raise ValueError("saturation needs finitely many projective zeros")
-    coeffs, generators = _sheared_basis(polys, basis)
+    form, generators = _sheared_basis(polys, basis)
     pk = _packing(basis.nvars)
     # divide by the largest power x_{n-1}^e, that is, subtract e * X(x_{n-1})
     last, top = pk.units[-1], pk.shifts[-1]
@@ -1183,4 +1207,4 @@ def saturate_irrelevant(gens: Sequence[Polynomial], basis: GroebnerBasis) -> Gro
         shift = last * min((m >> top) & _FIELD_MASK for m in terms)
         divided.append(_IPoly({m - shift: c for m, c in terms.items()}, pk))
     sat = _reduce_basis(divided, pk, True)
-    return buchberger(_shear(sat.generators, coeffs)) if any(coeffs) else sat
+    return buchberger(_moved(sat.generators, form, 1)) if any(form[:-1]) else sat

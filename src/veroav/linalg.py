@@ -122,15 +122,26 @@ def rank(M: MatrixQ) -> int:
 
 
 def kernel_basis(M: MatrixQ) -> list[tuple[Fraction, ...]]:
-    """Linearly independent vectors spanning the right null space."""
-    R = rref(M)
+    """Linearly independent vectors spanning the right null space, one per
+    free column: 1 there and 0 at the other free columns.  The elimination
+    runs on the columns scaled to primitive integers, which keeps its
+    integers small when the columns carry very different denominators.  A
+    column scaling keeps the pivot columns, and each kernel vector of the
+    scaled matrix, scaled back and divided by its free entry, is the same."""
+    scales = []
+    for j in range(M.cols):
+        col = [row[j] for row in M.entries]
+        den = math.lcm(*(x.denominator for x in col))
+        content = math.gcd(*(x.numerator * (den // x.denominator) for x in col))
+        scales.append(Fraction(den, content or den))
+    scaled = tuple(tuple(x * s for x, s in zip(row, scales)) for row in M.entries)
+    R = rref(MatrixQ(M.rows, M.cols, scaled))
     basis = []
-    pivot_of_col = {c: i for i, c in enumerate(R.pivots)}
     for free in R.free_columns:
         v = [Fraction(0)] * M.cols
         v[free] = Fraction(1)
-        for c, i in pivot_of_col.items():
-            v[c] = -R.matrix[i][free]
+        for i, c in enumerate(R.pivots):
+            v[c] = Fraction(-R.matrix[i][free] * scales[c]) / scales[free]
         basis.append(tuple(v))
     return basis
 

@@ -16,7 +16,8 @@ so shares no code with the table.
 The criterion for r < n nodes is decided by the same routine on the same
 forms, built once per (f, T-1): the base locus of l -> l^(T-1) on the
 linear forms through the nodes is the condition (II) zero set cut by the
-r linear conditions <a, p> = 0.
+r linear conditions <a, p> = 0, and it is empty, with the condition (II)
+certificate, whenever condition (II) holds.
 """
 
 from __future__ import annotations
@@ -159,9 +160,11 @@ def _rational_zeros(
     return certificate, False, found
 
 
+@lru_cache(maxsize=256)
 def condition_II(f: Polynomial) -> ConditionIIReport:
     """Veronese-avoidance condition: no nonzero linear form l has
-    l^(T-1) in (J_f)_{T-1}."""
+    l^(T-1) in (J_f)_{T-1}.  Computed once per f, so that ``phi_base_locus``
+    reuses an emptiness certificate."""
     hi = validate_input(f)
     cond1 = condition_I(f)
     if not cond1.holds:
@@ -320,7 +323,8 @@ def phi_base_locus(f: Polynomial, points: Sequence[Sequence[Fraction]]) -> PhiBa
     conditions <a, p> = 0, one per point: [a] is a common zero exactly when
     l_a vanishes at every point and l_a^(T-1) lies in (J_f)_{T-1}.  So the
     certificate is a basis in the n coefficient parameters, and the base
-    points are linear forms through the points."""
+    points are linear forms through the points.  When condition (II) holds,
+    its certificate is the base locus's: a subset of an empty set is empty."""
     hi = validate_input(f)
     n, m = hi.n, hi.T - 1
     r = len(points)
@@ -341,6 +345,9 @@ def phi_base_locus(f: Polynomial, points: Sequence[Sequence[Fraction]]) -> PhiBa
     cond1 = condition_I(f)
     if not cond1.holds:
         raise ConditionIIPreconditionError("gradient-generic condition fails")
+    cond2 = condition_II(f)
+    if cond2.empty:  # the base locus lies in the condition (II) zero set
+        return PhiBaseLocusReport(tuple(i1_basis), k, dim_n_top, True, (), cond2.certificate)
     certificate, empty, base_points = _rational_zeros(
         [*_power_quotient_forms(f, m), *map(linear_form, points)],
         lambda ell: _verify_witness(f, m, ell),

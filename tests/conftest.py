@@ -2,17 +2,46 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
+import veroav
 from veroav.groebner import coordinate_table
 from veroav.linalg import random_unimodular
 from veroav.milnor import ScopeError, condition_I
 from veroav.polynomial import Polynomial, iter_monomials
 from veroav.polyring import graded_basis
+
+
+def _package_caches() -> list:
+    """Every ``functools.lru_cache`` defined in the package."""
+    names = [info.name for info in pkgutil.iter_modules(veroav.__path__)]
+    modules = [importlib.import_module(f"veroav.{name}") for name in names]
+    return [
+        value
+        for mod in modules
+        for value in vars(mod).values()
+        if callable(getattr(value, "cache_clear", None))
+        and getattr(value, "__module__", None) == mod.__name__
+    ]
+
+
+_PACKAGE_CACHES = _package_caches()
+
+
+@pytest.fixture(autouse=True)
+def cold_package_caches():
+    """Every test starts with the package's memos empty, as every instance
+    of the benchmark does, so that no test reads a result memoized by
+    another (or under another test's monkeypatching)."""
+    for cache in _PACKAGE_CACHES:
+        cache.cache_clear()
 
 
 def table_coordinates(polys, gb, degree) -> list[tuple[Fraction, ...]]:

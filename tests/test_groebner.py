@@ -165,36 +165,46 @@ def test_saturation_contains_ideal_and_is_idempotent():
         assert sat.generators == again.generators
 
 
-@pytest.mark.parametrize("n, src, coeffs, expected", [
+@pytest.mark.parametrize("n, src, form, expected", [
     # the only singular point is [0:0:1], where z does not vanish
-    (3, "x*y*z^2 + x^4 + y^4 + x^3*z", [0, 0], ["x", "y"]),
-    # z vanishes at [1:0:0]; x + y + z misses the three coordinate points
-    (3, "x*y*z", [1, 1], ["x*y", "x*z", "y*z"]),
-    # z vanishes at [0:1:0] and x + y + z at [0:1:-1]; 2x + 4y + z misses all
-    (3, "x*z*(x+y+z)", [2, 4], ["x*z", "x*(x+y+z)", "z*(x+y+z)"]),
+    (3, "x*y*z^2 + x^4 + y^4 + x^3*z", [0, 0, 1], ["x", "y"]),
+    # the zeros are the coordinate points, two on each x_j = 0; x + y + z
+    # misses them
+    (3, "x*y*z", [1, 1, 1], ["x*y", "x*z", "y*z"]),
+    # the coordinate points are zeros, x + y + z vanishes at [0:1:-1];
+    # 2x + 4y + z misses all six
+    (3, "x*y*z*(x+y+z)", [2, 4, 1], ["x*y*z", "x*y*(x+y+z)", "x*z*(x+y+z)", "y*z*(x+y+z)"]),
     # (x^2*y, x^3) = x^2 * (x, y) with one zero [0:1], where y does not vanish
-    (2, "x^2*y, x^3", [0], ["x^2"]),
+    (2, "x^2*y, x^3", [0, 1], ["x^2"]),
     # (x^2*y, x*y^2) = x*y * (x, y); its saturation is (x) meet (y)
-    (2, "x^2*y, x*y^2", [1], ["x*y"]),
-], ids=["k0", "k1", "k2", "binary-k0", "binary-k1"])
-def test_saturation_for_each_linear_form(n, src, coeffs, expected):
+    (2, "x^2*y, x*y^2", [1, 1], ["x*y"]),
+    # the one node [0:1:0] is on z = 0; y misses it
+    (3, "x*z*y^3+x^5+z^5+x^4*y", [0, 1, 0], ["x", "z"]),
+    # z and x vanish at the zero [0:1:0]; y misses it, [0:1:-1] and [1:-1:0]
+    (3, "x*z*(x+y+z)", [0, 1, 0], ["x*z", "x*(x+y+z)", "z*(x+y+z)"]),
+    # the nodes [1:1:0], [1:0:1], [1:1:1] are on z = 0 and y = 0, not x = 0
+    (3, "(x-y-z)*(x-y)*(x-z)", [1, 0, 0],
+     ["(x-y-z)*(x-y)", "(x-y-z)*(x-z)", "(x-y)*(x-z)"]),
+], ids=["k0", "k1", "k2", "binary-k0", "binary-k1", "swap-y", "swap-y-lines", "swap-x"])
+def test_saturation_for_each_linear_form(n, src, form, expected):
     # a single form stands for its gradient ideal
     polys = [parse_poly(s, n) for s in src.split(", ")]
     gens = polys[0].gradient() if len(polys) == 1 else polys
-    assert _sheared_basis(gens, buchberger(gens))[0] == coeffs
+    assert _sheared_basis(gens, buchberger(gens))[0] == form
     sat = _saturate(gens)
     assert sat.generators == buchberger([parse_poly(e, n) for e in expected]).generators
 
 
 def _first_missing_linear_form(gens):
-    """The reference choice of linear form: the first k with I + (l_k)
-    projectively empty, l_k = x_{n-1} + sum_{i<n-1} k^(i+1) x_i, decided on
-    a basis of the sum itself."""
+    """The reference choice of linear form: the first of x_{n-1}, x_{n-2},
+    ..., x_0, then l_k = x_{n-1} + sum_{i<n-1} k^(i+1) x_i for k = 1, 2, ...,
+    with I + (l) projectively empty, decided on a basis of the sum itself."""
     n = gens[0].nvars
-    for k in itertools.count():
-        coeffs = [k ** (i + 1) for i in range(n - 1)]
-        if projective_empty(buchberger([*gens, linear_form([*coeffs, 1])])):
-            return coeffs
+    units = ([int(i == j) for i in range(n)] for j in range(n - 1, -1, -1))
+    shears = ([k ** (i + 1) for i in range(n - 1)] + [1] for k in itertools.count(1))
+    for form in itertools.chain(units, shears):
+        if projective_empty(buchberger([*gens, linear_form(form)])):
+            return form
 
 
 def _line_arrangement(seed):
@@ -213,15 +223,15 @@ def _line_arrangement(seed):
 
 def test_the_linear_form_read_off_the_sheared_basis_is_the_first_that_misses_the_zeros():
     chosen = set()
-    for seed in range(24):
+    for seed in range(48):
         gens = _line_arrangement(seed).gradient()
         basis = buchberger(gens)
         if krull_dim_quotient(basis) > 1:  # a repeated line
             continue
-        coeffs = _sheared_basis(gens, basis)[0]
-        assert coeffs == _first_missing_linear_form(gens), seed
-        chosen.add(coeffs[0])
-    assert chosen == {1, 2, 3}
+        form = _sheared_basis(gens, basis)[0]
+        assert form == _first_missing_linear_form(gens), seed
+        chosen.add(tuple(form))
+    assert chosen == {(0, 1, 0), (1, 0, 0), (1, 1, 1), (2, 4, 1), (3, 9, 1)}
 
 
 @pytest.mark.parametrize("n, d", [(3, 3), (3, 4), (4, 3), (3, 5), (4, 4), (5, 3)])
@@ -263,8 +273,75 @@ def test_a_constant_counts_as_a_pure_power_of_every_variable(monkeypatch):
 
     monkeypatch.setattr(groebner, "_shear", no_shear)
     basis = buchberger(gens)
-    assert _sheared_basis(gens, basis)[0] == [0, 0]
+    assert _sheared_basis(gens, basis)[0] == [0, 0, 1]
     assert saturate_irrelevant(gens, basis).is_unit_ideal()
+
+
+def _without_swaps(monkeypatch):
+    """Drop the coordinate swaps from the candidate linear forms."""
+    real = groebner._candidate_forms
+    monkeypatch.setattr(
+        groebner, "_candidate_forms", lambda *a: (form for form in real(*a) if form[-1])
+    )
+
+
+SWAP_FORMS = (
+    "x*y*z^3+x^5+y^5+x^4*z",
+    "x*y*z^4+x^6+y^6+x^5*z",
+    "x*y*z^5+x^7+y^7+x^6*z",
+    "z*(x*y-z^2)",
+    "x*(x^3+y^3-z^3)",
+)
+
+
+@pytest.mark.parametrize("perm", ["".join(p) for p in itertools.permutations("xyz")])
+@pytest.mark.parametrize("src", SWAP_FORMS)
+def test_a_swap_saturates_to_the_basis_of_a_shear(src, perm, monkeypatch):
+    gens = X3(src.translate(str.maketrans("xyz", perm))).gradient()
+    basis = buchberger(gens)
+    swapped = saturate_irrelevant(gens, basis)
+    _without_swaps(monkeypatch)
+    assert swapped.generators == saturate_irrelevant(gens, basis).generators
+
+
+@pytest.mark.parametrize("perm", ["xzy", "yzx"])
+def test_the_quintic_twin_saturates_without_a_shear(perm, monkeypatch):
+    # the one node is a coordinate point on the last variable's zero set,
+    # and a swap moves a variable that misses it to the end
+    gens = X3(SWAP_FORMS[0].translate(str.maketrans("xyz", perm))).gradient()
+    basis = buchberger(gens)
+    _without_swaps(monkeypatch)
+    expected = saturate_irrelevant(gens, basis)
+    monkeypatch.undo()
+
+    def no_shear(*args):
+        raise AssertionError("the saturation went past the swaps")
+
+    monkeypatch.setattr(groebner, "_shear", no_shear)
+    assert saturate_irrelevant(gens, basis).generators == expected.generators
+
+
+def test_a_swap_that_meets_a_zero_falls_through_to_the_next(monkeypatch):
+    # the nodes (1:1:0), (1:0:1), (1:1:1) are no coordinate points, so every
+    # swap passes the coordinate check; z and y vanish at a node, x at none
+    gens = X3("(x-y-z)*(x-y)*(x-z)").gradient()
+    basis = buchberger(gens)
+    assert list(itertools.islice(groebner._candidate_forms(gens, 3), 4)) == [
+        [0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 1]
+    ]
+    moves = []
+    real = groebner._moved
+
+    def recording(polys, form, sign):
+        moves.append((form, sign))
+        return real(polys, form, sign)
+
+    monkeypatch.setattr(groebner, "_moved", recording)
+    swapped = saturate_irrelevant(gens, basis)
+    assert moves == [([0, 1, 0], -1), ([1, 0, 0], -1), ([1, 0, 0], 1)]
+    monkeypatch.undo()
+    _without_swaps(monkeypatch)
+    assert swapped.generators == saturate_irrelevant(gens, basis).generators
 
 
 def test_saturation_reuses_a_given_grevlex_basis(monkeypatch):

@@ -36,19 +36,36 @@ def _base_locus_fields(report):
     )
 
 
-def test_the_base_locus_reuses_the_condition_II_forms():
+def _cold_base_locus(f, points):
+    for memo in (condition_II, _power_quotient_forms, gb_jacobian):
+        memo.cache_clear()
+    return phi_base_locus(f, points)
+
+
+def test_the_base_locus_reuses_an_empty_condition_II_report():
     f = parse_poly("x*y*z^5+x^7+y^7+x^6*z", 3)
     points = [s.point.coords for s in singular_report(f).points]
     assert points == [(0, 0, 1)]
-    _power_quotient_forms.cache_clear()
-    condition_II(f)
+    report = condition_II(f)
+    warm = phi_base_locus(f, points)
+    assert condition_II.cache_info().hits == 1
+    info = _power_quotient_forms.cache_info()
+    assert (info.misses, info.hits) == (1, 0)
+    assert warm.empty and warm.base_points == ()
+    assert warm.certificate is report.certificate
+    assert _base_locus_fields(warm) == _base_locus_fields(_cold_base_locus(f, points))
+
+
+def test_the_base_locus_reuses_the_condition_II_forms():
+    f = parse_poly("x*y*z^4+x^6+y^6", 3)
+    points = [s.point.coords for s in singular_report(f).points]
+    assert points == [(0, 0, 1)]
+    assert condition_II(f).empty is False
     warm = phi_base_locus(f, points)
     info = _power_quotient_forms.cache_info()
     assert (info.misses, info.hits) == (1, 1)
-    _power_quotient_forms.cache_clear()
-    gb_jacobian.cache_clear()
-    cold = phi_base_locus(f, points)
-    assert _base_locus_fields(warm) == _base_locus_fields(cold)
+    assert not warm.empty and (0, 1, 0) in warm.base_points
+    assert _base_locus_fields(warm) == _base_locus_fields(_cold_base_locus(f, points))
 
 
 def test_a_scope_error_is_raised_on_every_call():

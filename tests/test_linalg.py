@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,26 @@ def test_kernel_vectors_annihilated(rows):
         for row in M.entries:
             assert sum(a * b for a, b in zip(row, v)) == 0
     assert len(kernel_basis(M)) == M.cols - rank(M)
+
+
+def test_kernel_of_columns_with_very_different_denominators():
+    # column j of M is column j of the integer matrix A over q_j, so the
+    # kernel of M is diag(q) times that of A; with the denominators cleared
+    # row by row, this 31 x 32 matrix took 3.2 s, and 0.014 s column by column
+    rng = random.Random(0)
+    q = [rng.randint(10**8, 10**9) for _ in range(32)]
+    A = [[rng.randint(-9, 9) for _ in range(32)] for _ in range(31)]
+    M = MatrixQ.from_rows([[Fraction(a, qj) for a, qj in zip(row, q)] for row in A])
+    start = time.perf_counter()
+    kernel = kernel_basis(M)
+    assert time.perf_counter() - start < 1.0
+    free = rref(MatrixQ.from_rows(A)).free_columns
+    expected = [
+        tuple(qj * w / q[j] for qj, w in zip(q, v))
+        for j, v in zip(free, kernel_basis(MatrixQ.from_rows(A)))
+    ]
+    assert kernel == expected and len(kernel) == 1
+    assert all(sum(a * b for a, b in zip(row, kernel[0])) == 0 for row in M.entries)
 
 
 def test_determinant_examples():

@@ -15,15 +15,13 @@ form of every degree-D monomial on the standard monomials.  One enumeration
 packs each monomial and finds its reducer once, which also yields the
 standard monomials; one sweep in increasing monomial order builds each
 non-standard monomial's row from the rows of smaller ones (as in FGLM).
-The table is memoized on the basis object.
-The table is the only reader of coordinates in (R/I)_D: its callers read
-the rows of monomials and combine them themselves, and the heap normal
-form is left to membership tests and to ``eliminant``, the minimal
-polynomial of a variable x_i on the quotient by a zero-dimensional ideal
-(FGLM again), which is how rational points are found without a lex basis.
-The one conversion of rational
-coefficients to residues mod p, with its refusal of a denominator the
-prime divides, is ``residues``.
+The table is memoized on the basis object, and is the only reader of
+coordinates in (R/I)_D.  The heap normal form is left to membership tests
+and to ``eliminant``, the minimal polynomial of a variable x_i on the
+quotient by a zero-dimensional ideal (FGLM again, stopped at the first
+dependency), which is how rational points are found without a lex basis.
+The one conversion of rational coefficients to residues mod p, with its
+refusal of a denominator the prime divides, is ``residues``.
 
 Every counting question is read off the Hilbert series of the leading
 monomials, Q(t)/(1-t)^D, computed once per basis: Hilbert values are
@@ -47,7 +45,10 @@ are read.
 A homogeneous run skips the S-pairs that must reduce to zero (Traverso's
 Hilbert-driven Buchberger, see ``_StandardCount``): the GF(p) run against
 Froeberg's complete-intersection bound, a run over Q only when given the
-exact Hilbert series, as the moved bases of the saturation are.
+exact Hilbert series, as the moved bases of the saturation are.  The
+saturation stays in those moved coordinates (``Saturation``): its readers
+take the Hilbert series, which the move keeps, or the points of its chart
+x_{n-1} = 1 (``last_chart``), which holds them all.
 
 Projective emptiness is decided in one place, ``decide_emptiness``: over
 GF(p) first (``modular_certificate``, a minimal basis or None), over Q only
@@ -89,7 +90,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from veroav.linalg import MatrixQ, kernel_basis
 from veroav.orders import grevlex_key
 from veroav.polynomial import Monomial, Polynomial, iter_monomials, mono_mul, ratio
 
@@ -479,9 +479,6 @@ class GroebnerBasis:
     def is_zero_ideal(self) -> bool:
         return not self.packed
 
-    def is_unit_ideal(self) -> bool:
-        return any(sum(lm) == 0 for lm in self.leading_monomials)
-
     def contains(self, p: Polynomial) -> bool:
         return normal_form(p, self).is_zero()
 
@@ -868,30 +865,38 @@ def _coordinate_sweep(gb: GroebnerBasis, degree: int) -> CoordinateTable:
 def eliminant(gb: GroebnerBasis, i: int) -> list[Fraction]:
     """Ascending coefficients of the monic generator of I ∩ Q[x_i] for a
     zero-dimensional ideal I over Q with basis gb: the minimal polynomial of
-    x_i on Q[x]/I, as in FGLM.  The normal forms of 1, x_i, ..., x_i^D,
-    D = dim Q[x]/I, are dependent; the kernel vector of the first free
-    column of their matrix is the first dependency, nonzero there and 0
-    after it.  Each normal form is kept as primitive integers, which keeps
-    the elimination's integers small, times a rational scale; the next
-    power is x_0 times those integers."""
+    x_i on Q[x]/I, as in FGLM (ValueError unless every variable has a pure
+    power among the leading monomials).  The normal forms of 1, x_i, ...,
+    each primitive integers times a rational scale, are reduced fraction-free
+    against the earlier ones, content stripped after every step, until one
+    depends on them: its row, which carries its combination of the powers
+    (x_i^k under the key ~k < 0), keeps no monomial.  The next power is x_i
+    times the last primitive integers."""
+    if len(_pure_power_variables(gb.leading_monomials, gb.nvars)) < gb.nvars:
+        raise ValueError("the eliminant needs a zero-dimensional ideal")
     pk = _packing(gb.nvars)
     memo: dict = {}  # one reducer lookup for every power
-    columns: list[dict[int, int]] = []
-    scales = []  # columns[j] = scales[j] * NF(x_i^j)
+    echelon: list[tuple[int, dict[int, int]]] = []  # (pivot monomial, row)
+    scales = []  # the k-th normal form is kept as scales[k] * NF(x_i^k)
     power, scale = {0: 1}, Fraction(1)  # 0 is the packed monomial 1
-    for _ in range(quotient_degree(gb) + 1):
+    for k in itertools.count():
         terms, den = _normal_form_int(power, gb._reducers, pk, memo)
         g = _content(terms) or 1
-        columns.append({m: c // g for m, c in terms.items()})
+        row = {m: c // g for m, c in terms.items()}
         scale *= Fraction(den, g)
         scales.append(scale)
-        power = {m + pk.units[i]: c for m, c in columns[-1].items()}
-    monomials = {m for column in columns for m in column}
-    rows = [[column.get(m, 0) for column in columns] for m in monomials]
-    coeffs = [v * s for v, s in zip(kernel_basis(MatrixQ.from_rows(rows))[0], scales)]
-    while not coeffs[-1]:
-        coeffs.pop()
-    return [Fraction(c, coeffs[-1]) for c in coeffs]
+        power = {m + pk.units[i]: c for m, c in row.items()}
+        row[~k] = 1
+        for pivot, other in echelon:
+            a, b = row.get(pivot), other[pivot]
+            if a:
+                row = {m: b * row.get(m, 0) - a * other.get(m, 0) for m in row.keys() | other}
+                row = _strip_content({m: c for m, c in row.items() if c})
+        pivot = max(row)
+        if pivot < 0:
+            coeffs = [row.get(~t, 0) * s for t, s in enumerate(scales)]
+            return [Fraction(c, coeffs[-1]) for c in coeffs]
+        echelon.append((pivot, row))
 
 
 # ---------------------------------------------------------------------------
@@ -1175,23 +1180,41 @@ def _sheared_basis(
             return form, generators
 
 
-def saturate_irrelevant(gens: Sequence[Polynomial], basis: GroebnerBasis) -> GroebnerBasis:
-    """Grevlex basis of (I : m^infinity), m the irrelevant maximal ideal, for
-    an ideal with finitely many projective zeros (ValueError otherwise).
-    ``basis`` is the grevlex basis of the gens over Q, which the saturation
-    reuses rather than computing it again.
+class Saturation(NamedTuple):
+    """A saturated ideal's reduced grevlex basis in the coordinates where the
+    linear form of coefficients ``form`` is x_{n-1} (``_moved``)."""
+
+    form: tuple[int, ...]
+    basis: GroebnerBasis
+
+    def point(self, y: Sequence) -> tuple:
+        """The point (y, 1) of the chart x_{n-1} = 1 back in the original
+        coordinates: the swap x_j <-> x_{n-1}, or x_{n-1} = 1 - sum_i c_i y_i
+        for the shear by the form x_{n-1} + sum_i c_i x_i."""
+        if self.form[-1]:
+            return (*y, 1 - sum(c * v for c, v in zip(self.form, y)))
+        j = self.form.index(1)
+        return (*y[:j], 1, *y[j + 1 :], y[j])
+
+
+def saturate_irrelevant(gens: Sequence[Polynomial], basis: GroebnerBasis) -> Saturation:
+    """(I : m^infinity), m the irrelevant maximal ideal, for an ideal with
+    finitely many projective zeros (ValueError otherwise), in the moved
+    coordinates where it is computed: a linear change of coordinates keeps
+    the Hilbert series, all that most readers take.  ``basis`` is the
+    grevlex basis of the gens over Q, which the saturation reuses.
 
     Bayer-Stillman: I : m^infinity = I : l^infinity for any linear form l
     that misses the zeros.  Moving coordinates, by a swap or a shear, so
     that l becomes the last variable, the saturation there is any grevlex
     basis with every generator divided by its largest power of that
-    variable; one basis in the original coordinates follows the inverse
-    move (a swap is its own inverse).  The form l is the sparsest candidate
-    that the moved basis itself shows to miss the zeros (``_sheared_basis``).
+    variable.  The form l is the sparsest candidate that the moved basis
+    itself shows to miss the zeros (``_sheared_basis``), so the chart
+    x_{n-1} = 1 (``last_chart``) holds every zero.
     """
     polys = [g for g in gens if not g.is_zero()]
     if not polys:
-        return GroebnerBasis(0, (), (), True)
+        return Saturation((), GroebnerBasis(0, (), (), True))
     if any(not p.is_homogeneous() for p in polys):
         raise NonHomogeneousIdeal("saturation by the irrelevant ideal needs homogeneous input")
     if basis.modulus:
@@ -1206,5 +1229,14 @@ def saturate_irrelevant(gens: Sequence[Polynomial], basis: GroebnerBasis) -> Gro
     for terms in generators:
         shift = last * min((m >> top) & _FIELD_MASK for m in terms)
         divided.append(_IPoly({m - shift: c for m, c in terms.items()}, pk))
-    sat = _reduce_basis(divided, pk, True)
-    return buchberger(_moved(sat.generators, form, 1)) if any(form[:-1]) else sat
+    return Saturation(tuple(form), _reduce_basis(divided, pk, True))
+
+
+def last_chart(gb: GroebnerBasis) -> GroebnerBasis:
+    """The reduced basis, in x_0..x_{n-2}, of the chart x_{n-1} = 1 of a
+    homogeneous ideal saturated in x_{n-1}, from its reduced grevlex basis
+    gb.  No generator is divisible by x_{n-1}, last in grevlex, so none has
+    it in its leading monomial, and setting x_{n-1} = 1 keeps them all."""
+    pk, chart = _packing(gb.nvars), _packing(gb.nvars - 1)
+    polys = [{chart.pack(pk.unpack(m)[:-1]): c for m, c in terms.items()} for terms in gb.packed]
+    return _basis_of(polys, chart, 0, False)

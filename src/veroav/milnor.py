@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 from veroav.groebner import (
     GroebnerBasis,
+    Saturation,
     buchberger,
     ci_numerator,
     hilbert_value,
@@ -75,7 +76,9 @@ def gb_jacobian(f: Polynomial) -> GroebnerBasis:
 
 
 @lru_cache(maxsize=256)
-def gb_jacobian_saturation(f: Polynomial) -> GroebnerBasis:
+def gb_jacobian_saturation(f: Polynomial) -> Saturation:
+    """J_f^sat in the moved coordinates where it is computed; every reader
+    here takes only its Hilbert series, which the move keeps."""
     return saturate_irrelevant(f.gradient(), basis=gb_jacobian(f))
 
 
@@ -163,7 +166,7 @@ def tjurina_total(f: Polynomial) -> int:
     validate_input(f)
     if is_smooth(f):
         return 0
-    return quotient_degree(gb_jacobian_saturation(f))
+    return quotient_degree(gb_jacobian_saturation(f).basis)
 
 
 def defect1(f: Polynomial) -> int:
@@ -172,7 +175,7 @@ def defect1(f: Polynomial) -> int:
     validate_input(f)
     if is_smooth(f):
         return 0
-    return tjurina_total(f) - hilbert_value(gb_jacobian_saturation(f), 1)
+    return tjurina_total(f) - hilbert_value(gb_jacobian_saturation(f).basis, 1)
 
 
 def coincidence_threshold(f: Polynomial) -> int:
@@ -207,7 +210,7 @@ def jacobian_module_series(f: Polynomial, top: int) -> list[int]:
     if is_smooth(f):
         return [0] * (top + 1)
     num_j = gb_jacobian(f).hilbert_series.numerator
-    num_sat = gb_jacobian_saturation(f).hilbert_series.numerator
+    num_sat = gb_jacobian_saturation(f).basis.hilbert_series.numerator
     h = [a - b for a, b in itertools.zip_longest(num_j, num_sat, fillvalue=0)][: top + 1]
     h += [0] * (top + 1 - len(h))
     for _ in range(f.nvars):

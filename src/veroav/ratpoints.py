@@ -1,8 +1,11 @@
-"""Rational points of zero-dimensional projective varieties.
+"""Rational points of zero-dimensional projective varieties.  There are two
+readers: ``singlocus.singular_points_rational`` reads a saturation off the
+one chart that holds all its points, with no Buchberger run, and
+``rational_projective_points`` scans any other zero set chart by chart, by
+last nonzero coordinate, each chart an affine system with one grevlex basis.
 
-Charts are scanned by last nonzero coordinate, each giving an affine system
-with one grevlex basis.  Every coordinate x_i has its eliminant read off
-that basis (``groebner.eliminant``): the minimal polynomial of x_i on
+On a chart (``affine_points``), every coordinate x_i has its eliminant read
+off the basis (``groebner.eliminant``): the minimal polynomial of x_i on
 Q[x]/I, whose roots are exactly the x_i-coordinates of the points of V(I)
 over the algebraic closure.  The chart's rational points are the tuples of
 rational roots, one per coordinate, at which every generator vanishes.  A
@@ -18,18 +21,16 @@ import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from veroav.groebner import buchberger, eliminant, krull_dim_quotient
+from veroav.groebner import GroebnerBasis, buchberger, eliminant, krull_dim_quotient
 from veroav.introots import rational_roots
 from veroav.polynomial import Polynomial
 
 
-def _solve_affine(gens: list[Polynomial]) -> tuple[list[tuple[Fraction, ...]], bool]:
-    """Rational solutions, ascending, of a nonempty affine system."""
-    gb = buchberger(gens)
-    if gb.is_unit_ideal():
-        return [], True
-    if krull_dim_quotient(gb) > 0:
-        return [], False  # positive-dimensional: no points are listed
+def affine_points(
+    gb: GroebnerBasis, gens: Sequence[Polynomial]
+) -> tuple[list[tuple[Fraction, ...]], bool]:
+    """Rational solutions, ascending, of the zero-dimensional affine system
+    gens with basis gb, and whether every eliminant splits."""
     coordinates, complete = [], True
     for i in range(gb.nvars):
         roots, split = rational_roots(eliminant(gb, i))
@@ -68,7 +69,11 @@ def rational_projective_points(
             # chart entirely contained in the variety: positive-dimensional
             complete = False
             continue
-        solutions, chart_complete = _solve_affine(affine)
+        gb = buchberger(affine)
+        if krull_dim_quotient(gb) > 0:
+            complete = False  # positive-dimensional: no points are listed
+            continue
+        solutions, chart_complete = affine_points(gb, affine)
         complete = complete and chart_complete
         tail = (Fraction(1),) + (Fraction(0),) * (n - chart - 1)
         points += [sol + tail for sol in solutions]  # charts share no point

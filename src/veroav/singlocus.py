@@ -3,6 +3,10 @@ Tjurina numbers by truncation stabilization, node detection, general linear
 position, and the classification dispatch that predicts the avoidance
 verdict from singularity data alone where a theorem applies.
 
+The rational singular points are read off the one chart of J_f^sat that
+holds them all, y_{n-1} = 1 in its moved coordinates (``groebner.last_chart``,
+no Buchberger run); other zero sets take ``ratpoints``' chart scan.
+
 A local colength dim A/(I + m^N) is the corank of the truncated Macaulay
 matrix of I, whose rows are the multiples x^a g cut below degree N (the
 dual-space view of Mourrain and of Dayton-Zeng).  The coranks are ranked
@@ -19,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from veroav.groebner import MACAULAY_CHECK_PRIME, buchberger, quotient_degree, residues
+from veroav.groebner import MACAULAY_CHECK_PRIME, buchberger, last_chart, quotient_degree, residues
 from veroav.linalg import MatrixQ, rank, rank_residues
 from veroav.milnor import (
     InternalDefectError,
@@ -30,7 +34,7 @@ from veroav.milnor import (
     validate_input,
 )
 from veroav.polynomial import Polynomial, iter_monomials, mono_mul
-from veroav.ratpoints import rational_projective_points
+from veroav.ratpoints import affine_points
 
 _LOCAL_TRUNCATION_CAP = 40
 
@@ -75,14 +79,17 @@ class NotSingularAtPointError(ValueError):
 
 
 def singular_points_rational(f: Polynomial) -> tuple[list[ProjPoint], bool]:
-    """Rational points of the singular locus V(J_f^sat); the flag is False
-    when an eliminant failed to split rationally (irrational points exist)."""
+    """Rational points of the singular locus V(J_f^sat), in the order of
+    ``ratpoints.rational_projective_points``; the flag is False when an
+    eliminant failed to split rationally (irrational points exist)."""
     validate_input(f)
     if is_smooth(f):
         return [], True
-    gb_sat = gb_jacobian_saturation(f)
-    raw, complete = rational_projective_points(gb_sat.generators)
-    return [ProjPoint.normalize(p) for p in raw], complete
+    sat = gb_jacobian_saturation(f)
+    chart = last_chart(sat.basis)
+    solutions, complete = affine_points(chart, chart.generators)
+    points = [ProjPoint.normalize(sat.point(y)) for y in solutions]
+    return sorted(points, key=lambda p: (-p.chart(), p.coords)), complete
 
 
 def _dehomogenize_at(f: Polynomial, p: ProjPoint) -> tuple[Polynomial, int]:

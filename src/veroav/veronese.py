@@ -17,7 +17,8 @@ The criterion for r < n nodes is decided by the same routine on the same
 forms, built once per (f, T-1): the base locus of l -> l^(T-1) on the
 linear forms through the nodes is the condition (II) zero set cut by the
 r linear conditions <a, p> = 0, and it is empty, with the condition (II)
-certificate, whenever condition (II) holds.
+certificate, whenever condition (II) holds.  It reads only condition (II)'s
+memoized emptiness decision, never its witness search.
 """
 
 from __future__ import annotations
@@ -124,25 +125,17 @@ def _verify_witness(f: Polynomial, m: int, coeffs: Sequence[Fraction]) -> bool:
     return gb_jacobian(f).contains(ell**m)
 
 
-def _rational_zeros(
+def _verified_zeros(
     forms: Sequence[Polynomial],
     verify: Callable[[tuple[Fraction, ...]], bool],
     first_only: bool,
-) -> tuple[GroebnerBasis, bool, list[tuple[Fraction, ...]]]:
-    """Decide whether the forms have a common projective zero.
-
-    The forms live in the coefficient parameters a_1..a_n of a linear form:
-    the condition (II) forms for ``condition_II``, and the same forms with
-    the linear conditions <a, p> = 0 of the singular points appended for
-    ``phi_base_locus``.  Returns the Groebner certificate, its emptiness
-    verdict and, when non-empty, the distinct verified rational zeros, each
-    normalized: the finite candidate list first, the rational points of the
-    zero set only if no candidate qualifies.  Emptiness and its certificate
-    come from ``groebner.decide_emptiness`` (GF(p) first, then Q).
-    """
-    certificate, empty = decide_emptiness(forms)
-    if empty:
-        return certificate, True, []
+) -> list[tuple[Fraction, ...]]:
+    """The distinct verified rational zeros, normalized, of forms in the
+    coefficients a_1..a_n of a linear form that have a common projective
+    zero: the condition (II) forms, with the conditions <a, p> = 0 of the
+    singular points appended for ``phi_base_locus``.  The finite candidate
+    list comes first, the rational points of the zero set only if no
+    candidate qualifies."""
     found: list[tuple[Fraction, ...]] = []
 
     def collect(points) -> None:
@@ -157,14 +150,22 @@ def _rational_zeros(
     collect(c for c in _projective_candidates(k) if all(g.evaluate(c) == 0 for g in forms))
     if not found:
         collect(rational_projective_points(forms)[0])
-    return certificate, False, found
+    return found
+
+
+@lru_cache(maxsize=256)
+def _condition_II_decision(f: Polynomial) -> tuple[GroebnerBasis, bool]:
+    """Whether the condition (II) forms of f have no common zero, with the
+    basis that decides it (``groebner.decide_emptiness``): memoized per f,
+    and all that ``phi_base_locus`` reads of condition (II)."""
+    return decide_emptiness(_power_quotient_forms(f, validate_input(f).T - 1))
 
 
 @lru_cache(maxsize=256)
 def condition_II(f: Polynomial) -> ConditionIIReport:
     """Veronese-avoidance condition: no nonzero linear form l has
-    l^(T-1) in (J_f)_{T-1}.  Computed once per f, so that ``phi_base_locus``
-    reuses an emptiness certificate."""
+    l^(T-1) in (J_f)_{T-1}: the emptiness decision, then, when the forms
+    have zeros, the search for a rational witness."""
     hi = validate_input(f)
     cond1 = condition_I(f)
     if not cond1.holds:
@@ -172,13 +173,12 @@ def condition_II(f: Polynomial) -> ConditionIIReport:
             "condition (II) is evaluated only when condition (I) holds"
         )
     m = hi.T - 1
-    certificate, empty, witnesses = _rational_zeros(
-        _power_quotient_forms(f, m),
-        lambda ell: _verify_witness(f, m, ell),
-        first_only=True,
-    )
+    certificate, empty = _condition_II_decision(f)
     if empty:
         return ConditionIIReport(True, True, None, certificate)
+    witnesses = _verified_zeros(
+        _power_quotient_forms(f, m), lambda ell: _verify_witness(f, m, ell), first_only=True
+    )
     if witnesses:
         return ConditionIIReport(True, False, witnesses[0], certificate)
     return ConditionIIReport(
@@ -345,13 +345,13 @@ def phi_base_locus(f: Polynomial, points: Sequence[Sequence[Fraction]]) -> PhiBa
     cond1 = condition_I(f)
     if not cond1.holds:
         raise ConditionIIPreconditionError("gradient-generic condition fails")
-    cond2 = condition_II(f)
-    if cond2.empty:  # the base locus lies in the condition (II) zero set
-        return PhiBaseLocusReport(tuple(i1_basis), k, dim_n_top, True, (), cond2.certificate)
-    certificate, empty, base_points = _rational_zeros(
-        [*_power_quotient_forms(f, m), *map(linear_form, points)],
-        lambda ell: _verify_witness(f, m, ell),
-        first_only=False,
+    certificate, empty = _condition_II_decision(f)
+    if empty:  # the base locus lies in the condition (II) zero set
+        return PhiBaseLocusReport(tuple(i1_basis), k, dim_n_top, True, (), certificate)
+    forms = [*_power_quotient_forms(f, m), *map(linear_form, points)]
+    certificate, empty = decide_emptiness(forms)
+    base_points = [] if empty else _verified_zeros(
+        forms, lambda ell: _verify_witness(f, m, ell), first_only=False
     )
     return PhiBaseLocusReport(
         tuple(i1_basis), k, dim_n_top, empty, tuple(base_points), certificate

@@ -9,6 +9,11 @@ points, from the kernel of the point-evaluation matrix, with or without a
 conjugate pair of irrational points on x_0^2 - 2*x_1^2 = 0.  Square systems
 (one form fewer than variables) keep the other points of their complete
 intersection, and their first form is multiplied by x_0^2 - 2*x_1^2.
+
+The eliminant stops at the first power of x_i whose normal form depends on
+the earlier ones; ``kernel_eliminant`` is the reference that takes all
+D + 1 normal forms, D the quotient degree, and the first kernel vector of
+their matrix.
 """
 
 from __future__ import annotations
@@ -19,10 +24,22 @@ from fractions import Fraction
 
 import pytest
 
-from veroav.groebner import buchberger, eliminant
+from veroav import groebner
+from veroav.groebner import (
+    _content,
+    _normal_form_int,
+    _packing,
+    buchberger,
+    eliminant,
+    last_chart,
+    quotient_degree,
+    saturate_irrelevant,
+)
 from veroav.linalg import MatrixQ, kernel_basis
+from veroav.parsing import parse_poly
 from veroav.polynomial import Polynomial, iter_monomials
 from veroav.ratpoints import rational_projective_points
+from veroav.veronese import f0_form
 
 
 def _value(point, m):
@@ -68,6 +85,35 @@ def top_chart(forms):
     """The affine system of the chart x_{n-1} = 1, in x_0, ..., x_{n-2}."""
     n = forms[0].nvars
     return [g.specialize({n - 1: 1}).drop_vars(range(n - 1)) for g in forms]
+
+
+def kernel_eliminant(gb, i):
+    """The minimal polynomial of x_i from the normal forms of 1, x_i, ...,
+    x_i^D, D the quotient degree, as primitive integer columns times
+    rational scales: the first kernel vector of their matrix, made monic."""
+    pk = _packing(gb.nvars)
+    columns, scales = [], []
+    power, scale = {0: 1}, Fraction(1)
+    for _ in range(quotient_degree(gb) + 1):
+        terms, den = _normal_form_int(power, gb._reducers, pk, {})
+        g = _content(terms) or 1
+        columns.append({m: c // g for m, c in terms.items()})
+        scale *= Fraction(den, g)
+        scales.append(scale)
+        power = {m + pk.units[i]: c for m, c in columns[-1].items()}
+    monomials = {m for column in columns for m in column}
+    rows = [[column.get(m, 0) for column in columns] for m in monomials]
+    coeffs = [v * s for v, s in zip(kernel_basis(MatrixQ.from_rows(rows))[0], scales)]
+    while not coeffs[-1]:
+        coeffs.pop()
+    return [Fraction(c, coeffs[-1]) for c in coeffs]
+
+
+def saturated_chart(f):
+    """The chart x_{n-1} = 1 of the saturated Jacobian ideal of f, in the
+    coordinates where the saturation is computed."""
+    gens = f.gradient()
+    return last_chart(saturate_irrelevant(gens, buchberger(gens)).basis)
 
 
 def sympy_lex_eliminant(gens, i, modulus=0):
@@ -167,3 +213,75 @@ def test_a_four_variable_cubic_system():
     assert set(points) <= set(found)
     assert all(g.evaluate(p) == 0 for g in forms for p in found)
     assert not complete  # the factor x_0^2 - 2*x_1^2 adds irrational points
+
+
+def _counted_normal_forms(monkeypatch):
+    calls = []
+    real = groebner._normal_form_int
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_normal_form_int", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_the_eliminant_stops_at_the_first_dependency(n, monkeypatch):
+    """On the chart of f0_form(n, 3), sheared by x_0 + ... + x_{n-1}, the n
+    nodes have coordinates 0 and 1, and every eliminant has degree 2
+    against a quotient degree of n: the normal forms of 1, x_i and x_i^2
+    are all that is reduced."""
+    chart = saturated_chart(f0_form(n, 3))
+    assert quotient_degree(chart) == n
+    calls = _counted_normal_forms(monkeypatch)
+    for i in range(n - 1):
+        calls.clear()
+        elim = eliminant(chart, i)
+        assert len(elim) == 3 and len(calls) == 3
+        assert elim == kernel_eliminant(chart, i)
+        assert elim == [0, -1, 1]  # x_i^2 - x_i: every node has x_i = 0 or 1 there
+
+
+def test_the_eliminant_of_a_cusp_keeps_its_multiplicity():
+    """The cusp y^2 z = x^3 has a non-reduced singular scheme at [0:0:1],
+    of length 2: the eliminant of x is x^2, the square of the reduced one."""
+    f = parse_poly("z*y^2-x^3", 3)
+    chart = saturated_chart(f)
+    assert quotient_degree(chart) == 2
+    assert eliminant(chart, 0) == [0, 0, 1]
+    assert eliminant(chart, 1) == [0, 1]
+    for i in range(2):
+        assert eliminant(chart, i) == kernel_eliminant(chart, i)
+        assert eliminant(chart, i) == sympy_lex_eliminant(chart.generators, i)
+
+
+@pytest.mark.parametrize(
+    "name, i",
+    [
+        pytest.param(name, i, id=f"{name}-x{i}")
+        for name, case in CASES.items()
+        for i in range(case["n"] - 1)
+    ],
+)
+def test_the_eliminant_matches_the_kernel_of_all_powers(name, i):
+    forms, _ = planted_system(**CASES[name], rng=random.Random(name))
+    gb = buchberger(top_chart(forms))
+    assert eliminant(gb, i) == kernel_eliminant(gb, i)
+
+
+def test_the_degree_32_eliminant_matches_the_kernel_of_all_powers():
+    forms, _ = planted_system(4, 3, 5, random.Random(1), square=True)
+    gb = buchberger(top_chart(forms))
+    start = time.perf_counter()
+    elim = eliminant(gb, 0)
+    assert time.perf_counter() - start < 5
+    assert len(elim) == 33
+    assert elim == kernel_eliminant(gb, 0)
+
+
+def test_the_eliminant_refuses_a_positive_dimensional_ideal():
+    gb = buchberger([parse_poly("x*y", 2)])
+    with pytest.raises(ValueError, match="zero-dimensional"):
+        eliminant(gb, 0)

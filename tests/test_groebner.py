@@ -132,8 +132,13 @@ def test_normal_form_idempotent_and_linear():
         assert normal_form(p - r, gb).is_zero()
 
 
+def _unmoved(sat):
+    """The basis of a saturation moved back to the original coordinates."""
+    return buchberger(groebner._moved(sat.basis.generators, sat.form, 1))
+
+
 def _saturate(gens):
-    return saturate_irrelevant(gens, basis=buchberger(gens))
+    return _unmoved(saturate_irrelevant(gens, basis=buchberger(gens)))
 
 
 def test_saturation_classics():
@@ -152,7 +157,7 @@ def test_saturation_classics():
 
 def test_saturation_of_smooth_jacobian_is_unit():
     sat = _saturate(X3("x^3 + y^3 + z^3").gradient())
-    assert sat.is_unit_ideal()
+    assert krull_dim_quotient(sat) == -1  # the unit ideal
 
 
 def test_saturation_contains_ideal_and_is_idempotent():
@@ -240,10 +245,10 @@ def test_saturating_a_coordinate_node_form_builds_at_most_the_unshearing_basis(
 ):
     # the coordinate points are the zeros, so l_0 = x_{n-1} fails and l_1
     # is taken: one sheared basis, read for the choice and saturated, and
-    # the basis of the unshearing
+    # no unshearing basis, since the saturation stays in moved coordinates
     gens = f0_form(n, d).gradient()
     basis = buchberger(gens)
-    expected = saturate_irrelevant(gens, basis)
+    expected = _unmoved(saturate_irrelevant(gens, basis))
     calls = []
 
     def counted(name):
@@ -257,9 +262,11 @@ def test_saturating_a_coordinate_node_form_builds_at_most_the_unshearing_basis(
 
     for name in ("buchberger", "_pair_loop"):
         monkeypatch.setattr(groebner, name, counted(name))
-    assert saturate_irrelevant(gens, basis).generators == expected.generators
-    assert calls.count("buchberger") <= 1
-    assert calls.count("_pair_loop") == 2
+    sat = saturate_irrelevant(gens, basis)
+    assert calls.count("buchberger") == 0
+    assert calls.count("_pair_loop") == 1
+    monkeypatch.undo()
+    assert _unmoved(sat).generators == expected.generators
 
 
 def test_a_constant_counts_as_a_pure_power_of_every_variable(monkeypatch):
@@ -274,7 +281,7 @@ def test_a_constant_counts_as_a_pure_power_of_every_variable(monkeypatch):
     monkeypatch.setattr(groebner, "_shear", no_shear)
     basis = buchberger(gens)
     assert _sheared_basis(gens, basis)[0] == [0, 0, 1]
-    assert saturate_irrelevant(gens, basis).is_unit_ideal()
+    assert krull_dim_quotient(saturate_irrelevant(gens, basis).basis) == -1  # the unit ideal
 
 
 def _without_swaps(monkeypatch):
@@ -301,7 +308,7 @@ def test_a_swap_saturates_to_the_basis_of_a_shear(src, perm, monkeypatch):
     basis = buchberger(gens)
     swapped = saturate_irrelevant(gens, basis)
     _without_swaps(monkeypatch)
-    assert swapped.generators == saturate_irrelevant(gens, basis).generators
+    assert _unmoved(swapped).generators == _unmoved(saturate_irrelevant(gens, basis)).generators
 
 
 @pytest.mark.parametrize("perm", ["xzy", "yzx"])
@@ -311,14 +318,14 @@ def test_the_quintic_twin_saturates_without_a_shear(perm, monkeypatch):
     gens = X3(SWAP_FORMS[0].translate(str.maketrans("xyz", perm))).gradient()
     basis = buchberger(gens)
     _without_swaps(monkeypatch)
-    expected = saturate_irrelevant(gens, basis)
+    expected = _unmoved(saturate_irrelevant(gens, basis))
     monkeypatch.undo()
 
     def no_shear(*args):
         raise AssertionError("the saturation went past the swaps")
 
     monkeypatch.setattr(groebner, "_shear", no_shear)
-    assert saturate_irrelevant(gens, basis).generators == expected.generators
+    assert _unmoved(saturate_irrelevant(gens, basis)).generators == expected.generators
 
 
 def test_a_swap_that_meets_a_zero_falls_through_to_the_next(monkeypatch):
@@ -338,10 +345,11 @@ def test_a_swap_that_meets_a_zero_falls_through_to_the_next(monkeypatch):
 
     monkeypatch.setattr(groebner, "_moved", recording)
     swapped = saturate_irrelevant(gens, basis)
-    assert moves == [([0, 1, 0], -1), ([1, 0, 0], -1), ([1, 0, 0], 1)]
+    assert moves == [([0, 1, 0], -1), ([1, 0, 0], -1)]  # no move back
+    assert swapped.form == (1, 0, 0)
     monkeypatch.undo()
     _without_swaps(monkeypatch)
-    assert swapped.generators == saturate_irrelevant(gens, basis).generators
+    assert _unmoved(swapped).generators == _unmoved(saturate_irrelevant(gens, basis)).generators
 
 
 def test_saturation_reuses_a_given_grevlex_basis(monkeypatch):
@@ -355,8 +363,9 @@ def test_saturation_reuses_a_given_grevlex_basis(monkeypatch):
         return buchberger(polys, *args, **kwargs)
 
     monkeypatch.setattr("veroav.groebner.buchberger", recording)
-    assert saturate_irrelevant(gens, basis=gb).generators == expected.generators
-    assert inputs and gens not in inputs  # the basis of the gens is not rebuilt
+    sat = saturate_irrelevant(gens, basis=gb)
+    assert not inputs  # the basis of the gens is not rebuilt, nor any other
+    assert _unmoved(sat).generators == expected.generators
     with pytest.raises(ValueError, match="grevlex basis over Q"):
         saturate_irrelevant(gens, basis=modular_certificate(X3("x^3+y^3+z^3").gradient()))
 
@@ -407,10 +416,14 @@ SATURATION_CASES = _saturation_cases()
 
 @pytest.mark.parametrize("f", [f for _, f in SATURATION_CASES], ids=[n for n, _ in SATURATION_CASES])
 def test_saturation_matches_linear_algebra_oracle(f):
-    sat = _saturate(f.gradient())
+    # the Hilbert function is read off the basis in moved coordinates,
+    # membership off the basis moved back
+    sat = saturate_irrelevant(f.gradient(), buchberger(f.gradient()))
+    unmoved = _unmoved(sat)
     for q, kernel in _oracle_saturation_pieces(f):
-        assert hilbert_value(sat, q) == dim_graded(f.nvars, q) - len(kernel)
-        assert all(normal_form(h, sat).is_zero() for h in kernel)
+        assert hilbert_value(sat.basis, q) == dim_graded(f.nvars, q) - len(kernel)
+        assert hilbert_value(unmoved, q) == hilbert_value(sat.basis, q)
+        assert all(normal_form(h, unmoved).is_zero() for h in kernel)
 
 
 def test_degree_cap(monkeypatch):

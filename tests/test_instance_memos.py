@@ -8,7 +8,13 @@ import pytest
 from veroav.milnor import NonIsolatedSingularitiesError, gb_jacobian, validate_input
 from veroav.parsing import parse_poly
 from veroav.singlocus import _local_numbers, local_invariants, singular_report
-from veroav.veronese import _power_quotient_forms, condition_II, f0_form, phi_base_locus
+from veroav.veronese import (
+    _condition_II_decision,
+    _power_quotient_forms,
+    condition_II,
+    f0_form,
+    phi_base_locus,
+)
 
 
 def test_the_nodes_of_f0_share_one_local_computation():
@@ -37,7 +43,7 @@ def _base_locus_fields(report):
 
 
 def _cold_base_locus(f, points):
-    for memo in (condition_II, _power_quotient_forms, gb_jacobian):
+    for memo in (condition_II, _condition_II_decision, _power_quotient_forms, gb_jacobian):
         memo.cache_clear()
     return phi_base_locus(f, points)
 
@@ -48,7 +54,8 @@ def test_the_base_locus_reuses_an_empty_condition_II_report():
     assert points == [(0, 0, 1)]
     report = condition_II(f)
     warm = phi_base_locus(f, points)
-    assert condition_II.cache_info().hits == 1
+    assert _condition_II_decision.cache_info().hits == 1
+    assert condition_II.cache_info().hits == 0  # the base locus reads only the decision
     info = _power_quotient_forms.cache_info()
     assert (info.misses, info.hits) == (1, 0)
     assert warm.empty and warm.base_points == ()
@@ -62,8 +69,10 @@ def test_the_base_locus_reuses_the_condition_II_forms():
     assert points == [(0, 0, 1)]
     assert condition_II(f).empty is False
     warm = phi_base_locus(f, points)
+    # built once: read by the decision, the witness search and the base locus
     info = _power_quotient_forms.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert (info.misses, info.hits) == (1, 2)
+    assert _condition_II_decision.cache_info().hits == 1
     assert not warm.empty and (0, 1, 0) in warm.base_points
     assert _base_locus_fields(warm) == _base_locus_fields(_cold_base_locus(f, points))
 

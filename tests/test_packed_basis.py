@@ -182,6 +182,11 @@ def test_sheared_saturation_skips_pairs_and_matches_the_unskipped_one(n, d, monk
     verdicts.clear()
     plain = saturate_irrelevant(grads, basis=gb)
     assert not verdicts  # a run over Q without the series never arms
-    assert skipped.generators == plain.generators
-    assert skipped.leading_monomials == plain.leading_monomials
+    assert skipped.form == plain.form
+    assert skipped.basis.generators == plain.basis.generators
+    assert skipped.basis.leading_monomials == plain.basis.leading_monomials
+    moved_back = [
+        buchberger(groebner._moved(sat.basis.generators, sat.form, 1)) for sat in (skipped, plain)
+    ]
+    assert moved_back[0].generators == moved_back[1].generators
 

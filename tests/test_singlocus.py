@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from veroav import groebner, milnor, ratpoints, singlocus
 from veroav.milnor import tjurina_total
 from veroav.parsing import parse_poly
 from veroav.singlocus import (
@@ -164,3 +165,28 @@ def test_classification_outside_range():
     record = classify(X3("(x^2 - z^2)^2 + y^4"))
     assert record.predicted_va is None
     assert record.reason == "outside classified range"
+
+
+@pytest.mark.parametrize("src, n, complete", [
+    ("x*y*z + x^3 + y^3", 3, True),  # one node, the chart of x_{n-1}
+    ("x*y*z + x*y*w + x*z*w + y*z*w", 4, True),  # coordinate nodes, a shear
+    ("x*z*y^3+x^5+z^5+x^4*y", 3, True),  # a node on z = 0, a swap
+    ("x*(x^3+y^3-z^3)", 3, False),  # two conjugate nodes besides [0:1:1]
+])
+def test_singular_points_run_no_buchberger(src, n, complete, monkeypatch):
+    """Once the Jacobian basis is known, the saturation and its points run
+    one pair loop at most, the sheared basis's, and no Buchberger run."""
+    f = parse_poly(src, n)
+    milnor.validate_input(f)
+    calls = []
+    for module in (groebner, milnor, ratpoints, singlocus):
+        counted = lambda *a, real=module.buchberger: calls.append(a) or real(*a)  # noqa: E731
+        monkeypatch.setattr(module, "buchberger", counted)
+    real_loop = groebner._pair_loop
+    loops = []
+    monkeypatch.setattr(
+        groebner, "_pair_loop", lambda *a, **k: loops.append(a) or real_loop(*a, **k)
+    )
+    points, found_all = singular_points_rational(f)
+    assert points and calls == [] and len(loops) <= 1
+    assert found_all is complete

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import standard_monomials, table_coordinates, unimodular_matrices
 from veroav.corpus import builtin_corpus
-from veroav.groebner import normal_form, projective_empty
+from veroav.groebner import decide_emptiness, normal_form, projective_empty
 from veroav.linalg import (
     MatrixQ,
     determinant,
@@ -41,7 +41,7 @@ from veroav.veronese import (
     ConditionIIPreconditionError,
     _macaulay_rank_agrees,
     _power_quotient_forms,
-    _rational_zeros,
+    _verified_zeros,
     _verify_witness,
     check_va,
     condition_II,
@@ -277,7 +277,8 @@ def _base_locus_in_kernel_parameters(f, points):
             [sum(Fraction(sj) * b[i] for sj, b in zip(s, basis)) for i in range(n)]
         ).coords
 
-    _, empty, zeros = _rational_zeros(
+    _, empty = decide_emptiness(forms)
+    zeros = [] if empty else _verified_zeros(
         forms, lambda s: _verify_witness(f, m, lift(s)), first_only=False
     )
     return empty, {lift(s) for s in zeros}

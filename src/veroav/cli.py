@@ -18,7 +18,7 @@ import sys
 from veroav.apolar import inverse_system
 from veroav.corpus import builtin_corpus, parse_corpus_file, run_corpus
 from veroav.groebner import DegreeCapExceeded
-from veroav.milnor import InternalDefectError
+from veroav.milnor import InternalDefectError, tjurina_total
 from veroav.parsing import parse_poly, render_poly, render_witness
 from veroav.singlocus import classify, general_linear_position, singular_report
 from veroav.veronese import (
@@ -174,13 +174,15 @@ def cmd_singular(args) -> int:
         }
         for s in rep.points
     ]
+    # the singular scheme's degree and, when every point is rational, its position
+    total = tjurina_total(f)
     independent = None
-    if rep.points:
+    if rep.points and rep.complete:
         independent, _ = general_linear_position([s.point for s in rep.points])
     payload = {
         "points": points,
         "complete": rep.complete,
-        "total_tjurina": rep.total_tjurina_local,
+        "total_tjurina": total,
         "general_position": independent,
         "classification": {
             "applicable": list(record.applicable),
@@ -198,7 +200,7 @@ def cmd_singular(args) -> int:
             kind = "node" if p["is_node"] else f"non-node (quadratic rank {p['quadratic_rank']})"
             print(f"{p['point']}: {kind}, tjurina = {p['tjurina']}, milnor = {p['milnor']}")
         if points:
-            print(f"complete: {rep.complete}; total tjurina = {rep.total_tjurina_local}; "
+            print(f"complete: {rep.complete}; total tjurina = {total}; "
                   f"general position: {independent}")
         if record.predicted_va is not None:
             print(f"classification ({', '.join(record.applicable)}): predicted verdict "
@@ -259,7 +261,7 @@ def cmd_corpus(args) -> int:
             entries = builtin_corpus() + entries
     else:
         entries = builtin_corpus()
-    results = run_corpus(entries, name_filter=args.filter, jobs=args.jobs)
+    results = run_corpus(entries, name_filter=args.filter)
     width = max((len(r.name) for r in results), default=4)
     for r in results:
         status = "pass" if r.passed else "FAIL"
@@ -323,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     corpus.add_argument("--file", type=str, default=None, help="corpus file to run")
     corpus.add_argument("--with-builtin", action="store_true",
                         help="run the built-in corpus in addition to --file")
-    corpus.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     corpus.set_defaults(func=cmd_corpus)
 
     return parser

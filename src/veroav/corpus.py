@@ -269,22 +269,10 @@ def run_entry(entry: CorpusEntry, lefschetz_seed: int = 0) -> EntryResult:
 
 
 def run_corpus(
-    entries: list[CorpusEntry] | None = None,
-    name_filter: str | None = None,
-    jobs: int = 1,
+    entries: list[CorpusEntry] | None = None, name_filter: str | None = None
 ) -> list[EntryResult]:
-    entries = list(builtin_corpus() if entries is None else entries)
-    if name_filter:
-        entries = [e for e in entries if name_filter in e.name]
-    if jobs > 1 and len(entries) > 1:
-        # imported here: it would add about 10 ms to every CLI start
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_entry, entries))
-    else:
-        results = [run_entry(e) for e in entries]
-    return results
+    entries = builtin_corpus() if entries is None else entries
+    return [run_entry(e) for e in entries if not name_filter or name_filter in e.name]
 
 
 # ---------------------------------------------------------------------------

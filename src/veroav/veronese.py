@@ -10,15 +10,16 @@ is read off the same table.  Emptiness is certified by a Groebner basis with
 a pure-power leading monomial in every parameter, from
 ``groebner.decide_emptiness`` (over GF(p) first, over Q when that fails).
 Non-emptiness is decided over Q and witnessed, when a rational witness
-exists, by an exact membership check, which takes the heap normal form and
-so shares no code with the table.
+exists, by the first exact rational zero of the forms.  The witness is
+checked once, by the ``witness_soundness`` cross-check, an exact membership
+test that takes the heap normal form and so shares no code with the table.
 
-The criterion for r < n nodes is decided by the same routine on the same
-forms, built once per (f, T-1): the base locus of l -> l^(T-1) on the
-linear forms through the nodes is the condition (II) zero set cut by the
-r linear conditions <a, p> = 0, and it is empty, with the condition (II)
-certificate, whenever condition (II) holds.  It reads only condition (II)'s
-memoized emptiness decision, never its witness search.
+The criterion for r < n nodes reads the same decision on the same forms,
+built once per (f, T-1): every partial of f vanishes at a node p, so
+l^(T-1) in J_f already forces l(p) = 0.  The base locus of l -> l^(T-1) on
+the linear forms through the nodes is therefore the condition (II) zero set
+itself, empty with the condition (II) certificate exactly when condition
+(II) holds, and otherwise made of its rational zeros.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from veroav.groebner import (
     MACAULAY_CHECK_PRIME,
@@ -125,23 +126,20 @@ def _verify_witness(f: Polynomial, m: int, coeffs: Sequence[Fraction]) -> bool:
     return gb_jacobian(f).contains(ell**m)
 
 
-def _verified_zeros(
-    forms: Sequence[Polynomial],
-    verify: Callable[[tuple[Fraction, ...]], bool],
-    first_only: bool,
-) -> list[tuple[Fraction, ...]]:
-    """The distinct verified rational zeros, normalized, of forms in the
+def _rational_zeros(forms: Sequence[Polynomial], first_only: bool) -> list[tuple[Fraction, ...]]:
+    """The distinct exact rational zeros, normalized, of forms in the
     coefficients a_1..a_n of a linear form that have a common projective
-    zero: the condition (II) forms, with the conditions <a, p> = 0 of the
-    singular points appended for ``phi_base_locus``.  The finite candidate
-    list comes first, the rational points of the zero set only if no
-    candidate qualifies."""
+    zero: the condition (II) forms, whose zero set is also the base locus of
+    ``phi_base_locus``.  The finite candidate list comes first, the rational
+    points of the zero set only if no candidate is a zero.  Nothing here
+    checks a zero against J_f; the ``witness_soundness`` cross-check tests
+    condition (II)'s witness, by the heap normal form."""
     found: list[tuple[Fraction, ...]] = []
 
     def collect(points) -> None:
         for pt in points:
             ell = ProjPoint.normalize(pt).coords
-            if ell not in found and verify(ell):
+            if ell not in found:
                 found.append(ell)
                 if first_only:
                     return
@@ -157,11 +155,10 @@ def _verified_zeros(
 def _condition_II_decision(f: Polynomial) -> tuple[GroebnerBasis, bool]:
     """Whether the condition (II) forms of f have no common zero, with the
     basis that decides it (``groebner.decide_emptiness``): memoized per f,
-    and all that ``phi_base_locus`` reads of condition (II)."""
+    so that ``condition_II`` and ``phi_base_locus`` share one decision."""
     return decide_emptiness(_power_quotient_forms(f, validate_input(f).T - 1))
 
 
-@lru_cache(maxsize=256)
 def condition_II(f: Polynomial) -> ConditionIIReport:
     """Veronese-avoidance condition: no nonzero linear form l has
     l^(T-1) in (J_f)_{T-1}: the emptiness decision, then, when the forms
@@ -172,13 +169,10 @@ def condition_II(f: Polynomial) -> ConditionIIReport:
         raise ConditionIIPreconditionError(
             "condition (II) is evaluated only when condition (I) holds"
         )
-    m = hi.T - 1
     certificate, empty = _condition_II_decision(f)
     if empty:
         return ConditionIIReport(True, True, None, certificate)
-    witnesses = _verified_zeros(
-        _power_quotient_forms(f, m), lambda ell: _verify_witness(f, m, ell), first_only=True
-    )
+    witnesses = _rational_zeros(_power_quotient_forms(f, hi.T - 1), first_only=True)
     if witnesses:
         return ConditionIIReport(True, False, witnesses[0], certificate)
     return ConditionIIReport(
@@ -269,8 +263,7 @@ def _cross_checks(f, hi: HypersurfaceInput, cond1, cond2):
         dims = jacobian_module_series(f, hi.T)
         yield ("jacobian_module_self_duality", dims == dims[::-1])
     if cond2.evaluated and cond2.witness is not None:
-        m = hi.T - 1
-        yield ("witness_soundness", _verify_witness(f, m, cond2.witness))
+        yield ("witness_soundness", _verify_witness(f, hi.T - 1, cond2.witness))
     if cond2.evaluated and cond2.empty:
         yield ("emptiness_certificate", projective_empty(cond2.certificate))
 
@@ -319,14 +312,17 @@ def phi_base_locus(f: Polynomial, points: Sequence[Sequence[Fraction]]) -> PhiBa
     """Base locus of [l] -> [l^(T-1) mod (J_f)_{T-1}] restricted to the
     linear forms vanishing on the given singular points.
 
-    It is the zero set of the condition (II) forms cut by the linear
-    conditions <a, p> = 0, one per point: [a] is a common zero exactly when
-    l_a vanishes at every point and l_a^(T-1) lies in (J_f)_{T-1}.  So the
-    certificate is a basis in the n coefficient parameters, and the base
-    points are linear forms through the points.  When condition (II) holds,
-    its certificate is the base locus's: a subset of an empty set is empty."""
+    Every partial of f vanishes at a singular point p, so l^(T-1) in
+    (J_f)_{T-1} already forces l(p) = 0: the base locus is the condition
+    (II) zero set itself.  Its certificate is condition (II)'s basis in the
+    n coefficient parameters, and its base points are the rational zeros of
+    the condition (II) forms, linear forms through the points.  A point at
+    which some partial of f does not vanish is refused."""
     hi = validate_input(f)
     n, m = hi.n, hi.T - 1
+    grads = f.gradient()
+    if any(g.evaluate(p) for p in points for g in grads):
+        raise ValueError("every point must be a singular point of f")
     r = len(points)
     if r == 0 or r >= n:
         raise ValueError("requires 0 < r < n singular points")
@@ -346,13 +342,7 @@ def phi_base_locus(f: Polynomial, points: Sequence[Sequence[Fraction]]) -> PhiBa
     if not cond1.holds:
         raise ConditionIIPreconditionError("gradient-generic condition fails")
     certificate, empty = _condition_II_decision(f)
-    if empty:  # the base locus lies in the condition (II) zero set
-        return PhiBaseLocusReport(tuple(i1_basis), k, dim_n_top, True, (), certificate)
-    forms = [*_power_quotient_forms(f, m), *map(linear_form, points)]
-    certificate, empty = decide_emptiness(forms)
-    base_points = [] if empty else _verified_zeros(
-        forms, lambda ell: _verify_witness(f, m, ell), first_only=False
-    )
+    base_points = [] if empty else _rational_zeros(_power_quotient_forms(f, m), first_only=False)
     return PhiBaseLocusReport(
         tuple(i1_basis), k, dim_n_top, empty, tuple(base_points), certificate
     )

@@ -43,22 +43,15 @@ def test_cli_start_loads_no_record_or_json_machinery():
 
 
 def test_builtin_corpus_passes():
-    results = run_corpus(jobs=1)
+    results = run_corpus()
     failures = {r.name: r.failures for r in results if not r.passed}
     assert not failures, failures
 
 
 def test_corpus_filter():
-    results = run_corpus(name_filter="hesse", jobs=1)
+    results = run_corpus(name_filter="hesse")
     assert len(results) == 5
     assert all(r.name.startswith("hesse") for r in results)
-
-
-def test_corpus_parallel_preserves_order():
-    sequential = run_corpus(name_filter="fermat", jobs=1)
-    parallel = run_corpus(name_filter="fermat", jobs=2)
-    assert [r.name for r in parallel] == [r.name for r in sequential]
-    assert all(r.passed for r in parallel)
 
 
 def test_wrong_expectation_reported():
@@ -98,7 +91,7 @@ expect_witness: z
     assert [e.name for e in entries] == ["my-cubic", "my-fermat"]
     assert entries[0].expect_all_nodes is True
     assert entries[1].expect_witness == "z"
-    results = run_corpus(entries, jobs=1)
+    results = run_corpus(entries)
     assert all(r.passed for r in results)
 
 
@@ -343,7 +336,7 @@ def test_cli_f0_and_dims():
 
 
 def test_cli_corpus_filter_and_failure(tmp_path):
-    proc = run_cli("corpus", "--filter", "hesse", "--jobs", "1")
+    proc = run_cli("corpus", "--filter", "hesse")
     assert proc.returncode == 0
     assert proc.stdout.count("pass") >= 5
 
@@ -351,21 +344,15 @@ def test_cli_corpus_filter_and_failure(tmp_path):
     bad.write_text(
         "name: wrong\nn: 3\nf: x^3 + y^3 + z^3\nexpect_va: true\n", encoding="utf-8"
     )
-    proc = run_cli("corpus", "--file", str(bad), "--jobs", "1")
+    proc = run_cli("corpus", "--file", str(bad))
     assert proc.returncode == 1
     assert "verdict" in proc.stdout
-
-
-def test_corpus_runs_in_one_process_by_default():
-    # parallel runs are opt-in: a process pool costs its start-up on every run
-    assert cli.build_parser().parse_args(["corpus"]).jobs == 1
-    assert cli.build_parser().parse_args(["corpus", "--jobs", "2"]).jobs == 2
 
 
 @pytest.mark.parametrize("target", ["missing.corpus", "."])
 def test_cli_unreadable_corpus_file_is_an_input_error(tmp_path, target):
     # a missing file, and a directory where a file should be
-    proc = run_cli("corpus", "--file", str(tmp_path / target), "--jobs", "1")
+    proc = run_cli("corpus", "--file", str(tmp_path / target))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: cannot read corpus file: ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr

@@ -35,13 +35,13 @@ from veroav.polyring import (
     substitute_linear,
 )
 from veroav.singlocus import ProjPoint, general_linear_position, singular_report
-from veroav import veronese
+from veroav import cli, veronese
 from veroav.veronese import (
     MACAULAY_CHECK_PRIME,
     ConditionIIPreconditionError,
     _macaulay_rank_agrees,
     _power_quotient_forms,
-    _verified_zeros,
+    _rational_zeros,
     _verify_witness,
     check_va,
     condition_II,
@@ -201,6 +201,21 @@ def test_witness_soundness_exact():
     )
 
 
+def test_a_false_witness_fails_the_single_witness_check(monkeypatch, capsys):
+    """The witness search takes the first rational zero of the forms as it
+    is; only the ``witness_soundness`` cross-check tests it against J_f.
+    Forms whose first zero (1:1:0) is not a witness of the Fermat cubic make
+    that check fail, and ``check`` exit 3."""
+    forms = (X3("x - y"), X3("z"))
+    monkeypatch.setattr(veronese, "_power_quotient_forms", lambda f, m: forms)
+    cert = check_va(X3("x^3 + y^3 + z^3"))
+    assert cert.condition_ii.witness == (1, 1, 0)
+    assert dict(cert.cross_checks)["witness_soundness"] is False
+    assert cli.main(["check", "-n", "3", "-f", "x^3+y^3+z^3"]) == cli.EXIT_INTERNAL_DEFECT
+    err = capsys.readouterr().err
+    assert err == "internal defect: a cross-check failed\n"
+
+
 def test_phi_base_locus_one_node_quartics():
     g4 = X3("x*y*z^2 + x^4 + y^4 + x^3*z")
     from veroav.singlocus import singular_report
@@ -247,12 +262,13 @@ def test_phi_base_locus_rejects_dependent_points():
 
 
 def _base_locus_in_kernel_parameters(f, points):
-    """The route the appended linear conditions replace: a kernel basis
-    l_1..l_k of the linear forms through the points, the heap normal forms of
-    the products of powers of the l_j read on the standard monomials, the
-    common zeros in the k parameters s of the quotient coordinates of
-    (s_1 l_1 + ... + s_k l_k)^(T-1), each lifted to a normalized linear form.
-    Returns the emptiness verdict and the set of base points."""
+    """An independent route to the base locus: a kernel basis l_1..l_k of
+    the linear forms through the points, the heap normal forms of the
+    products of powers of the l_j read on the standard monomials, the common
+    zeros in the k parameters s of the quotient coordinates of
+    (s_1 l_1 + ... + s_k l_k)^(T-1), each lifted to a normalized linear form
+    and kept only if its power lies in J_f.  Returns the emptiness verdict
+    and the set of base points."""
     n = f.nvars
     m = validate_input(f).T - 1
     gb = gb_jacobian(f)
@@ -278,10 +294,8 @@ def _base_locus_in_kernel_parameters(f, points):
         ).coords
 
     _, empty = decide_emptiness(forms)
-    zeros = [] if empty else _verified_zeros(
-        forms, lambda s: _verify_witness(f, m, lift(s)), first_only=False
-    )
-    return empty, {lift(s) for s in zeros}
+    zeros = [] if empty else _rational_zeros(forms, first_only=False)
+    return empty, {lift(s) for s in zeros if _verify_witness(f, m, lift(s))}
 
 
 def _few_nodes(f):
@@ -345,23 +359,15 @@ def test_base_locus_matches_the_restricted_route(f):
     _assert_base_locus_matches_the_restricted_route(f, points)
 
 
-OFF_NODE_CASES = [
-    ("x*y*z^2 + x^4 + y^4", (1, 0, 0), {(0, 1, 0)}),
-    ("x*y*z^2 + x^4 + y^4", (0, 1, 1), {(1, 0, 0)}),
-    ("x*y*z^2 + x^4 + y^4", (1, 1, 0), set()),
-    ("x*y*z^4+x^6+y^6", (1, -1, 0), {(1, 1, 0)}),
-    ("x*y*z^4+x^6+y^6", (1, 0, 0), {(0, 1, 0)}),
-]
-
-
-@pytest.mark.parametrize("src, point, expected", OFF_NODE_CASES)
-def test_base_locus_through_a_point_off_the_node(src, point, expected):
-    """At a node the condition <a, p> = 0 follows from l_a^(T-1) in J_f,
-    which vanishes there; through a point that is not singular only the
-    appended condition cuts the condition (II) zero set down."""
-    f = X3(src)
-    assert set(phi_base_locus(f, [point]).base_points) == expected
-    _assert_base_locus_matches_the_restricted_route(f, [point])
+def test_base_locus_refuses_a_point_that_is_not_singular():
+    """The base locus is the condition (II) zero set only through singular
+    points, so a point at which a partial is nonzero is refused, before the
+    points' rank is looked at."""
+    f = X3("x*y*z^2 + x^4 + y^4")
+    for points in ([(1, 0, 0)], [(1, 0, 0), (1, 0, 0)]):
+        with pytest.raises(ValueError, match="singular point") as info:
+            phi_base_locus(f, points)
+        assert type(info.value) is ValueError  # not DependentConditionsError
 
 
 def test_moved_quartics_have_their_node_off_the_coordinate_points():

@@ -733,17 +733,19 @@ def _terms(g: _IPoly) -> dict[int, int]:
 
 
 def _reduce_basis(basis: list[_IPoly], pk: _Packing, homogeneous: bool) -> GroebnerBasis:
-    """The reduced basis over Q: the minimal one with interreduced tails."""
+    """The reduced basis over Q: the minimal one with interreduced tails.
+    Each tail is reduced against the whole minimal basis with one shared
+    lookup memo: under grevlex no leading monomial divides a monomial below
+    it of at most its degree, so an element never reduces its own tail, and
+    the normal forms are those against the other elements."""
     minimal = _minimalize(basis, pk)
-    return _basis_of(
-        [
-            _reduce(_terms(g), minimal[:idx] + minimal[idx + 1 :], pk, 0, {})
-            for idx, g in enumerate(minimal)
-        ],
-        pk,
-        0,
-        homogeneous,
-    )
+    memo: dict = {}
+    reduced = []
+    for g in minimal:
+        tail, scale = _normal_form_int(dict(g.tail), minimal, pk, memo)
+        tail[g.lm] = g.lc * scale
+        reduced.append(_strip_content(tail))
+    return _basis_of(reduced, pk, 0, homogeneous)
 
 
 def _basis_of(

@@ -162,11 +162,19 @@ def smooth_reference_hf(n: int, d: int, i: int) -> int:
 
 def tjurina_total(f: Polynomial) -> int:
     """Total Tjurina number: the degree of the singular scheme, reduced(1)
-    of the Hilbert series of R/J^sat."""
+    of the Hilbert series of R/J^sat.  J and J^sat agree in high degrees, so
+    they share a Hilbert polynomial and R/J has the same degree; the two
+    cached series are compared, and a mismatch is an internal defect."""
     validate_input(f)
     if is_smooth(f):
         return 0
-    return quotient_degree(gb_jacobian_saturation(f).basis)
+    tau = quotient_degree(gb_jacobian_saturation(f).basis)
+    unsaturated = quotient_degree(gb_jacobian(f))
+    if tau != unsaturated:
+        raise InternalDefectError(
+            f"the saturated Jacobian ideal has degree {tau}, the Jacobian ideal {unsaturated}"
+        )
+    return tau
 
 
 def defect1(f: Polynomial) -> int:

@@ -4,11 +4,15 @@ Condition (II) is decided in the n coefficient parameters of a symbolic
 linear form: the normal-form coefficients of l^(T-1) on the standard
 monomials of the Jacobian Groebner basis are n forms whose common projective
 zero locus is exactly the set of offending linear forms.  Their coefficients
-are the rows of the degree-(T-1) coordinate table of that basis, one per
-monomial x^beta, times multinomials; the Lefschetz matrix of x -> l^(T-2) x
-is read off the same table.  Emptiness is certified by a Groebner basis with
-a pure-power leading monomial in every parameter, from
-``groebner.decide_emptiness`` (over GF(p) first, over Q when that fails).
+are the integer rows of the degree-(T-1) coordinate table of that basis, one
+per monomial x^beta, times multinomials: the forms are kept as these integer
+numerators, the normal-form coefficients times the table's one common
+denominator, which changes neither their zeros nor their ideal, so no
+Fraction stands between the table and the GF(p) certificate.  The Lefschetz
+matrix of x -> l^(T-2) x is read off the same table.  Emptiness is
+certified by a Groebner basis with a pure-power leading monomial in every
+parameter, from ``groebner.decide_emptiness`` (over GF(p) first, over Q
+when that fails).
 Non-emptiness is decided over Q and witnessed, when a rational witness
 exists, by the first exact rational zero of the forms.  The witness is
 checked once, by the ``witness_soundness`` cross-check, an exact membership
@@ -59,7 +63,7 @@ from veroav.milnor import (
     smooth_numerator,
     validate_input,
 )
-from veroav.polynomial import Polynomial, iter_monomials, mono_mul, ratio
+from veroav.polynomial import Polynomial, iter_monomials, mono_mul
 from veroav.polyring import graded_basis, linear_form, power_linear_form_symbolic
 from veroav.ratpoints import rational_projective_points
 from veroav.singlocus import ProjPoint
@@ -84,18 +88,18 @@ class ConditionIIPreconditionError(ValueError):
 @lru_cache(maxsize=256)
 def _power_quotient_forms(f: Polynomial, m: int) -> tuple[Polynomial, ...]:
     """Quotient coordinates of the symbolic power (a_1 x_1 + ... + a_n x_n)^m
-    as polynomials in the coefficient parameters a_1..a_n: each product of
-    powers is a monomial x^beta, whose row of the coordinate table is read
-    and weighted by its multinomial.  Built once per (f, m), so that
-    ``phi_base_locus`` reuses the forms of ``condition_II``."""
+    as polynomials in the coefficient parameters a_1..a_n, times the
+    coordinate table's common denominator: each product of powers is a
+    monomial x^beta, whose integer row of the table is read and weighted by
+    its multinomial.  Only the forms' common zeros and their ideal are
+    used, and the one scale leaves both alone, so no coefficient is divided.
+    Built once per (f, m), so that ``phi_base_locus`` reuses the forms of
+    ``condition_II``."""
     n = f.nvars
     table = coordinate_table(gb_jacobian(f), m)
     rows = [(beta, mult, table.rows[beta]) for beta, mult in power_linear_form_symbolic(n, m)]
-    den = table.denominator
     return tuple(
-        Polynomial._trusted(
-            n, {beta: ratio(mult * row[i], den) for beta, mult, row in rows if row[i]}
-        )
+        Polynomial._trusted(n, {beta: mult * row[i] for beta, mult, row in rows if row[i]})
         for i in range(len(table.basis))
     )
 
@@ -401,7 +405,7 @@ def _lefschetz_matrix(table: CoordinateTable, coeffs: Sequence[int]) -> MatrixQ:
     coeffs_j x_j, from the degree-m coordinate table.  Column j holds the
     coordinates of x_j l^(m-1), the sum over |gamma| = m-1 of mult_gamma
     c^gamma x^(gamma + e_j); it is the a_j-derivative of the condition (II)
-    forms at c, over m."""
+    forms at c, over m times the table's denominator."""
     n = len(coeffs)
     cols = [[0] * len(table.basis) for _ in range(n)]
     for gamma, mult in power_linear_form_symbolic(n, table.degree - 1):

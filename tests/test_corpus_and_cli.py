@@ -95,6 +95,29 @@ expect_witness: z
     assert all(r.passed for r in results)
 
 
+def test_singular_expectations_without_a_point_count_are_checked():
+    (entry,) = parse_corpus_file(
+        "name: xyz\nn: 3\nf: x*y*z\nexpect_va: true\n"
+        "expect_tjurina_total: 99\nexpect_all_nodes: false\n"
+    )
+    result = run_entry(entry)
+    assert not result.passed
+    assert "total tjurina: expected 99, got 3" in result.failures
+    assert "all nodes: expected False, got True" in result.failures
+
+
+def test_expected_tjurina_total_is_the_scheme_degree():
+    # three nodes on x = 0, only [0:1:1] rational: the local sum over the
+    # rational points is 1, the singular scheme has degree 3
+    (entry,) = parse_corpus_file(
+        "name: cubic-and-line\nn: 3\nf: x*(x^3+y^3-z^3)\nexpect_va: false\n"
+        "expect_tjurina_total: 3\n"
+    )
+    assert run_entry(entry).failures == []
+    failures = run_entry(entry._replace(expect_singular_count=1)).failures
+    assert failures == ["singular report incomplete"]
+
+
 def test_corpus_file_errors():
     with pytest.raises(ValueError, match="unknown key"):
         parse_corpus_file("name: a\nn: 3\nf: x^3\nexpect_va: true\nwhatever: 1\n")

@@ -1,9 +1,13 @@
 import pytest
 
-from veroav.groebner import hilbert_value
+from test_certificate_identity import workload_instances
+from veroav import cli, milnor
+from veroav.corpus import builtin_corpus
+from veroav.groebner import hilbert_value, quotient_degree
 from veroav.linalg import rank
 from veroav.milnor import (
     DegreeTooSmallError,
+    InternalDefectError,
     NonIsolatedSingularitiesError,
     NotHomogeneousError,
     coincidence_threshold,
@@ -92,6 +96,30 @@ def test_tjurina_and_defect():
     assert tjurina_total(XYZ) == 3
     assert defect1(XYZ) == 0
     assert tjurina_total(X3("x^3+y^3+z^3")) == 0
+
+
+def _singular_instances():
+    """The singular corpus entries and benchmark instances."""
+    named = {e.name: (e.source, e.n) for e in builtin_corpus()} | workload_instances()
+    forms = {name: parse_poly(text, n) for name, (text, n) in named.items()}
+    return [pytest.param(f, id=name) for name, f in forms.items() if not is_smooth(f)]
+
+
+@pytest.mark.parametrize("f", _singular_instances())
+def test_scheme_degree_agrees_with_the_unsaturated_ideal(f):
+    assert tjurina_total(f) == quotient_degree(gb_jacobian(f)) > 0
+
+
+def test_scheme_degree_mismatch_is_an_internal_defect(monkeypatch, capsys):
+    real = milnor.quotient_degree
+    monkeypatch.setattr(
+        milnor, "quotient_degree", lambda gb: real(gb) + (gb is not milnor.gb_jacobian(XYZ))
+    )
+    with pytest.raises(InternalDefectError, match="has degree 4, the Jacobian ideal 3"):
+        tjurina_total(XYZ)
+    assert cli.main(["check", "-n", "3", "-f", "x*y*z"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("internal defect: the saturated Jacobian")
 
 
 def test_coincidence_threshold():

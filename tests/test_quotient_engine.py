@@ -185,10 +185,12 @@ def test_table_needs_a_homogeneous_basis_over_q():
 
 def _lefschetz_matrix_by_partials(f, m, coeffs):
     """The route the table replaces: the Jacobian matrix of the condition
-    (II) forms in the parameters a_j, at the coefficients, over m."""
+    (II) forms in the parameters a_j, at the coefficients, over m times the
+    table's denominator (the forms are the table's integer numerators)."""
     forms = _power_quotient_forms(f, m)
+    scale = m * coordinate_table(gb_jacobian(f), m).denominator
     return MatrixQ.from_rows(
-        [[Fraction(g.partial(j).evaluate(coeffs), m) for j in range(f.nvars)] for g in forms]
+        [[Fraction(g.partial(j).evaluate(coeffs), scale) for j in range(f.nvars)] for g in forms]
     )
 
 

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import standard_monomials, table_coordinates, unimodular_matrices
+from test_canonical_coefficients import dense_smooth_plane_forms
 from veroav.corpus import builtin_corpus
-from veroav.groebner import decide_emptiness, normal_form, projective_empty
+from veroav.groebner import coordinate_table, decide_emptiness, normal_form, projective_empty
 from veroav.linalg import (
     MatrixQ,
     determinant,
@@ -54,20 +55,39 @@ from veroav.veronese import (
 X3 = lambda s: parse_poly(s, 3)  # noqa: E731
 
 
-@pytest.mark.parametrize("src", ["x*y*z + x^3 + y^3", "x*y*z^2 + x^4 + y^4"])
-def test_power_quotient_forms_match_products_of_powers(src):
+def _assert_integer_table_numerators(f):
     """The forms are the quotient coordinates of each product of powers
-    x_j^beta_j, times its multinomial, read as polynomials in a."""
-    f = X3(src)
-    m = 3 * (f.homogeneous_degree() - 2) - 1
-    expansion = power_linear_form_symbolic(3, m)
+    x_j^beta_j, times its multinomial and the table's denominator, read as
+    polynomials in a: integer numerators, with only int coefficients."""
+    n = f.nvars
+    m = validate_input(f).T - 1
+    expansion = power_linear_form_symbolic(n, m)
     products = [Polynomial.monomial(beta) for beta, _ in expansion]
     coords = table_coordinates(products, gb_jacobian(f), m)
+    den = coordinate_table(gb_jacobian(f), m).denominator
     expected = tuple(
-        Polynomial(3, {beta: mult * c[i] for (beta, mult), c in zip(expansion, coords)})
+        Polynomial(n, {beta: den * mult * c[i] for (beta, mult), c in zip(expansion, coords)})
         for i in range(len(coords[0]))
     )
-    assert _power_quotient_forms(f, m) == expected
+    forms = _power_quotient_forms(f, m)
+    assert forms == expected
+    assert all(type(c) is int for g in forms for c in g.terms.values())
+
+
+@pytest.mark.parametrize("src", ["x*y*z + x^3 + y^3", "x*y*z^2 + x^4 + y^4"])
+def test_power_quotient_forms_match_products_of_powers(src):
+    _assert_integer_table_numerators(X3(src))
+
+
+@pytest.mark.parametrize("entry", builtin_corpus(), ids=lambda e: e.name)
+def test_corpus_power_quotient_forms_are_integer_numerators(entry):
+    _assert_integer_table_numerators(parse_poly(entry.source, entry.n))
+
+
+@given(dense_smooth_plane_forms())
+@settings(max_examples=20, deadline=None)
+def test_plane_power_quotient_forms_are_integer_numerators(f):
+    _assert_integer_table_numerators(f)
 
 
 def test_condition_II_fermat_witness():

@@ -11,9 +11,10 @@ It refuses non-homogeneous input and degrees beyond the packed field before
 it starts.
 
 Quotient coordinates come from one table per basis and degree: the normal
-form of every degree-D monomial on the standard monomials.  One enumeration
-packs each monomial and finds its reducer once, which also yields the
-standard monomials; one sweep in increasing monomial order builds each
+form of every degree-D monomial on the standard monomials.  One enumeration,
+zipped with the packed monomials that each packing builds once per degree,
+finds every monomial's reducer once, which also yields the standard
+monomials; one sweep in increasing monomial order builds each
 non-standard monomial's row from the rows of smaller ones (as in FGLM).
 The table is memoized on the basis object, and is the only reader of
 coordinates in (R/I)_D.  The heap normal form is left to membership tests
@@ -24,8 +25,10 @@ The one conversion of rational coefficients to residues mod p, with its
 refusal of a denominator the prime divides, is ``residues``.
 
 Every counting question is read off the Hilbert series of the leading
-monomials, Q(t)/(1-t)^D, computed once per basis: Hilbert values are
-binomial sums, D is the Krull dimension and Q(1) the degree.
+monomials, Q(t)/(1-t)^D, computed once per basis by the pivot recursion
+unrolled onto a stack: Hilbert values are binomial sums, D is the Krull
+dimension and Q(1) the degree.  Emptiness reads the pure-power variables,
+also cached on the basis.
 
 Over Q the hot loop works on primitive integer coefficient dicts
 (content-stripped after every reduction) rather than Fractions; rational
@@ -45,7 +48,8 @@ are read.
 A homogeneous run skips the S-pairs that must reduce to zero (Traverso's
 Hilbert-driven Buchberger, see ``_StandardCount``): the GF(p) run against
 Froeberg's complete-intersection bound, a run over Q only when given the
-exact Hilbert series, as the moved bases of the saturation are.  The
+exact Hilbert series, as the moved bases of the saturation are, which
+``_moved_inputs`` builds directly as packed integer terms.  The
 saturation stays in those moved coordinates (``Saturation``): its readers
 take the Hilbert series, which the move keeps, or the points of its chart
 x_{n-1} = 1 (``last_chart``), which holds them all.
@@ -91,7 +95,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from veroav.orders import grevlex_key
-from veroav.polynomial import Monomial, Polynomial, iter_monomials, mono_mul, ratio
+from veroav.polynomial import Monomial, Polynomial, iter_monomials, ratio
 
 DEFAULT_DEGREE_CAP = 60
 
@@ -146,7 +150,7 @@ class _Packing:
     in size, and its field leaves room for a sign, so integer comparison of
     K is lexicographic comparison of keys."""
 
-    __slots__ = ("nvars", "low", "guard", "units", "shifts")
+    __slots__ = ("nvars", "low", "guard", "units", "shifts", "by_degree")
 
     def __init__(self, nvars: int):
         self.nvars = nvars
@@ -162,6 +166,7 @@ class _Packing:
             for component in grevlex_key(tuple(int(j == i) for j in range(nvars))):
                 key = (key << key_field) + component
             self.units.append((key << width) + (1 << (_FIELD * i)))
+        self.by_degree: dict[int, tuple[int, ...]] = {}  # filled by monomials
 
     def pack(self, m: Monomial) -> int:
         if max(m, default=0) > MAX_EXPONENT:
@@ -181,9 +186,16 @@ class _Packing:
             x += k * u
         return degree, x
 
-    def monomials(self, degree: int) -> Iterator[int]:
-        """Every monomial of the given degree, packed, in ``iter_monomials`` order."""
-        return map(self.pack, iter_monomials(self.nvars, degree))
+    def monomials(self, degree: int) -> tuple[int, ...]:
+        """Every monomial of the given degree, packed, in ``iter_monomials``
+        order; built once per packing and degree."""
+        packed = self.by_degree.get(degree)
+        if packed is None:
+            units = self.units
+            monos = iter_monomials(self.nvars, degree)
+            packed = tuple([sum(map(operator.mul, m, units)) for m in monos])
+            self.by_degree[degree] = packed
+        return packed
 
 
 @lru_cache(maxsize=None)
@@ -483,6 +495,11 @@ class GroebnerBasis:
         return normal_form(p, self).is_zero()
 
     @cached_property
+    def _pure_powers(self) -> set[int]:
+        # read by projective_empty and eliminant, which is_smooth asks often
+        return _pure_power_variables(self.leading_monomials, self.nvars)
+
+    @cached_property
     def _reducers(self) -> list[_IPoly]:
         # built once per basis and shared by every normal form against it
         pk = _packing(self.nvars)
@@ -498,8 +515,6 @@ class GroebnerBasis:
         """Hilbert series of R / (leading monomials); for a homogeneous
         ideal, that of R/I."""
         numerator = _hilbert_numerator(_minimal(self.leading_monomials))
-        while numerator and not numerator[-1]:
-            numerator.pop()
         reduced, dim = numerator, self.nvars if numerator else -1
         while reduced and not sum(reduced):  # divide by 1 - t
             reduced, dim = list(itertools.accumulate(reduced))[:-1], dim - 1
@@ -677,20 +692,18 @@ class _StandardCount:
     input degree and steps up one degree at a time: y is standard in degree
     D + 1 iff it is no leading monomial and every y / x_i with x_i | y is."""
 
-    __slots__ = ("pk", "numerator", "lms", "degree", "standard", "limit")
+    __slots__ = ("pk", "series", "lms", "degree", "standard", "limit")
 
     def __init__(
         self, basis: list[_IPoly], degrees: list[int], numerator: Sequence[int], pk: _Packing
     ):
         self.pk = pk
-        self.numerator = numerator
         self.lms = {g.lm for g in basis}
         self.degree = min(degrees)
         self.standard = set(pk.monomials(self.degree)) - self.lms
-        self.limit = self._bound()
-
-    def _bound(self) -> int:
-        return max(series_coefficient(self.numerator, self.pk.nvars, self.degree), 0)
+        # the bound's coefficients from the least input degree on
+        self.series = itertools.islice(_series(numerator, pk.nvars), self.degree, None)
+        self.limit = max(next(self.series), 0)
 
     def advance(self, degree: int) -> bool:
         """Step S up to ``degree``; False when a finished degree is off the
@@ -708,7 +721,7 @@ class _StandardCount:
                 if k == ((((y & low) | guard) - ones) & guard).bit_count() and y not in self.lms
             }
             self.degree += 1
-            self.limit = self._bound()
+            self.limit = max(next(self.series), 0)
         return True
 
     def remove(self, lm: int) -> None:
@@ -825,11 +838,11 @@ def _coordinate_sweep(gb: GroebnerBasis, degree: int) -> CoordinateTable:
     _require_homogeneous(gb)
     pk = _packing(gb.nvars)
     reducers = gb._reducers
-    # one enumeration: each monomial packed and its reducer found once
-    monos = []
-    for m in iter_monomials(gb.nvars, degree) if degree >= 0 else ():
-        x = pk.pack(m)
-        monos.append((x, m, _find_reducer(x, reducers, pk)))
+    # one enumeration: each monomial's reducer found once
+    monos = [
+        (x, m, _find_reducer(x, reducers, pk))
+        for x, m in zip(pk.monomials(degree), iter_monomials(gb.nvars, degree))
+    ]
     basis = tuple(m for _, m, g in monos if g is None)  # in iter_monomials order
     index = {x: i for i, x in enumerate(x for x, _, g in monos if g is None)}
     width = len(basis)
@@ -874,7 +887,7 @@ def eliminant(gb: GroebnerBasis, i: int) -> list[Fraction]:
     depends on them: its row, which carries its combination of the powers
     (x_i^k under the key ~k < 0), keeps no monomial.  The next power is x_i
     times the last primitive integers."""
-    if len(_pure_power_variables(gb.leading_monomials, gb.nvars)) < gb.nvars:
+    if len(gb._pure_powers) < gb.nvars:
         raise ValueError("the eliminant needs a zero-dimensional ideal")
     pk = _packing(gb.nvars)
     memo: dict = {}  # one reducer lookup for every power
@@ -914,8 +927,7 @@ def projective_empty(gb: GroebnerBasis) -> bool:
     """True iff the projective zero set is empty (over any field extension):
     every variable must have a pure power among the leading monomials."""
     _require_homogeneous(gb)
-    powers = _pure_power_variables(gb.leading_monomials, gb.nvars)
-    return not gb.is_zero_ideal() and len(powers) == gb.nvars
+    return not gb.is_zero_ideal() and len(gb._pure_powers) == gb.nvars
 
 
 def _pure_power_variables(monomials: Iterable[Monomial], nvars: int) -> set[int]:
@@ -1026,20 +1038,36 @@ def series_coefficient(numerator: Sequence[int], nvars: int, degree: int) -> int
     return sum(c * math.comb(degree - k + nvars - 1, nvars - 1) for k, c in terms)
 
 
+def _series(numerator: Sequence[int], nvars: int) -> Iterator[int]:
+    """The coefficients of numerator(t) / (1 - t)^nvars from t^0 on: one
+    running prefix sum per factor 1 / (1 - t)."""
+    series: Iterator[int] = itertools.chain(numerator, itertools.repeat(0))
+    for _ in range(nvars):
+        series = itertools.accumulate(series)
+    return series
+
+
 def _minimal(monomials: Iterable[Monomial]) -> list[Monomial]:
     """The minimal generators of the monomial ideal they generate."""
     kept: list[Monomial] = []
     for m in sorted(set(monomials), key=sum):
-        if not any(all(map(operator.le, k, m)) for k in kept):
+        for k in kept:
+            if all(map(operator.le, k, m)):
+                break
+        else:
             kept.append(m)
     return kept
 
 
-def _add_shifted(a: list[int], b: list[int], shift: int) -> list[int]:
-    """a(t) + t^shift b(t), on coefficient lists."""
-    out = a + [0] * (shift + len(b) - len(a))
-    for k, c in enumerate(b):
-        out[shift + k] += c
+def _ci_terms(degrees: Iterable[int], shift: int) -> dict[int, int]:
+    """t^shift prod (1 - t^d) over the degrees, sparse: exponent ->
+    coefficient."""
+    out = {shift: 1}
+    for d in degrees:
+        product = dict(out)
+        for k, c in out.items():
+            product[k + d] = product.get(k + d, 0) - c
+        out = product
     return out
 
 
@@ -1047,30 +1075,45 @@ def ci_numerator(degrees: Iterable[int]) -> list[int]:
     """prod (1 - t^d) over the degrees: the Hilbert-series numerator over
     (1 - t)^n of n variables modulo a complete intersection of forms of
     those degrees, pure powers x_i^d among them."""
-    out = [1]
-    for d in degrees:
-        out = _add_shifted(out, [-c for c in out], d)
-    return out
+    terms = _ci_terms(degrees, 0)
+    return [terms.get(k, 0) for k in range(max(terms) + 1)]
 
 
 def _hilbert_numerator(gens: list[Monomial]) -> list[int]:
-    """N(t) = H(t) (1 - t)^n for the monomial ideal I with minimal generators
-    gens, by the pivot recursion N(I) = N(I + (p)) + t^deg(p) N(I : p)
-    (Bayer-Stillman 1992, Bigatti 1997).  p = x_i^e, x_i in most mixed
-    generators and e the median of its exponents there, divides a mixed
-    generator and is not in I, so both ideals grow until only pure powers
-    are left, where N = prod (1 - t^deg g)."""
-    mixed = [g for g in gens if sum(map(bool, g)) > 1]
-    if not mixed:
-        return ci_numerator(map(sum, gens))
-    n = len(gens[0])
-    i = max(range(n), key=lambda j: sum(1 for g in mixed if g[j]))
-    exponents = sorted(g[i] for g in mixed if g[i])
-    e = exponents[len(exponents) // 2]
-    pivot = tuple(e if j == i else 0 for j in range(n))
-    plus = [g for g in gens if g[i] < e] + [pivot]
-    colon = _minimal(g[:i] + (max(g[i] - e, 0),) + g[i + 1 :] for g in gens)
-    return _add_shifted(_hilbert_numerator(plus), _hilbert_numerator(colon), e)
+    """N(t) = H(t) (1 - t)^n, with no trailing zeros, for the monomial ideal
+    I with minimal generators gens, by the pivot recursion N(I) = N(I + (p))
+    + t^deg(p) N(I : p) (Bayer-Stillman 1992, Bigatti 1997), unrolled onto
+    a stack of (generators, shift).  p = x_i^e, x_i in most mixed generators
+    and e the median of its exponents there, divides a mixed generator and
+    is not in I, so both ideals grow until at most one mixed generator m is
+    left beside pure powers P.  There N(P) = prod (1 - t^deg g), and N(P +
+    (m)) = N(P) - t^deg(m) N(P : m), with P : m pure powers again, since
+    no x_j^a in P divides m; each such leaf adds its sparse terms, times
+    t^shift, to one sum."""
+    total: dict[int, int] = {}
+    stack = [(gens, 0)]
+    while stack:
+        gens, shift = stack.pop()
+        n = len(gens[0]) if gens else 0
+        mixed = [g for g in gens if g.count(0) < n - 1]
+        if len(mixed) <= 1:
+            powers = [g for g in gens if g.count(0) >= n - 1]
+            for k, c in _ci_terms(map(sum, powers), shift).items():
+                total[k] = total.get(k, 0) + c
+            for m in mixed:
+                colon = [sum(g) - m[g.index(max(g))] for g in powers]
+                for k, c in _ci_terms(colon, shift + sum(m)).items():
+                    total[k] = total.get(k, 0) - c
+            continue
+        columns = [[x for x in column if x] for column in zip(*mixed)]
+        i = max(range(n), key=lambda j: len(columns[j]))
+        e = sorted(columns[i])[len(columns[i]) // 2]
+        pivot = tuple(e if j == i else 0 for j in range(n))
+        colon = _minimal(g[:i] + (max(g[i] - e, 0),) + g[i + 1 :] for g in gens)
+        stack.append(([g for g in gens if g[i] < e] + [pivot], shift))
+        stack.append((colon, shift + e))
+    top = max((k for k, c in total.items() if c), default=-1)
+    return [total.get(k, 0) for k in range(top + 1)]
 
 
 def krull_dim_quotient(gb: GroebnerBasis) -> int:
@@ -1101,47 +1144,46 @@ def quotient_degree(gb: GroebnerBasis) -> int:
 # saturation
 
 
-def _shear(gens: Sequence[Polynomial], coeffs: Sequence[int]) -> list[Polynomial]:
-    """Substitute x_{n-1} -> x_{n-1} + L, L = sum_i coeffs[i] x_i, in every
-    generator: x^a x_{n-1}^e becomes sum_k C(e, k) x^a L^k x_{n-1}^(e-k),
-    with the powers of L, monomials in x_0..x_{n-2}, built once."""
-    n = len(coeffs) + 1
-    units = [tuple(int(j == i) for j in range(n - 1)) for i in range(n - 1)]
-    top = max((m[-1] for g in gens for m in g.terms), default=0)
-    powers = [{(0,) * (n - 1): 1}]
-    for _ in range(top):
-        nxt: dict[Monomial, int] = {}
-        for m, c in powers[-1].items():
-            for u, cu in zip(units, coeffs):
-                if cu:
-                    key = mono_mul(m, u)
-                    nxt[key] = nxt.get(key, 0) + c * cu
-        powers.append(nxt)
-    out = []
-    for g in gens:
-        den = _common_denominator(g)
-        terms: dict[Monomial, int] = {}
-        for m, c in g.terms.items():
-            e, head = m[-1], m[:-1]
+def _moved_inputs(
+    polys: Sequence[Polynomial], form: Sequence[int], pk: _Packing
+) -> list[dict[int, int]]:
+    """Nonzero polys in coordinates where the linear form is x_{n-1}, as
+    the pair loop's inputs: primitive packed integer terms, by degree, then
+    by number of terms (as ``_sorted_inputs`` orders them).  The move is the
+    swap x_j <-> x_{n-1} when the form is x_j, j < n-1, else the shear
+    x_{n-1} -> x_{n-1} + L, L = -sum_i c_i x_i over the form's other
+    coefficients c_i: x^a x_{n-1}^e becomes sum_k C(e, k) x^a L^k
+    x_{n-1}^(e-k), with the powers of L packed once.  A swap packs each
+    monomial on the units with x_j's and x_{n-1}'s exchanged."""
+    units, last = pk.units, pk.units[-1]
+    powers = [{0: 1}]  # packed L^k
+    if form[-1]:
+        for _ in range(max(m[-1] for p in polys for m in p.terms)):
+            step: dict[int, int] = {}
+            for x, c in powers[-1].items():
+                for u, cu in zip(units, form[:-1]):
+                    if cu:
+                        step[x + u] = step.get(x + u, 0) - c * cu
+            powers.append(step)
+    else:
+        j = form.index(1)
+        units = [*units[:j], last, *units[j + 1 : -1], units[j]]
+    moved = []
+    for p in polys:
+        den = _common_denominator(p)
+        terms: dict[int, int] = {}
+        for m, c in p.terms.items():
             num = c.numerator * (den // c.denominator)
+            x = sum(map(operator.mul, m, units))
+            e = m[-1] if form[-1] else 0
             for k in range(e + 1):
                 b = num * math.comb(e, k)
+                base = x - k * last
                 for u, cu in powers[k].items():
-                    key = (*mono_mul(head, u), e - k)
-                    terms[key] = terms.get(key, 0) + b * cu
-        out.append(Polynomial._trusted(n, {m: ratio(v, den) for m, v in terms.items() if v}))
-    return out
-
-
-def _moved(gens: Sequence[Polynomial], form: Sequence[int], sign: int) -> list[Polynomial]:
-    """The gens in coordinates where the linear form is x_{n-1} (sign -1), or
-    back (sign 1): the swap x_j <-> x_{n-1}, its own inverse, when the form
-    is x_j, j < n-1, else the shear by the form's other coefficients."""
-    if form[-1]:
-        return _shear(gens, [sign * c for c in form[:-1]])
-    j = form.index(1)
-    swap = lambda m: (*m[:j], m[-1], *m[j + 1 : -1], m[j])  # noqa: E731
-    return [Polynomial._trusted(g.nvars, {swap(m): c for m, c in g.terms.items()}) for g in gens]
+                    terms[base + u] = terms.get(base + u, 0) + b * cu
+        moved.append((p.degree(), _strip_content({x: c for x, c in terms.items() if c})))
+    moved.sort(key=lambda item: (item[0], len(item[1])))
+    return [terms for _, terms in moved]
 
 
 def _candidate_forms(polys: Sequence[Polynomial], nvars: int) -> Iterator[list[int]]:
@@ -1164,7 +1206,7 @@ def _sheared_basis(
     """The coefficient vector of the first candidate linear form l
     (``_candidate_forms``) that misses the finitely many projective zeros of
     the polys, and a minimal grevlex basis, packed, of the polys moved so
-    that l is x_{n-1} (``_moved``; for l = x_{n-1}, ``basis``).  l misses
+    that l is x_{n-1} (``_moved_inputs``; for l = x_{n-1}, ``basis``).  l misses
     the zeros iff the moved basis has a pure power of every variable but
     x_{n-1} among its leading monomials, as in(I + (x_{n-1})) = in(I) +
     (x_{n-1}) under grevlex (Bayer-Stillman 1987).  Moved bases keep the
@@ -1174,7 +1216,7 @@ def _sheared_basis(
     for form in _candidate_forms(polys, nvars):
         generators: Sequence[dict[int, int]] = basis.packed
         if any(form[:-1]):
-            inputs = [_to_int_terms(p, pk) for p in _sorted_inputs(_moved(polys, form, -1))]
+            inputs = _moved_inputs(polys, form, pk)
             loop = _pair_loop(inputs, pk, 0, _degree_cap(), basis.hilbert_series.numerator)
             generators = [_terms(g) for g in _minimalize(loop, pk)]
         lms = [pk.unpack(max(terms)) for terms in generators]
@@ -1184,7 +1226,7 @@ def _sheared_basis(
 
 class Saturation(NamedTuple):
     """A saturated ideal's reduced grevlex basis in the coordinates where the
-    linear form of coefficients ``form`` is x_{n-1} (``_moved``)."""
+    linear form of coefficients ``form`` is x_{n-1} (``_moved_inputs``)."""
 
     form: tuple[int, ...]
     basis: GroebnerBasis

@@ -108,13 +108,20 @@ def _value(f: list[int], x: int, m: int) -> int:
 
 
 def _simple_roots_mod_p(s: list[int], ds: list[int]) -> tuple[int, list[int]]:
-    """(p, the roots of s mod p, by evaluation at every residue) for the
-    first prime p >= 101 that divides neither lead(s) nor s' at any of those
-    roots; only the divisors of lead(s) times the discriminant fail."""
+    """(p, the roots of s mod p, ascending) for the first prime p >= 101
+    that divides neither lead(s) nor s' at any of those roots; only the
+    divisors of lead(s) times the discriminant fail.  A linear s has the one
+    root -s_0/s_1; otherwise s is evaluated at every residue at once, one
+    Horner step per coefficient over the list of values."""
     for p in itertools.count(101, 2):
         if s[-1] % p == 0 or any(p % q == 0 for q in range(3, math.isqrt(p) + 1, 2)):
             continue
-        residues = [u for u in range(p) if _value(s, u, p) == 0]
+        if len(s) == 2:
+            return p, [-s[0] * pow(s[1], -1, p) % p]
+        values = [s[-1]] * p
+        for c in reversed(s[:-1]):
+            values = [(v * u + c) % p for u, v in enumerate(values)]
+        residues = [u for u, v in enumerate(values) if not v]
         if all(_value(ds, u, p) for u in residues):
             return p, residues
 

@@ -123,7 +123,7 @@ def jacobian_degree_matrix(f: Polynomial, m: int) -> MatrixQ:
         return MatrixQ(0, cols, ())
     grads = f.gradient()
     rows = []
-    for mono in sorted(iter_monomials(n, shift)):
+    for mono in iter_monomials(n, shift):
         mp = Polynomial.monomial(mono)
         for g in grads:
             rows.append(coefficient_vector(mp * g, m))

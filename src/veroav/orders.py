@@ -5,7 +5,8 @@ tuple of ints such that ``key(a) < key(b)`` iff ``a`` precedes ``b`` in the
 order; max() over keys therefore picks the leading monomial.  Grevlex is the
 Groebner engine's one order, and its key is linear in the exponents
 (``key(a * b) = key(a) + key(b)`` componentwise), which the engine's packed
-monomials rely on.  Grlex orders printing and the graded bases.
+monomials rely on.  Grlex orders printing; the graded bases are in its
+order by construction (``polyring.graded_basis``).
 """
 
 from __future__ import annotations

@@ -65,17 +65,18 @@ def _demote(terms: dict) -> dict:
 
 
 def iter_monomials(nvars: int, degree: int) -> Iterator[Monomial]:
-    """All exponent tuples of the given total degree (unordered)."""
-    if nvars == 0:
-        if degree == 0:
-            yield ()
-        return
+    """All exponent tuples of the given total degree, in ascending
+    lexicographic order: first exponent ascending, then the rest likewise.
+    Built level by level, with no recursion: the tails in the last k
+    variables, by degree, give those in the last k + 1."""
+    if degree < 0 or nvars == 0:
+        return iter([()] if (nvars, degree) == (0, 0) else [])
+    tails = [[(j,)] for j in range(degree + 1)]  # in the last variable, by degree
     if nvars == 1:
-        yield (degree,)
-        return
-    for e in range(degree + 1):
-        for rest in iter_monomials(nvars - 1, degree - e):
-            yield (e,) + rest
+        return iter(tails[degree])
+    for _ in range(nvars - 2):
+        tails = [[(e,) + t for e in range(j + 1) for t in tails[j - e]] for j in range(degree + 1)]
+    return iter([(e,) + t for e in range(degree + 1) for t in tails[degree - e]])
 
 
 class Polynomial:

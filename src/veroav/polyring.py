@@ -12,7 +12,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from veroav.orders import grlex_key
 from veroav.polynomial import Monomial, Polynomial, iter_monomials
 
 
@@ -22,10 +21,10 @@ class SingularMatrixError(ValueError):
 
 @lru_cache(maxsize=None)
 def graded_basis(nvars: int, degree: int) -> tuple[Monomial, ...]:
-    """Monomials of R_degree in descending graded-lex order."""
-    monos = list(iter_monomials(nvars, degree))
-    monos.sort(key=grlex_key, reverse=True)
-    return tuple(monos)
+    """Monomials of R_degree in descending graded-lex order, which within
+    one degree is descending lexicographic order: ``iter_monomials``
+    reversed."""
+    return tuple(iter_monomials(nvars, degree))[::-1]
 
 
 def dim_graded(nvars: int, degree: int) -> int:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import math
 import pkgutil
 import random
 from fractions import Fraction
@@ -15,7 +16,7 @@ import veroav
 from veroav.groebner import coordinate_table
 from veroav.linalg import random_unimodular
 from veroav.milnor import ScopeError, condition_I
-from veroav.polynomial import Polynomial, iter_monomials
+from veroav.polynomial import Polynomial, iter_monomials, mono_mul, ratio
 from veroav.polyring import graded_basis
 
 
@@ -69,6 +70,56 @@ def standard_monomials(gb, degree) -> tuple[tuple[int, ...], ...]:
         for m in iter_monomials(gb.nvars, degree)
         if not any(all(a <= b for a, b in zip(lm, m)) for lm in lms)
     )
+
+
+def _common_denominator(p: Polynomial) -> int:
+    return math.lcm(*(c.denominator for c in p.terms.values()))
+
+
+def shear(gens, coeffs) -> list[Polynomial]:
+    """Substitute x_{n-1} -> x_{n-1} + L, L = sum_i coeffs[i] x_i, in every
+    generator: x^a x_{n-1}^e becomes sum_k C(e, k) x^a L^k x_{n-1}^(e-k),
+    with the powers of L, monomials in x_0..x_{n-2}, built once.  The
+    Polynomial-level reference for ``groebner._moved_inputs``."""
+    n = len(coeffs) + 1
+    units = [tuple(int(j == i) for j in range(n - 1)) for i in range(n - 1)]
+    top = max((m[-1] for g in gens for m in g.terms), default=0)
+    powers = [{(0,) * (n - 1): 1}]
+    for _ in range(top):
+        nxt = {}
+        for m, c in powers[-1].items():
+            for u, cu in zip(units, coeffs):
+                if cu:
+                    key = mono_mul(m, u)
+                    nxt[key] = nxt.get(key, 0) + c * cu
+        powers.append(nxt)
+    out = []
+    for g in gens:
+        den = _common_denominator(g)
+        terms = {}
+        for m, c in g.terms.items():
+            e, head = m[-1], m[:-1]
+            num = c.numerator * (den // c.denominator)
+            for k in range(e + 1):
+                b = num * math.comb(e, k)
+                for u, cu in powers[k].items():
+                    key = (*mono_mul(head, u), e - k)
+                    terms[key] = terms.get(key, 0) + b * cu
+        out.append(Polynomial._trusted(n, {m: ratio(v, den) for m, v in terms.items() if v}))
+    return out
+
+
+def moved(gens, form, sign) -> list[Polynomial]:
+    """The gens in coordinates where the linear form is x_{n-1} (sign -1), or
+    back (sign 1): the swap x_j <-> x_{n-1}, its own inverse, when the form
+    is x_j, j < n-1, else the shear by the form's other coefficients.  The
+    Polynomial-level reference for ``groebner._moved_inputs``, and the way
+    back from a ``Saturation``'s coordinates."""
+    if form[-1]:
+        return shear(gens, [sign * c for c in form[:-1]])
+    j = form.index(1)
+    swap = lambda m: (*m[:j], m[-1], *m[j + 1 : -1], m[j])  # noqa: E731
+    return [Polynomial._trusted(g.nvars, {swap(m): c for m, c in g.terms.items()}) for g in gens]
 
 
 def with_pure_power_variables(forms) -> list[Polynomial]:

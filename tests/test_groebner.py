@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     homogeneous_polynomials,
-    is_canonical,
+    moved,
     polynomials,
     table_coordinates,
     with_pure_power_variables,
@@ -23,9 +23,11 @@ from veroav.groebner import (
     _homogeneous_degrees,
     _coordinate_zero,
     _IPoly,
+    _moved_inputs,
     _packing,
-    _shear,
     _sheared_basis,
+    _sorted_inputs,
+    _to_int_terms,
     buchberger,
     hilbert_value,
     krull_dim_quotient,
@@ -134,7 +136,7 @@ def test_normal_form_idempotent_and_linear():
 
 def _unmoved(sat):
     """The basis of a saturation moved back to the original coordinates."""
-    return buchberger(groebner._moved(sat.basis.generators, sat.form, 1))
+    return buchberger(moved(sat.basis.generators, sat.form, 1))
 
 
 def _saturate(gens):
@@ -275,10 +277,10 @@ def test_a_constant_counts_as_a_pure_power_of_every_variable(monkeypatch):
     assert _coordinate_zero([X3("x*y").terms, X3("z^2").terms], 3)
     assert not _coordinate_zero([X3("x*y").terms, X3("z^2").terms, {(0, 0, 0): 5}], 3)
 
-    def no_shear(*args):
-        raise AssertionError("the saturation went past k = 0")
+    def no_move(*args):
+        raise AssertionError("the saturation went past x_{n-1}")
 
-    monkeypatch.setattr(groebner, "_shear", no_shear)
+    monkeypatch.setattr(groebner, "_moved_inputs", no_move)
     basis = buchberger(gens)
     assert _sheared_basis(gens, basis)[0] == [0, 0, 1]
     assert krull_dim_quotient(saturate_irrelevant(gens, basis).basis) == -1  # the unit ideal
@@ -321,10 +323,14 @@ def test_the_quintic_twin_saturates_without_a_shear(perm, monkeypatch):
     expected = _unmoved(saturate_irrelevant(gens, basis))
     monkeypatch.undo()
 
-    def no_shear(*args):
-        raise AssertionError("the saturation went past the swaps")
+    real = groebner._moved_inputs
 
-    monkeypatch.setattr(groebner, "_shear", no_shear)
+    def no_shear(polys, form, pk):
+        if form[-1]:
+            raise AssertionError("the saturation went past the swaps")
+        return real(polys, form, pk)
+
+    monkeypatch.setattr(groebner, "_moved_inputs", no_shear)
     assert _unmoved(saturate_irrelevant(gens, basis)).generators == expected.generators
 
 
@@ -337,15 +343,15 @@ def test_a_swap_that_meets_a_zero_falls_through_to_the_next(monkeypatch):
         [0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 1]
     ]
     moves = []
-    real = groebner._moved
+    real = groebner._moved_inputs
 
-    def recording(polys, form, sign):
-        moves.append((form, sign))
-        return real(polys, form, sign)
+    def recording(polys, form, pk):
+        moves.append(form)
+        return real(polys, form, pk)
 
-    monkeypatch.setattr(groebner, "_moved", recording)
+    monkeypatch.setattr(groebner, "_moved_inputs", recording)
     swapped = saturate_irrelevant(gens, basis)
-    assert moves == [([0, 1, 0], -1), ([1, 0, 0], -1)]  # no move back
+    assert moves == [[0, 1, 0], [1, 0, 0]]  # no move back
     assert swapped.form == (1, 0, 0)
     monkeypatch.undo()
     _without_swaps(monkeypatch)
@@ -598,23 +604,72 @@ def test_residues_refuse_the_prime_in_a_denominator():
     assert residues(Polynomial.zero(3), P31) == {}
 
 
+def _substituted_inputs(gens, form):
+    """The pair loop's inputs for the gens with x_{n-1} -> x_{n-1} - sum_i
+    c_i x_i, by ``Polynomial.substitute``: where the form x_{n-1} + sum_i
+    c_i x_i becomes x_{n-1}."""
+    n = gens[0].nvars
+    ell = linear_form([*(-c for c in form[:-1]), 1])
+    pk = _packing(n)
+    return [_to_int_terms(p, pk) for p in _sorted_inputs(g.substitute({n - 1: ell}) for g in gens)]
+
+
+def _is_primitive(terms):
+    return all(c for c in terms.values()) and math.gcd(*terms.values()) == 1
+
+
 @given(st.lists(polynomials(nvars=st.just(3), max_terms=5), min_size=1, max_size=3),
        st.lists(st.integers(-4, 4), min_size=2, max_size=2))
 @settings(max_examples=60, deadline=None)
 def test_shear_matches_substitution(gens, coeffs):
-    ell = linear_form([*coeffs, 1])
-    assert _shear(gens, coeffs) == [g.substitute({2: ell}) for g in gens]
+    gens = [g for g in gens if not g.is_zero()]
+    if gens:
+        form = [*coeffs, 1]
+        assert _moved_inputs(gens, form, _packing(3)) == _substituted_inputs(gens, form)
 
 
 @given(polynomials(nvars=st.integers(1, 4), max_terms=5),
        st.lists(st.integers(-4, 4), min_size=3, max_size=3))
 @settings(max_examples=60, deadline=None)
 def test_shear_matches_substitution_in_any_arity(p, coeffs):
-    coeffs = coeffs[: p.nvars - 1]
-    ell = linear_form([*coeffs, 1])
-    (sheared,) = _shear([p], coeffs)
-    assert sheared == p.substitute({p.nvars - 1: ell})
-    assert all(is_canonical(c) and c for c in sheared.terms.values())
+    if not p.is_zero():
+        form = [*coeffs[: p.nvars - 1], 1]
+        (sheared,) = _moved_inputs([p], form, _packing(p.nvars))
+        assert [sheared] == _substituted_inputs([p], form)
+        assert _is_primitive(sheared)
+
+
+def _reference_inputs(gens, form):
+    """The pair loop's inputs for the gens moved by the Polynomial-level
+    reference mover, converted as ``buchberger`` converts its input."""
+    pk = _packing(gens[0].nvars)
+    return [_to_int_terms(p, pk) for p in _sorted_inputs(moved(gens, form, -1))]
+
+
+@given(st.lists(homogeneous_polynomials(nvars=st.just(4), degrees=st.integers(1, 4)),
+                min_size=1, max_size=4),
+       st.integers(0, 3), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_the_packed_mover_matches_the_polynomial_mover(gens, j, k):
+    # the swap x_j <-> x_3 (x_3 itself is no move) and the shear l_k
+    swap = [int(i == j) for i in range(4)]
+    shear = [k ** (i + 1) for i in range(3)] + [1]
+    for form in ([swap] if j < 3 else []) + [shear]:
+        packed = _moved_inputs(gens, form, _packing(4))
+        assert packed == _reference_inputs(gens, form)
+        assert all(_is_primitive(terms) for terms in packed)
+
+
+@pytest.mark.parametrize("f", [
+    X3("x*y*z^3+x^5+y^5+x^4*z"), X3("x*y*z*(x+y+z)"), X3("(x-y-z)*(x-y)*(x-z)"),
+    X3("x*z*(x+y+z)").scale(Fraction(1, 6)), f0_form(4, 3), f0_form(5, 3),
+], ids=["twin5", "four-lines", "three-nodes", "lines-over-6", "f0-4-3", "f0-5-3"])
+def test_the_packed_mover_matches_on_every_candidate_form(f):
+    # the swaps and the first shears, the forms the saturation tries in turn
+    gens = f.gradient()
+    forms = itertools.islice(groebner._candidate_forms(gens, f.nvars), 2 * f.nvars)
+    for form in (form for form in forms if any(form[:-1])):
+        assert _moved_inputs(gens, form, _packing(f.nvars)) == _reference_inputs(gens, form)
 
 
 def _to_sympy_str(p):
@@ -718,6 +773,7 @@ def test_packed_monomials_enumerate_in_iter_monomials_order():
         pk = _packing(n)
         for d in range(4):
             assert [pk.unpack(x) for x in pk.monomials(d)] == list(iter_monomials(n, d))
+            assert pk.monomials(d) is pk.monomials(d)  # built once
 
 
 def test_exponent_beyond_the_packed_field_raises(monkeypatch):

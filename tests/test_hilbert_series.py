@@ -5,11 +5,21 @@ largest variable subset that meets no leading support."""
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import homogeneous_polynomials
-from veroav.groebner import buchberger, hilbert_value, krull_dim_quotient, quotient_degree
+from veroav.groebner import (
+    _hilbert_numerator,
+    _minimal,
+    _series,
+    buchberger,
+    ci_numerator,
+    hilbert_value,
+    krull_dim_quotient,
+    quotient_degree,
+    series_coefficient,
+)
 from veroav.parsing import parse_poly
 from veroav.polynomial import Polynomial, iter_monomials
 
@@ -72,6 +82,69 @@ def test_series_of_monomial_ideals(ideal):
 @settings(max_examples=30, deadline=None)
 def test_series_of_homogeneous_bases(gens):
     _check_against_brute_force(buchberger(gens), 3)
+
+
+def _add_shifted(a, b, shift):
+    """a(t) + t^shift b(t), on coefficient lists."""
+    out = a + [0] * (shift + len(b) - len(a))
+    for k, c in enumerate(b):
+        out[shift + k] += c
+    return out
+
+
+def _recursive_numerator(gens):
+    """The reference pivot recursion, N(I) = N(I + (p)) + t^deg(p) N(I : p),
+    one call per node, trailing zeros kept."""
+    mixed = [g for g in gens if sum(map(bool, g)) > 1]
+    if not mixed:
+        out = [1]
+        for d in map(sum, gens):
+            out = _add_shifted(out, [-c for c in out], d)
+        return out
+    n = len(gens[0])
+    i = max(range(n), key=lambda j: sum(1 for g in mixed if g[j]))
+    exponents = sorted(g[i] for g in mixed if g[i])
+    e = exponents[len(exponents) // 2]
+    pivot = tuple(e if j == i else 0 for j in range(n))
+    plus = [g for g in gens if g[i] < e] + [pivot]
+    colon = _minimal(g[:i] + (max(g[i] - e, 0),) + g[i + 1 :] for g in gens)
+    return _add_shifted(_recursive_numerator(plus), _recursive_numerator(colon), e)
+
+
+@st.composite
+def any_monomial_ideals(draw):
+    """Minimal generators of random monomial ideals in 1-5 variables: the
+    zero ideal, the unit ideal (a constant among them), and ideals missing
+    a pure power of some variable (not Artinian)."""
+    n = draw(st.integers(1, 5))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 5)] * n), max_size=8))
+    return _minimal(gens)
+
+
+@given(any_monomial_ideals())
+@example([(0, 0, 0)])
+@example([])
+@example([(2, 1, 0), (0, 3, 1), (1, 0, 2)])
+@settings(max_examples=150, deadline=None)
+def test_the_stacked_numerator_matches_the_recursion(gens):
+    expected = _recursive_numerator(gens)
+    while expected and not expected[-1]:
+        expected.pop()
+    assert _hilbert_numerator(gens) == expected
+
+
+@given(st.lists(st.integers(-5, 5), max_size=6), st.integers(1, 5))
+@settings(max_examples=60, deadline=None)
+def test_the_series_sequence_has_the_series_coefficients(numerator, n):
+    series = list(itertools.islice(_series(numerator, n), 12))
+    assert series == [series_coefficient(numerator, n, d) for d in range(12)]
+
+
+@given(st.lists(st.integers(0, 6), max_size=5))
+def test_the_complete_intersection_numerator_is_the_product(degrees):
+    assert ci_numerator(degrees) == _recursive_numerator([
+        tuple(d if j == i else 0 for j in range(len(degrees))) for i, d in enumerate(degrees)
+    ])
 
 
 def test_unit_ideal():

@@ -14,6 +14,7 @@ from veroav.milnor import (
     condition_I,
     defect1,
     gb_jacobian,
+    gb_jacobian_saturation,
     is_smooth,
     jacobian_degree_matrix,
     jacobian_module_dims,
@@ -24,6 +25,7 @@ from veroav.milnor import (
 )
 from veroav.parsing import parse_poly
 from veroav.polyring import dim_graded
+from veroav.singlocus import general_linear_position, singular_report
 
 X3 = lambda s: parse_poly(s, 3)  # noqa: E731
 
@@ -108,6 +110,26 @@ def _singular_instances():
 @pytest.mark.parametrize("f", _singular_instances())
 def test_scheme_degree_agrees_with_the_unsaturated_ideal(f):
     assert tjurina_total(f) == quotient_degree(gb_jacobian(f)) > 0
+
+
+def test_general_position_of_a_reduced_scheme_is_its_hilbert_value_in_degree_one():
+    """On a complete report of a reduced singular scheme (every local
+    Tjurina number 1), the r points impose independent conditions on linear
+    forms (their matrix has rank r) iff HF(R/J_f^sat)(1) = r.  Four general
+    lines add six nodes in the plane, which cannot be independent."""
+    four_lines = pytest.param(X3("x*y*z*(x+y+z)"), id="four-lines")
+    checked = {True: [], False: []}
+    for param in [*_singular_instances(), four_lines]:
+        (f,) = param.values
+        report = singular_report(f)
+        if not report.complete or any(s.tjurina != 1 for s in report.points):
+            continue
+        points = [s.point for s in report.points]
+        independent, _ = general_linear_position(points)
+        scheme = hilbert_value(gb_jacobian_saturation(f).basis, 1) == len(points)
+        assert independent == scheme, param.id
+        checked[independent].append(param.id)
+    assert len(checked[True]) == 21 and checked[False] == ["four-lines"]
 
 
 def test_scheme_degree_mismatch_is_an_internal_defect(monkeypatch, capsys):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import moved
 from veroav import cli, groebner
 from veroav.groebner import (
     _FIELD,
@@ -186,7 +187,7 @@ def test_sheared_saturation_skips_pairs_and_matches_the_unskipped_one(n, d, monk
     assert skipped.basis.generators == plain.basis.generators
     assert skipped.basis.leading_monomials == plain.basis.leading_monomials
     moved_back = [
-        buchberger(groebner._moved(sat.basis.generators, sat.form, 1)) for sat in (skipped, plain)
+        buchberger(moved(sat.basis.generators, sat.form, 1)) for sat in (skipped, plain)
     ]
     assert moved_back[0].generators == moved_back[1].generators
 

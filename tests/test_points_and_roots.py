@@ -1,9 +1,11 @@
+import itertools
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from veroav.introots import _simple_roots_mod_p, rational_roots
+from veroav.introots import _derivative, _primitive, _simple_roots_mod_p, _squarefree_part, rational_roots
 from veroav.parsing import parse_poly
 from veroav.polynomial import Polynomial
 from veroav.ratpoints import rational_projective_points
@@ -85,6 +87,47 @@ def test_rational_roots_agree_with_sympy_ground_roots(planted, zero, quadratic, 
     expected = sorted((Fraction(int(r.p), int(r.q)), m) for r, m in poly.ground_roots().items())
     assert roots == expected
     assert complete is (quadratic is None)
+
+
+def _value(f, x, m):
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _simple_roots_by_scan(s, ds):
+    """The reference residue scan: one Horner evaluation of s per residue."""
+    for p in itertools.count(101, 2):
+        if s[-1] % p == 0 or any(p % q == 0 for q in range(3, math.isqrt(p) + 1, 2)):
+            continue
+        residues = [u for u in range(p) if _value(s, u, p) == 0]
+        if all(_value(ds, u, p) for u in residues):
+            return p, residues
+
+
+@given(
+    st.lists(st.tuples(st.integers(-300, 300), st.integers(1, 300)), min_size=1, max_size=5),
+    st.lists(st.integers(-50, 50), max_size=4),
+    st.integers(1, 3),
+)
+@settings(max_examples=100, deadline=None)
+def test_the_residue_scan_matches_one_evaluation_per_residue(planted, cofactor, mult):
+    """Planted rational roots a/b, one of them repeated, times a random
+    cofactor: the squarefree part's prime and roots mod p, which a repeated
+    root, a prime dividing the leading coefficient or a double root mod p
+    can move."""
+    f = [1]
+    factors = [[-a, b] for a, b in planted] + [[-planted[0][0], planted[0][1]]] * (mult - 1)
+    for g in factors + ([cofactor] if any(cofactor) else []):
+        f = [sum(f[i] * g[k - i] for i in range(len(f)) if 0 <= k - i < len(g))
+             for k in range(len(f) + len(g) - 1)]
+    while not f[-1]:
+        f.pop()
+    if len(f) > 1:
+        s = _squarefree_part(_primitive(f))
+        ds = _derivative(s)
+        assert _simple_roots_mod_p(s, ds) == _simple_roots_by_scan(s, ds)
 
 
 def test_a_prime_dividing_the_leading_coefficient_is_passed_over():

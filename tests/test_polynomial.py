@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import homogeneous_polynomials, is_canonical, unimodular_matrices
 from veroav.parsing import parse_poly, render_poly
-from veroav.polynomial import Polynomial
+from veroav.orders import grlex_key
+from veroav.polynomial import Polynomial, iter_monomials
 from veroav.polyring import (
     SingularMatrixError,
     coefficient_vector,
@@ -63,6 +64,34 @@ def test_graded_basis_order():
     basis = graded_basis(3, 2)
     names = ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"]
     assert [render_poly(Polynomial.monomial(m)) for m in basis] == names
+
+
+def _recursive_monomials(nvars, degree):
+    """The reference enumeration: the first exponent ascending, then the
+    rest recursively."""
+    if nvars == 0:
+        if degree == 0:
+            yield ()
+        return
+    if nvars == 1:
+        yield (degree,)
+        return
+    for e in range(degree + 1):
+        for rest in _recursive_monomials(nvars - 1, degree - e):
+            yield (e,) + rest
+
+
+@given(st.integers(0, 6), st.integers(0, 10))
+@settings(max_examples=80, deadline=None)
+def test_monomials_enumerate_as_the_recursion_does(n, d):
+    monos = list(iter_monomials(n, d))
+    assert monos == list(_recursive_monomials(n, d)) == sorted(monos)
+    assert graded_basis(n, d) == tuple(sorted(monos, key=grlex_key, reverse=True))
+
+
+def test_no_monomial_has_a_negative_degree():
+    assert [list(iter_monomials(n, -1)) for n in range(4)] == [[]] * 4
+    assert list(iter_monomials(0, 0)) == [()] and list(iter_monomials(0, 2)) == []
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -21,7 +21,8 @@ import random
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from veroav.groebner import _moved, buchberger, saturate_irrelevant
+from conftest import moved
+from veroav.groebner import buchberger, saturate_irrelevant
 from veroav.linalg import MatrixQ, kernel_basis, random_unimodular
 from veroav.milnor import ScopeError, gb_jacobian_saturation, validate_input
 from veroav.parsing import parse_poly
@@ -54,7 +55,7 @@ def chart_scan_reference(f):
     moved back to the coordinates of f, its points from every chart."""
     gens = f.gradient()
     sat = saturate_irrelevant(gens, buchberger(gens))
-    unmoved = buchberger(_moved(sat.basis.generators, sat.form, 1))
+    unmoved = buchberger(moved(sat.basis.generators, sat.form, 1))
     points, complete = rational_projective_points(unmoved.generators)
     return [ProjPoint.normalize(p) for p in points], complete, unmoved.hilbert_series
 

@@ -79,7 +79,10 @@ borrows from the next.  Under grevlex no monomial of a run or a normal
 form has a degree above the inputs' or a popped lcm's, so one comparison of
 those degrees with MAX_EXPONENT keeps every field from wrapping (a degree
 beyond it raises DegreeCapExceeded).  Monomials become tuples again only on the way out: leading monomials,
-generators when read, normal forms and standard monomials.
+generators when read, normal forms and standard monomials.  The rows of
+every Macaulay matrix, the condition (I) cross-check's and the local
+colengths', are packed here too (``macaulay_rows``): the row of x^a g is
+{X(a) + X(m): c}, by integer addition, and its keys are its columns.
 """
 
 from __future__ import annotations
@@ -100,7 +103,7 @@ from veroav.polynomial import Monomial, Polynomial, iter_monomials, ratio
 DEFAULT_DEGREE_CAP = 60
 
 # The prime of the modular emptiness certificates and of the modular
-# Macaulay rank in the condition (I) cross-check.
+# Macaulay ranks: the condition (I) cross-check and the local colengths.
 MACAULAY_CHECK_PRIME = 2**31 - 1
 
 
@@ -201,6 +204,33 @@ class _Packing:
 @lru_cache(maxsize=None)
 def _packing(nvars: int) -> _Packing:
     return _Packing(nvars)
+
+
+def macaulay_rows(
+    gens: Sequence[dict[Monomial, object]],
+    nvars: int,
+    degrees: Iterable[int],
+    below: int | None = None,
+    descending: bool = False,
+) -> list[dict[int, object]]:
+    """Rows x^a g of a Macaulay matrix: for each degree, each monomial x^a
+    of it in ``iter_monomials`` order, and each generator g, given by its
+    terms {m: c}, the map {X(a) + X(m): c}.  The packed monomials are the
+    columns, so a row's least key is its grevlex-lowest monomial, or its
+    grevlex-leading one when every key is negated (``descending``).  With
+    ``below``, terms of degree >= below are dropped, and a multiple with no
+    term left has no row."""
+    pk = _packing(nvars)
+    sign = -1 if descending else 1
+    packed = [[(sign * pk.pack(m), sum(m), c) for m, c in terms.items()] for terms in gens]
+    rows = []
+    for e in degrees:
+        cut = [[(x, c) for x, t, c in g if below is None or e + t < below] for g in packed]
+        cut = [g for g in cut if g]
+        for a in pk.monomials(e):
+            a *= sign
+            rows.extend([{a + x: c for x, c in g} for g in cut])
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -147,15 +147,21 @@ def kernel_basis(M: MatrixQ) -> list[tuple[Fraction, ...]]:
 
 
 def determinant(M: MatrixQ) -> Fraction:
-    """Exact determinant: the signed last pivot of the forward elimination
-    over the row scales."""
+    """Exact determinant: that of the integer-cleared rows over the row
+    scales."""
     if M.rows != M.cols:
         raise ValueError("determinant requires a square matrix")
     a, scale = _integer_rows(M.entries)
+    return Fraction(integer_determinant(a), scale)
+
+
+def integer_determinant(a: list[list[int]]) -> int:
+    """Exact determinant of a square integer matrix, which the forward
+    elimination overwrites: its signed last pivot."""
     pivots, sign = _echelon(a)
-    if len(pivots) < M.rows:
-        return Fraction(0)
-    return Fraction(sign * a[-1][-1], scale) if a else Fraction(1)
+    if len(pivots) < len(a):
+        return 0
+    return sign * a[-1][-1] if a else 1
 
 
 def quotient_coords(v: Sequence, L: RrefResult) -> tuple[Fraction, ...]:

@@ -9,21 +9,31 @@ no Buchberger run); other zero sets take ``ratpoints``' chart scan.
 
 A local colength dim A/(I + m^N) is the corank of the truncated Macaulay
 matrix of I, whose rows are the multiples x^a g cut below degree N (the
-dual-space view of Mourrain and of Dayton-Zeng).  The coranks are ranked
-mod p until they repeat, and one exact rank confirms the repeated value;
-a Groebner basis of I + m^N per order is only the fallback.  They are
-memoized per local equation, which the nodes of ``f0_form`` share.  The
-local Tjurina numbers of a complete report must sum to the global total
-read off the saturated Jacobian ideal.
+dual-space view of Mourrain and of Dayton-Zeng), built on packed monomials
+by ``groebner.macaulay_rows``.  The coranks are ranked mod p until they
+repeat, starting from the exact corank 1 at N = 1 when every generator
+vanishes at the origin, so that a node costs one rank; any later repeat is
+confirmed by one exact rank, and a Groebner basis of I + m^N per order is
+only the fallback.  They are memoized per local equation, which the nodes
+of ``f0_form`` share.  The local Tjurina numbers of a complete report must
+sum to the global total read off the saturated Jacobian ideal.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from veroav.groebner import MACAULAY_CHECK_PRIME, buchberger, last_chart, quotient_degree, residues
+from veroav.groebner import (
+    MACAULAY_CHECK_PRIME,
+    buchberger,
+    last_chart,
+    macaulay_rows,
+    quotient_degree,
+    residues,
+)
 from veroav.linalg import MatrixQ, rank, rank_residues
 from veroav.milnor import (
     InternalDefectError,
@@ -110,24 +120,6 @@ def _dehomogenize_at(f: Polynomial, p: ProjPoint) -> tuple[Polynomial, int]:
     return g.drop_vars(keep), c
 
 
-def _truncated_macaulay_rows(gens: list[list[tuple]], k: int, N: int) -> tuple[list[dict], int]:
-    """Rows x^a g of the Macaulay matrix of (I + m^N)/m^N, each a map
-    {column: coefficient} with every term of degree >= N dropped, and the
-    number of columns, the monomials of degree < N.  ``gens`` are the
-    generators' term lists; multiples lying wholly in m^N are left out."""
-    monos = [(e, m) for e in range(N) for m in iter_monomials(k, e)]
-    cols = {m: j for j, (_, m) in enumerate(monos)}
-    rows = []
-    for terms in gens:
-        graded = [(sum(m), m, c) for m, c in terms]
-        low = min(e for e, _, _ in graded)
-        for e, a in monos:
-            if e + low >= N:
-                break
-            rows.append({cols[mono_mul(a, m)]: c for t, m, c in graded if e + t < N})
-    return rows, len(cols)
-
-
 def _local_colength(gens: list[Polynomial], k: int) -> int:
     """dim_k A/(I + m^N) stabilized over N: the colength of I at the origin
     when the origin is an isolated point of V(I).
@@ -135,23 +127,30 @@ def _local_colength(gens: list[Polynomial], k: int) -> int:
     Each dimension is the corank of the truncated Macaulay matrix, ranked
     mod p; the first N whose corank c repeats that of N-1 stops the loop.
     A corank mod p is never below the corank over Q, which never decreases
-    in N, so one exact rank at N-1 equal to c makes both exact coranks c,
-    and then m^(N-1) lies in I locally (Nakayama): the colength is c.  A
-    denominator divisible by p, a failed confirmation or no repeat below
-    the cap leaves the answer to the Groebner loop."""
+    in N, so an exact corank c at N-1 makes both exact coranks c, and then
+    m^(N-1) lies in I locally (Nakayama): the colength is c.  When every
+    generator vanishes at the origin, the exact corank at N = 1 is 1, so
+    the loop starts from it and a node, corank 1 at N = 2, costs one rank;
+    a repeat further on is confirmed by one exact rank at N-1, on rows that
+    span only the columns they reach.  A denominator divisible by p, a
+    failed confirmation or no repeat below the cap leaves the answer to the
+    Groebner loop."""
     p = MACAULAY_CHECK_PRIME
-    exact = [list(g.terms.items()) for g in gens if g.terms]
     modular = [residues(g, p) for g in gens]
     if None not in modular:
-        modular = [list(terms.items()) for terms in modular if terms]
-        prev = None
+        origin = (0,) * k
+        prev = 1 if not any(g.coeff(origin) for g in gens) else None
         for N in range(2, _LOCAL_TRUNCATION_CAP + 1):
-            rows, ncols = _truncated_macaulay_rows(modular, k, N)
-            corank = ncols - rank_residues(rows, p)
+            rows = macaulay_rows(modular, k, range(N), below=N)
+            corank = math.comb(N - 1 + k, k) - rank_residues(rows, p)
             if corank == prev:
-                rows, ncols = _truncated_macaulay_rows(exact, k, N - 1)
-                dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
-                if ncols - rank(MatrixQ.from_rows(dense)) == corank:
+                if N == 2:
+                    return corank
+                exact = [g.terms for g in gens]
+                rows = macaulay_rows(exact, k, range(N - 1), below=N - 1)
+                cols = sorted(set().union(*rows))
+                dense = [[row.get(j, 0) for j in cols] for row in rows]
+                if math.comb(N - 2 + k, k) - rank(MatrixQ.from_rows(dense)) == corank:
                     return corank
                 break
             prev = corank
@@ -197,7 +196,11 @@ def _local_numbers(G: Polynomial) -> tuple[int, int, int]:
     grads = G.gradient()
     if any(g.coeff(origin) for g in grads):
         raise NotSingularAtPointError("point is not singular (linear part nonzero)")
-    hessian = [[g.partial(j).coeff(origin) for j in range(k)] for g in grads]
+    # the Hessian at the origin, read off G's quadratic part
+    unit = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    hessian = [
+        [(1 + (i == j)) * G.coeff(mono_mul(unit[i], unit[j])) for j in range(k)] for i in range(k)
+    ]
     qrank = rank(MatrixQ.from_rows(hessian))
     tjurina = _local_colength([G] + grads, k)
     milnor = _local_colength(grads, k)

@@ -44,10 +44,11 @@ from veroav.groebner import (
     GroebnerBasis,
     coordinate_table,
     decide_emptiness,
+    macaulay_rows,
     projective_empty,
     residues,
 )
-from veroav.linalg import MatrixQ, determinant, kernel_basis, rank, rank_residues
+from veroav.linalg import MatrixQ, integer_determinant, kernel_basis, rank, rank_residues
 from veroav.milnor import (
     ConditionIReport,
     HypersurfaceInput,
@@ -63,8 +64,8 @@ from veroav.milnor import (
     smooth_numerator,
     validate_input,
 )
-from veroav.polynomial import Polynomial, iter_monomials, mono_mul
-from veroav.polyring import graded_basis, linear_form, power_linear_form_symbolic
+from veroav.polynomial import Polynomial
+from veroav.polyring import linear_form, power_linear_form_symbolic
 from veroav.ratpoints import rational_projective_points
 from veroav.singlocus import ProjPoint
 
@@ -275,21 +276,19 @@ def _cross_checks(f, hi: HypersurfaceInput, cond1, cond2):
 def _macaulay_rank_agrees(f: Polynomial, m: int, dim_m: int) -> bool:
     """Macaulay route to dim (M_f)_m, independent of the Groebner basis: the
     rank of the degree-m multiplication-by-partials matrix modulo a fixed
-    prime, built as residues straight from the partials' terms and
-    recomputed exactly only on disagreement, since a rank mod p can only
-    drop and a bad prime must not read as a defect.  So agreement mod p shows
-    only dim (M_f)_m <= dim_m: a dim_m overstated by a bad prime's rank drop
-    passes."""
+    prime, its rows x^a * df/dx_i built as residues by
+    ``groebner.macaulay_rows`` on negated packed monomials, so that each
+    row pivots on its grevlex-leading column, and recomputed exactly only
+    on disagreement, since a rank mod p can only drop and a bad prime must
+    not read as a defect.  So agreement mod p shows only dim (M_f)_m <=
+    dim_m: a dim_m overstated by a bad prime's rank drop passes."""
     p = MACAULAY_CHECK_PRIME
-    index = {mono: j for j, mono in enumerate(graded_basis(f.nvars, m))}
-    expected = len(index) - dim_m
+    n = f.nvars
+    expected = math.comb(n + m - 1, m) - dim_m
     grads = [residues(g, p) for g in f.gradient()]
     if None not in grads:
-        rows = [
-            {index[mono_mul(mono, t)]: c for t, c in g.items()}
-            for mono in iter_monomials(f.nvars, m - f.homogeneous_degree() + 1)
-            for g in grads
-        ]
+        shift = m - f.homogeneous_degree() + 1
+        rows = macaulay_rows(grads, n, [shift], descending=True)
         if rank_residues(rows, p) == expected:
             return True
     return rank(jacobian_degree_matrix(f, m)) == expected
@@ -383,6 +382,7 @@ def lefschetz_degree_one(
         )
     n = hi.n
     table = coordinate_table(gb_jacobian(f), hi.T - 1)
+    den_n = table.denominator**n
     dets: list[Fraction] = []
     witness = None
     for trial in range(trials):
@@ -391,8 +391,7 @@ def lefschetz_degree_one(
             coeffs = tuple(rng.randint(-coeff_bound, coeff_bound) for _ in range(n))
             if any(coeffs):
                 break
-        M = _lefschetz_matrix(table, coeffs)
-        det = determinant(M)
+        det = Fraction(integer_determinant(_lefschetz_matrix(table, coeffs)), den_n)
         dets.append(det)
         if det != 0:
             witness = coeffs
@@ -400,12 +399,14 @@ def lefschetz_degree_one(
     return LefschetzReport(seed, trials, coeff_bound, witness is not None, witness, tuple(dets))
 
 
-def _lefschetz_matrix(table: CoordinateTable, coeffs: Sequence[int]) -> MatrixQ:
-    """Matrix of multiplication by l^(m-1): (M_f)_1 -> (M_f)_m, l = sum
-    coeffs_j x_j, from the degree-m coordinate table.  Column j holds the
-    coordinates of x_j l^(m-1), the sum over |gamma| = m-1 of mult_gamma
-    c^gamma x^(gamma + e_j); it is the a_j-derivative of the condition (II)
-    forms at c, over m times the table's denominator."""
+def _lefschetz_matrix(table: CoordinateTable, coeffs: Sequence[int]) -> list[list[int]]:
+    """Integer columns of the matrix of multiplication by l^(m-1): (M_f)_1
+    -> (M_f)_m, l = sum coeffs_j x_j, from the degree-m coordinate table;
+    the matrix is the columns over the table's denominator, so its
+    determinant is theirs over the denominator's n-th power.  Column j holds
+    the coordinates of x_j l^(m-1), the sum over |gamma| = m-1 of
+    mult_gamma c^gamma x^(gamma + e_j); it is the a_j-derivative of the
+    condition (II) forms at c, over m times the table's denominator."""
     n = len(coeffs)
     cols = [[0] * len(table.basis) for _ in range(n)]
     for gamma, mult in power_linear_form_symbolic(n, table.degree - 1):
@@ -416,10 +417,7 @@ def _lefschetz_matrix(table: CoordinateTable, coeffs: Sequence[int]) -> MatrixQ:
             row = table.rows[gamma[:j] + (gamma[j] + 1,) + gamma[j + 1 :]]
             for i, v in enumerate(row):
                 col[i] += w * v
-    den = table.denominator
-    return MatrixQ.from_rows(
-        [[Fraction(col[i], den) for col in cols] for i in range(len(table.basis))]
-    )
+    return cols
 
 
 # ---------------------------------------------------------------------------

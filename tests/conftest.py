@@ -72,6 +72,43 @@ def standard_monomials(gb, degree) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def graded_macaulay_rows(gens, nvars, degree) -> list[dict[int, object]]:
+    """Rows x^a g of a Macaulay matrix of forms g of one degree, over every
+    x^a of the given degree (shifts outer, generators inner), each a map
+    {column: coefficient} on the columns ``graded_basis`` of the product
+    degree: built on exponent tuples, one ``mono_mul`` and one index lookup
+    per term.  The tuple-built reference for ``groebner.macaulay_rows``."""
+    top = degree + next(sum(m) for g in gens for m in g)
+    index = {mono: j for j, mono in enumerate(graded_basis(nvars, top))}
+    return [
+        {index[mono_mul(mono, t)]: c for t, c in g.items()}
+        for mono in iter_monomials(nvars, degree)
+        for g in gens
+    ]
+
+
+def truncated_macaulay_rows(gens, k, N) -> tuple[list[dict[int, object]], int]:
+    """Rows x^a g of the Macaulay matrix of (I + m^N)/m^N, each a map
+    {column: coefficient} with every term of degree >= N dropped, and the
+    number of columns, the monomials of degree < N in ascending degree.
+    ``gens`` are the generators' terms {monomial: coefficient}; multiples
+    lying wholly in m^N are left out.  Built on exponent tuples, generators
+    outer: the tuple-built reference for ``groebner.macaulay_rows``."""
+    monos = [(e, m) for e in range(N) for m in iter_monomials(k, e)]
+    cols = {m: j for j, (_, m) in enumerate(monos)}
+    rows = []
+    for terms in gens:
+        if not terms:
+            continue
+        graded = [(sum(m), m, c) for m, c in terms.items()]
+        low = min(e for e, _, _ in graded)
+        for e, a in monos:
+            if e + low >= N:
+                break
+            rows.append({cols[mono_mul(a, m)]: c for t, m, c in graded if e + t < N})
+    return rows, len(cols)
+
+
 def _common_denominator(p: Polynomial) -> int:
     return math.lcm(*(c.denominator for c in p.terms.values()))
 

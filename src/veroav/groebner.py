@@ -98,12 +98,12 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from veroav.orders import grevlex_key
-from veroav.polynomial import Monomial, Polynomial, iter_monomials, ratio
+from veroav.polynomial import Monomial, Polynomial, integer_terms, iter_monomials, ratio
 
 DEFAULT_DEGREE_CAP = 60
 
 # The prime of the modular emptiness certificates and of the modular
-# Macaulay ranks: the condition (I) cross-check and the local colengths.
+# Macaulay rank of the condition (I) cross-check.
 MACAULAY_CHECK_PRIME = 2**31 - 1
 
 
@@ -253,16 +253,9 @@ def _strip_content(terms: dict[int, int]) -> dict[int, int]:
     return terms
 
 
-def _common_denominator(p: Polynomial) -> int:
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return den
-
-
 def _to_int_terms(p: Polynomial, pk: _Packing) -> dict[int, int]:
-    den = _common_denominator(p)
-    return _strip_content({pk.pack(m): int(c * den) for m, c in p.terms.items()})
+    _, terms = integer_terms(p)
+    return _strip_content({pk.pack(m): c for m, c in terms.items()})
 
 
 def residues(p: Polynomial, modulus: int) -> dict[Monomial, int] | None:
@@ -824,8 +817,8 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     if p.degree() > MAX_EXPONENT:
         raise _limit_error("degree", p.degree())
     pk = _packing(gb.nvars)
-    den = _common_denominator(p)
-    terms = {pk.pack(m): int(c * den) for m, c in p.terms.items()}
+    den, ints = integer_terms(p)
+    terms = {pk.pack(m): c for m, c in ints.items()}
     out, scale = _normal_form_int(terms, gb._reducers, pk, {})
     return _from_terms(out, pk, den * scale)
 
@@ -1200,10 +1193,8 @@ def _moved_inputs(
         units = [*units[:j], last, *units[j + 1 : -1], units[j]]
     moved = []
     for p in polys:
-        den = _common_denominator(p)
         terms: dict[int, int] = {}
-        for m, c in p.terms.items():
-            num = c.numerator * (den // c.denominator)
+        for m, num in integer_terms(p)[1].items():
             x = sum(map(operator.mul, m, units))
             e = m[-1] if form[-1] else 0
             for k in range(e + 1):

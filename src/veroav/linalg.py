@@ -1,11 +1,12 @@
 """Exact linear algebra over the rationals.
 
-One forward elimination, ``_echelon``, serves every exact question: it is
-fraction-free (Bareiss, on an integer-cleared copy, dividing by the previous
-pivot at every step), which bounds intermediate entries by minors of the
-input instead of letting gcd-heavy Fraction arithmetic dominate.  The rank
-is its pivot count, the determinant its signed last pivot, and the RREF the
-same pass plus an integer back-substitution and one normalization.
+One forward elimination, ``_echelon``, serves every exact dense question:
+it is fraction-free (Bareiss, on an integer-cleared copy, dividing by the
+previous pivot at every step), which bounds intermediate entries by minors
+of the input instead of letting gcd-heavy Fraction arithmetic dominate.  The
+rank is its pivot count, the determinant its signed last pivot, and the RREF
+the same pass plus an integer back-substitution and one normalization.
+Sparse Macaulay rows are ranked by ``rank_sparse`` and ``rank_residues``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class MatrixQ(NamedTuple):
@@ -57,9 +58,7 @@ def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], 
     out = []
     scale = 1
     for row in rows:
-        den = 1
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
+        den = math.lcm(*(x.denominator for x in row))
         out.append([x.numerator * (den // x.denominator) for x in row])
         scale *= den
     return out, scale
@@ -209,6 +208,32 @@ def rank_residues(rows: Sequence[dict[int, int]], p: int) -> int:
                 break
             for j, w in piv:
                 row[j] = row.get(j, 0) - v * w
+    return len(pivots)
+
+
+def rank_sparse(rows: Iterable[dict[int, int]]) -> int:
+    """Rank over Q of a sparse integer matrix given as rows {column: value}.
+
+    Each row is reduced against the pivot rows found so far, least column
+    first, as b * row - a * pivot (a, b its entry and the pivot's, over
+    their gcd), its content divided out after every step; it becomes a
+    pivot row if anything is left."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = {j: v for j, v in row.items() if v}
+        while row:
+            c = min(row)
+            piv = pivots.get(c)
+            if piv is None:
+                pivots[c] = row
+                break
+            g = math.gcd(row[c], piv[c])
+            a, b = row[c] // g, piv[c] // g
+            row = {j: b * v for j, v in row.items()}
+            for j, w in piv.items():
+                row[j] = row.get(j, 0) - a * w
+            g = math.gcd(*row.values()) or 1
+            row = {j: v // g for j, v in row.items() if v}
     return len(pivots)
 
 

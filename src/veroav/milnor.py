@@ -5,9 +5,9 @@ threshold, Jacobian module dimensions).
 
 The per-polynomial Groebner bases, ``validate_input`` and ``condition_I``
 are memoized, and every invariant is read off each basis's Hilbert series.
-The Macaulay matrix is an independent route to (J_f)_m: the condition (I)
-cross-check takes its rank mod p, and its exact rank only on disagreement.
-Its exact RREF (``jacobian_rref``) is not used by the pipeline.
+The Macaulay matrix ``jacobian_degree_matrix`` and its exact RREF
+``jacobian_rref`` serve only the acceptance suite: the condition (I)
+cross-check builds its own rows with ``groebner.macaulay_rows``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from typing import NamedTuple
 from veroav.groebner import (
     GroebnerBasis,
     Saturation,
+    _series,
     buchberger,
     ci_numerator,
     hilbert_value,
@@ -212,15 +213,11 @@ def jacobian_module_dims(f: Polynomial, q: int) -> int:
 
 def jacobian_module_series(f: Polynomial, top: int) -> list[int]:
     """dim N(f)_q for q = 0..top from the two cached series at once: the
-    coefficients of (N_J - N_sat)/(1 - t)^n, i.e. the numerator difference
-    summed n times."""
+    first coefficients of (N_J - N_sat)/(1 - t)^n."""
     validate_input(f)
     if is_smooth(f):
         return [0] * (top + 1)
     num_j = gb_jacobian(f).hilbert_series.numerator
     num_sat = gb_jacobian_saturation(f).basis.hilbert_series.numerator
-    h = [a - b for a, b in itertools.zip_longest(num_j, num_sat, fillvalue=0)][: top + 1]
-    h += [0] * (top + 1 - len(h))
-    for _ in range(f.nvars):
-        h = list(itertools.accumulate(h))
-    return h
+    diff = [a - b for a, b in itertools.zip_longest(num_j, num_sat, fillvalue=0)]
+    return list(itertools.islice(_series(diff, f.nvars), top + 1))

@@ -64,6 +64,13 @@ def _demote(terms: dict) -> dict:
     return terms
 
 
+def integer_terms(p: Polynomial) -> tuple[int, dict[Monomial, int]]:
+    """(den, {m: den * c}): p's coefficients cleared to integers by den,
+    the lcm of their denominators."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    return den, {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
+
+
 def iter_monomials(nvars: int, degree: int) -> Iterator[Monomial]:
     """All exponent tuples of the given total degree, in ascending
     lexicographic order: first exponent ascending, then the rest likewise.
@@ -339,14 +346,8 @@ class Polynomial:
         """Scale by a positive rational so coefficients are coprime integers."""
         if not self.terms:
             return self
-        den_lcm = 1
-        for c in self.terms.values():
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        nums = [int(c * den_lcm) for c in self.terms.values()]
-        g = 0
-        for v in nums:
-            g = math.gcd(g, v)
-        return self.scale(ratio(den_lcm, g))
+        den, ints = integer_terms(self)
+        return self.scale(ratio(den, math.gcd(*ints.values())))
 
     def normalized_primitive(self) -> "Polynomial":
         """Primitive integer form with positive grlex-leading coefficient."""

@@ -10,13 +10,11 @@ no Buchberger run); other zero sets take ``ratpoints``' chart scan.
 A local colength dim A/(I + m^N) is the corank of the truncated Macaulay
 matrix of I, whose rows are the multiples x^a g cut below degree N (the
 dual-space view of Mourrain and of Dayton-Zeng), built on packed monomials
-by ``groebner.macaulay_rows``.  The coranks are ranked mod p until they
-repeat, starting from the exact corank 1 at N = 1 when every generator
-vanishes at the origin, so that a node costs one rank; any later repeat is
-confirmed by one exact rank, and a Groebner basis of I + m^N per order is
-only the fallback.  They are memoized per local equation, which the nodes
-of ``f0_form`` share.  The local Tjurina numbers of a complete report must
-sum to the global total read off the saturated Jacobian ideal.
+by ``groebner.macaulay_rows`` and ranked exactly by ``linalg.rank_sparse``
+until the coranks repeat (Nakayama).  They are memoized per local equation,
+which the nodes of ``f0_form`` share.  The local Tjurina numbers of a
+complete report must sum to the global total read off the saturated
+Jacobian ideal.
 """
 
 from __future__ import annotations
@@ -26,15 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from veroav.groebner import (
-    MACAULAY_CHECK_PRIME,
-    buchberger,
-    last_chart,
-    macaulay_rows,
-    quotient_degree,
-    residues,
-)
-from veroav.linalg import MatrixQ, rank, rank_residues
+from veroav.groebner import last_chart, macaulay_rows
+from veroav.linalg import MatrixQ, rank, rank_sparse
 from veroav.milnor import (
     InternalDefectError,
     ScopeError,
@@ -43,7 +34,7 @@ from veroav.milnor import (
     tjurina_total,
     validate_input,
 )
-from veroav.polynomial import Polynomial, iter_monomials, mono_mul
+from veroav.polynomial import Polynomial, integer_terms, mono_mul
 from veroav.ratpoints import affine_points
 
 _LOCAL_TRUNCATION_CAP = 40
@@ -124,51 +115,20 @@ def _local_colength(gens: list[Polynomial], k: int) -> int:
     """dim_k A/(I + m^N) stabilized over N: the colength of I at the origin
     when the origin is an isolated point of V(I).
 
-    Each dimension is the corank of the truncated Macaulay matrix, ranked
-    mod p; the first N whose corank c repeats that of N-1 stops the loop.
-    A corank mod p is never below the corank over Q, which never decreases
-    in N, so an exact corank c at N-1 makes both exact coranks c, and then
-    m^(N-1) lies in I locally (Nakayama): the colength is c.  When every
-    generator vanishes at the origin, the exact corank at N = 1 is 1, so
-    the loop starts from it and a node, corank 1 at N = 2, costs one rank;
-    a repeat further on is confirmed by one exact rank at N-1, on rows that
-    span only the columns they reach.  A denominator divisible by p, a
-    failed confirmation or no repeat below the cap leaves the answer to the
-    Groebner loop."""
-    p = MACAULAY_CHECK_PRIME
-    modular = [residues(g, p) for g in gens]
-    if None not in modular:
-        origin = (0,) * k
-        prev = 1 if not any(g.coeff(origin) for g in gens) else None
-        for N in range(2, _LOCAL_TRUNCATION_CAP + 1):
-            rows = macaulay_rows(modular, k, range(N), below=N)
-            corank = math.comb(N - 1 + k, k) - rank_residues(rows, p)
-            if corank == prev:
-                if N == 2:
-                    return corank
-                exact = [g.terms for g in gens]
-                rows = macaulay_rows(exact, k, range(N - 1), below=N - 1)
-                cols = sorted(set().union(*rows))
-                dense = [[row.get(j, 0) for j in cols] for row in rows]
-                if math.comb(N - 2 + k, k) - rank(MatrixQ.from_rows(dense)) == corank:
-                    return corank
-                break
-            prev = corank
-    return _local_colength_groebner(gens, k)
-
-
-def _local_colength_groebner(gens: list[Polynomial], k: int) -> int:
-    """The same stabilized colength from a Groebner basis of I + m^N for
-    each N over Q."""
-    prev = None
+    Each dimension is the corank of the truncated Macaulay matrix of the
+    generators cleared to integers, ranked exactly.  The corank never
+    decreases in N, and the first N whose corank c repeats that of N-1
+    shows m^(N-1) in I locally (Nakayama): the colength is c.  The corank
+    at N = 1 is 1 when every generator vanishes at the origin, 0 otherwise,
+    so a node, corank 1 at N = 2, costs one rank."""
+    ints = [integer_terms(g)[1] for g in gens]
+    prev = 0 if any(g.coeff((0,) * k) for g in gens) else 1
     for N in range(2, _LOCAL_TRUNCATION_CAP + 1):
-        trunc = list(gens) + [
-            Polynomial.monomial(m) for m in iter_monomials(k, N)
-        ]
-        dim = quotient_degree(buchberger(trunc))
-        if dim == prev:
-            return dim
-        prev = dim
+        rows = macaulay_rows(ints, k, range(N), below=N)
+        corank = math.comb(N - 1 + k, k) - rank_sparse(rows)
+        if corank == prev:
+            return corank
+        prev = corank
     raise ScopeError(
         f"local colength did not stabilize below truncation order {_LOCAL_TRUNCATION_CAP}; "
         "the point is not an isolated zero"

@@ -48,7 +48,14 @@ from veroav.groebner import (
     projective_empty,
     residues,
 )
-from veroav.linalg import MatrixQ, integer_determinant, kernel_basis, rank, rank_residues
+from veroav.linalg import (
+    MatrixQ,
+    integer_determinant,
+    kernel_basis,
+    rank,
+    rank_residues,
+    rank_sparse,
+)
 from veroav.milnor import (
     ConditionIReport,
     HypersurfaceInput,
@@ -56,7 +63,6 @@ from veroav.milnor import (
     condition_I,
     gb_jacobian,
     is_smooth,
-    jacobian_degree_matrix,
     jacobian_module_dims,
     jacobian_module_series,
     coincidence_threshold,
@@ -64,7 +70,7 @@ from veroav.milnor import (
     smooth_numerator,
     validate_input,
 )
-from veroav.polynomial import Polynomial
+from veroav.polynomial import Polynomial, integer_terms
 from veroav.polyring import linear_form, power_linear_form_symbolic
 from veroav.ratpoints import rational_projective_points
 from veroav.singlocus import ProjPoint
@@ -276,22 +282,24 @@ def _cross_checks(f, hi: HypersurfaceInput, cond1, cond2):
 def _macaulay_rank_agrees(f: Polynomial, m: int, dim_m: int) -> bool:
     """Macaulay route to dim (M_f)_m, independent of the Groebner basis: the
     rank of the degree-m multiplication-by-partials matrix modulo a fixed
-    prime, its rows x^a * df/dx_i built as residues by
-    ``groebner.macaulay_rows`` on negated packed monomials, so that each
-    row pivots on its grevlex-leading column, and recomputed exactly only
-    on disagreement, since a rank mod p can only drop and a bad prime must
-    not read as a defect.  So agreement mod p shows only dim (M_f)_m <=
-    dim_m: a dim_m overstated by a bad prime's rank drop passes."""
+    prime, its rows x^a * df/dx_i built by ``groebner.macaulay_rows`` on
+    negated packed monomials, so that each row pivots on its grevlex-leading
+    column, and recomputed exactly on integer rows only on disagreement,
+    since a rank mod p can only drop and a bad prime must not read as a
+    defect.  So agreement mod p shows only dim (M_f)_m <= dim_m: a dim_m
+    overstated by a bad prime's rank drop passes."""
     p = MACAULAY_CHECK_PRIME
     n = f.nvars
     expected = math.comb(n + m - 1, m) - dim_m
-    grads = [residues(g, p) for g in f.gradient()]
-    if None not in grads:
-        shift = m - f.homogeneous_degree() + 1
-        rows = macaulay_rows(grads, n, [shift], descending=True)
+    shift = m - f.homogeneous_degree() + 1
+    grads = f.gradient()
+    modular = [residues(g, p) for g in grads]
+    if None not in modular:
+        rows = macaulay_rows(modular, n, [shift], descending=True)
         if rank_residues(rows, p) == expected:
             return True
-    return rank(jacobian_degree_matrix(f, m)) == expected
+    exact = [integer_terms(g)[1] for g in grads]
+    return rank_sparse(macaulay_rows(exact, n, [shift], descending=True)) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,12 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 import veroav
-from veroav.groebner import coordinate_table
+from veroav.groebner import buchberger, coordinate_table, quotient_degree
 from veroav.linalg import random_unimodular
 from veroav.milnor import ScopeError, condition_I
 from veroav.polynomial import Polynomial, iter_monomials, mono_mul, ratio
 from veroav.polyring import graded_basis
+from veroav.singlocus import _LOCAL_TRUNCATION_CAP
 
 
 def _package_caches() -> list:
@@ -107,6 +108,25 @@ def truncated_macaulay_rows(gens, k, N) -> tuple[list[dict[int, object]], int]:
                 break
             rows.append({cols[mono_mul(a, m)]: c for t, m, c in graded if e + t < N})
     return rows, len(cols)
+
+
+def _local_colength_groebner(gens: list[Polynomial], k: int) -> int:
+    """The stabilized colength of ``singlocus._local_colength`` from a
+    Groebner basis of I + m^N for each N over Q: the tests' independent
+    reference for the truncated Macaulay ranks."""
+    prev = None
+    for N in range(2, _LOCAL_TRUNCATION_CAP + 1):
+        trunc = list(gens) + [
+            Polynomial.monomial(m) for m in iter_monomials(k, N)
+        ]
+        dim = quotient_degree(buchberger(trunc))
+        if dim == prev:
+            return dim
+        prev = dim
+    raise ScopeError(
+        f"local colength did not stabilize below truncation order {_LOCAL_TRUNCATION_CAP}; "
+        "the point is not an isolated zero"
+    )
 
 
 def _common_denominator(p: Polynomial) -> int:

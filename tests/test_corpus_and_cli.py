@@ -372,6 +372,21 @@ def test_cli_corpus_filter_and_failure(tmp_path):
     assert "verdict" in proc.stdout
 
 
+def test_cli_corpus_with_builtin_runs_the_builtin_entries_first(tmp_path, capsys):
+    extra = tmp_path / "extra.corpus"
+    extra.write_text(
+        "name: my-fermat\nn: 3\nf: x^3 + y^3 + z^3\nexpect_va: false\n\n"
+        "name: my-cubic\nn: 3\nf: x*y*z + x^3 + y^3\nexpect_va: true\n",
+        encoding="utf-8",
+    )
+    assert cli.main(["corpus", "--file", str(extra), "--with-builtin"]) == 0
+    *rows, total = capsys.readouterr().out.splitlines()
+    builtin = [e.name for e in builtin_corpus()]
+    assert len(builtin) == 20
+    assert [row.split()[0] for row in rows] == builtin + ["my-fermat", "my-cubic"]
+    assert total == "22/22 entries passed"
+
+
 @pytest.mark.parametrize("target", ["missing.corpus", "."])
 def test_cli_unreadable_corpus_file_is_an_input_error(tmp_path, target):
     # a missing file, and a directory where a file should be

@@ -476,6 +476,70 @@ def test_the_gf_p_run_check_flags_a_planted_modular_call():
     ]
 
 
+_GF_P_RANK_NAMES = {"MACAULAY_CHECK_PRIME", "residues", "rank_residues"}
+
+
+def _modular_ranks(fname: str, tree: ast.Module) -> list[str]:
+    """``rank_residues`` calls outside ``_macaulay_rank_agrees``, and, in
+    singlocus.py, every mention or import of a name of the GF(p) rank."""
+    exempt = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_macaulay_rank_agrees"
+        for node in ast.walk(fn)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in exempt:
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "rank_residues":
+                found.append(f"{fname}:{node.lineno} {ast.unparse(node)}")
+        if fname == "singlocus.py":
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            else:
+                names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            found += [f"{fname}:{node.lineno} {name}" for name in sorted(names & _GF_P_RANK_NAMES)]
+    return found
+
+
+def test_the_one_gf_p_rank_is_the_condition_I_cross_check():
+    """The local colengths are ranked exactly: the only rank mod p is the
+    condition (I) cross-check's first one."""
+    modules = _modules()
+    offenders = [c for fname, tree in modules.items() for c in _modular_ranks(fname, tree)]
+    assert not offenders, "GF(p) ranks outside the cross-check: " + ", ".join(offenders)
+    (check,) = [
+        fn
+        for fn in ast.walk(modules["veronese.py"])
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_macaulay_rank_agrees"
+    ]
+    assert "rank_residues" in _identifiers(check)  # the exemption is not stale
+
+
+def test_the_gf_p_rank_check_flags_planted_calls_and_names():
+    source = (
+        "def _macaulay_rank_agrees(f):\n"
+        "    return rank_residues(rows, MACAULAY_CHECK_PRIME)\n"
+        "def rogue(rows):\n"
+        "    return linalg.rank_residues(rows, p)\n"
+    )
+    assert _modular_ranks("veronese.py", ast.parse(source)) == [
+        "veronese.py:4 linalg.rank_residues(rows, p)",
+    ]
+    local = (
+        "from veroav.groebner import MACAULAY_CHECK_PRIME, macaulay_rows\n"
+        "def _local_colength(gens, k):\n"
+        "    modular = [groebner.residues(g, MACAULAY_CHECK_PRIME) for g in gens]\n"
+    )
+    assert _modular_ranks("singlocus.py", ast.parse(local)) == [
+        "singlocus.py:1 MACAULAY_CHECK_PRIME",
+        "singlocus.py:3 residues",
+        "singlocus.py:3 MACAULAY_CHECK_PRIME",
+    ]
+
+
 def _dataclass_imports(fname: str, tree: ast.Module) -> list[str]:
     """Imports of ``dataclasses``, by ``import`` or ``from ... import``."""
     found = []

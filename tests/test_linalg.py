@@ -13,6 +13,7 @@ from veroav.linalg import (
     quotient_coords,
     rank,
     rank_residues,
+    rank_sparse,
     random_unimodular,
     rref,
 )
@@ -203,6 +204,31 @@ def test_rank_mod_p_agreement(rows):
         if agreeing == 2:
             break
     assert agreeing == 2
+
+
+integer_matrices = st.integers(1, 7).flatmap(
+    lambda c: st.lists(
+        st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, 6, -9, 2**40 + 1]), min_size=c, max_size=c),
+        min_size=1,
+        max_size=7,
+    )
+)
+
+
+@given(integer_matrices, st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_sparse_rank_matches_the_dense_rank(rows, rnd):
+    # sparse rows keep only their nonzero entries, on shuffled column keys
+    keys = rnd.sample(range(100), len(rows[0]))
+    sparse = [{k: x for k, x in zip(keys, row) if x} for row in rows]
+    assert rank_sparse(sparse) == rank(MatrixQ.from_rows(rows))
+
+
+def test_sparse_rank_keeps_a_rank_that_vanishes_mod_p():
+    p = 2**31 - 1
+    rows = [{0: 1, 1: 1}, {0: 1, 1: 1 + p}]
+    assert rank_residues(rows, p) == 1
+    assert rank_sparse(rows) == 2
 
 
 def test_random_unimodular_is_unimodular():

@@ -1,7 +1,7 @@
-"""Local Milnor and Tjurina numbers from truncated Macaulay matrices mod p,
-against the Groebner route they replace, on random and explicit local
-ideals, on inputs built to defeat the prime, and pinned on the corpus and
-the singular benchmark inputs."""
+"""Local Milnor and Tjurina numbers from exact ranks of truncated Macaulay
+matrices, against the Groebner route they replace, on random and explicit
+local ideals, on inputs that defeat a rank mod p, and pinned on the corpus
+and the singular benchmark inputs."""
 
 import itertools
 import math
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coefficients, homogeneous_polynomials
+from conftest import _local_colength_groebner, coefficients, homogeneous_polynomials
 from veroav import cli, singlocus
 from veroav.corpus import builtin_corpus
 from veroav.groebner import MACAULAY_CHECK_PRIME
@@ -22,7 +22,6 @@ from veroav.polynomial import Polynomial
 from veroav.singlocus import (
     ProjPoint,
     _local_colength,
-    _local_colength_groebner,
     classify,
     local_invariants,
     singular_report,
@@ -55,16 +54,6 @@ def semi_quasihomogeneous(draw):
     for m in extra:
         terms[m] = draw(coefficients)
     return Polynomial(k, terms), math.prod(a - 1 for a in exps)
-
-
-def _counting_fallback():
-    calls = []
-
-    def fallback(gens, k):
-        calls.append(k)
-        return _local_colength_groebner(gens, k)
-
-    return calls, mock.patch.object(singlocus, "_local_colength_groebner", fallback)
 
 
 @settings(max_examples=40, deadline=None)
@@ -119,27 +108,21 @@ def test_milnor_exceeds_tjurina():
     assert _local_colength_groebner(milnor_ideal, 2) == 11
 
 
-def test_denominator_divisible_by_p_takes_the_fallback():
+def test_denominator_divisible_by_p_gives_a_node():
     # a node at [1/p : 0 : 1], where the local equation is
     # y^2 - x^2*(x + 1 + 1/p)
     f = parse_poly(f"y^2*z - (x - 1/{P}*z)^2*(x + z)", 3)
-    calls, patch = _counting_fallback()
-    with patch:
-        s = local_invariants(f, ProjPoint.normalize((1, 0, P)))
+    s = local_invariants(f, ProjPoint.normalize((1, 0, P)))
     assert s.point.coords == (Fraction(1, P), 0, 1)
     assert (s.tjurina, s.milnor, s.is_node) == (1, 1, True)
-    assert len(calls) == 2
 
 
-def test_coefficient_vanishing_mod_p_fails_the_confirmation():
+def test_coefficient_vanishing_mod_p_keeps_the_exact_colength():
     # mod p the ideal is (x^2, y^2), colength 4; over Q the linear parts
     # p*y and p*x span m, colength 1
     x, y = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
     gens = [x * x + P * y, y * y + P * x]
-    calls, patch = _counting_fallback()
-    with patch:
-        assert _local_colength(gens, 2) == 1
-    assert calls == [2]
+    assert _local_colength(gens, 2) == 1
 
 
 def test_non_isolated_zero_raises_the_same_scope_error():

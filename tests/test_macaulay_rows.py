@@ -10,27 +10,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    _local_colength_groebner,
     graded_macaulay_rows,
     homogeneous_polynomials,
     polynomials,
     truncated_macaulay_rows,
 )
 from test_certificate_identity import workload_instances
-from veroav import singlocus
+from veroav import singlocus, veronese
 from veroav.corpus import builtin_corpus
 from veroav.groebner import MACAULAY_CHECK_PRIME, _packing, macaulay_rows, residues
-from veroav.linalg import MatrixQ, rank, rank_residues
-from veroav.milnor import validate_input
+from veroav.linalg import MatrixQ, rank, rank_residues, rank_sparse
+from veroav.milnor import condition_I, jacobian_degree_matrix, validate_input
 from veroav.parsing import parse_poly
-from veroav.polynomial import Polynomial, iter_monomials
+from veroav.polynomial import Polynomial, integer_terms, iter_monomials
 from veroav.polyring import graded_basis
 from veroav.singlocus import (
     _dehomogenize_at,
     _local_colength,
-    _local_colength_groebner,
     _local_numbers,
     singular_points_rational,
 )
+from veroav.veronese import _macaulay_rank_agrees
 
 P = MACAULAY_CHECK_PRIME
 
@@ -100,6 +101,29 @@ def test_the_packed_local_rows_match_the_tuple_rows(name):
             for N in range(2, 6):
                 _truncated_agree(modular, G.nvars, N)
                 _truncated_agree([g.terms for g in gens], G.nvars, N)
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_the_exact_cross_check_rows_are_the_dense_matrix(name, monkeypatch):
+    # a rank mod p that never agrees sends the cross-check to its exact rank
+    f = INPUTS[name]
+    m = validate_input(f).T - 1
+    dim_m = condition_I(f).dim_milnor_top_minus_one
+    exact = []
+    monkeypatch.setattr(veronese, "rank_residues", lambda rows, p: -1)
+    monkeypatch.setattr(veronese, "rank_sparse", lambda rows: exact.append(rows) or rank_sparse(rows))
+    assert _macaulay_rank_agrees(f, m, dim_m)
+    assert not _macaulay_rank_agrees(f, m, dim_m + 1)
+    rows = exact[0]
+    # row for row, the dense matrix's rows times their partial's denominator
+    dense = jacobian_degree_matrix(f, m)
+    dens = [integer_terms(g)[0] for g in f.gradient()] * (dense.rows // f.nvars)
+    columns = graded_basis(f.nvars, m)
+    expected = [
+        {columns[j]: x * den for j, x in enumerate(row) if x} for row, den in zip(dense.entries, dens)
+    ]
+    assert _by_monomial(rows, f.nvars, -1) == [row for row in expected if row]
+    assert rank_sparse(rows) == rank(dense)
 
 
 @settings(max_examples=60, deadline=None)
@@ -197,15 +221,15 @@ def test_a_node_costs_one_rank_per_colength(text, n):
     G = parse_poly(text, n)
     calls = []
 
-    def counting(rows, p):
+    def counting(rows):
         calls.append(len(rows))
-        return rank_residues(rows, p)
+        return rank_sparse(rows)
 
-    exact = []
-    with mock.patch.object(singlocus, "rank_residues", counting), mock.patch.object(
-        singlocus, "rank", lambda M: exact.append(M) or rank(M)
+    dense = []
+    with mock.patch.object(singlocus, "rank_sparse", counting), mock.patch.object(
+        singlocus, "rank", lambda M: dense.append(M) or rank(M)
     ):
         tjurina, milnor, qrank = _local_numbers(G)
     assert (tjurina, milnor, qrank) == (1, 1, n)
-    assert len(calls) == 2  # one rank mod p for each colength
-    assert len(exact) == 1  # the quadratic rank; no exact confirmation
+    assert len(calls) == 2  # one sparse exact rank for each colength
+    assert len(dense) == 1  # the quadratic rank

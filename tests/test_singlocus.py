@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from veroav import groebner, milnor, ratpoints, singlocus
+from veroav import groebner, milnor, ratpoints
 from veroav.milnor import tjurina_total
 from veroav.parsing import parse_poly
 from veroav.singlocus import (
@@ -179,7 +179,7 @@ def test_singular_points_run_no_buchberger(src, n, complete, monkeypatch):
     f = parse_poly(src, n)
     milnor.validate_input(f)
     calls = []
-    for module in (groebner, milnor, ratpoints, singlocus):
+    for module in (groebner, milnor, ratpoints):
         counted = lambda *a, real=module.buchberger: calls.append(a) or real(*a)  # noqa: E731
         monkeypatch.setattr(module, "buchberger", counted)
     real_loop = groebner._pair_loop

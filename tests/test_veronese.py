@@ -18,6 +18,7 @@ from veroav.linalg import (
     random_unimodular,
     rank,
     rank_residues,
+    rank_sparse,
 )
 from veroav.milnor import (
     ScopeError,
@@ -176,7 +177,9 @@ def _watch_ranks(monkeypatch):
     monkeypatch.setattr(
         veronese, "rank_residues", lambda *a: calls.append("mod p") or rank_residues(*a)
     )
-    monkeypatch.setattr(veronese, "rank", lambda M: calls.append("exact") or rank(M))
+    monkeypatch.setattr(
+        veronese, "rank_sparse", lambda rows: calls.append("exact") or rank_sparse(rows)
+    )
     return calls
 
 
